@@ -4,7 +4,7 @@ Everything here is exact rational arithmetic: no floating point enters until
 a value is printed.
 """
 from superjacobi.numtheory import bernoulli, divisor_sum, eisenstein_e, eisenstein_ghat
-from superjacobi.ramanujan import e_variable_form, extract_ode_family, ramanujan_triple
+from superjacobi.ramanujan import e_variable_form, extract_ode_families, ramanujan_triple
 
 # Bernoulli numbers from long division of x by (e^x - 1)
 print("B_0..B_12:", [bernoulli(n) for n in range(13)])
@@ -28,11 +28,10 @@ for idt in ramanujan_triple(60):
 
 # The same identities drop out of the Weierstrass PDE by equating
 # z-coefficients; k = 1, 2, 3 reproduce E2, E4, E6 after rescaling.
-for k in (1, 2, 3, 4):
-    idt = extract_ode_family(k, 7, 40)
+for idt in extract_ode_families((1, 2, 3, 4), 7, 40):
     status = "exact" if idt.holds() else "FAILS"
     print(f"z^{idt.source_z_exponent} coefficient of the wp PDE: {status}")
-    if k <= 3:
+    if idt.k <= 3:
         lhs_e, _ = e_variable_form(idt)
-        want = eisenstein_e(k, 40).q_log_deriv()
+        want = eisenstein_e(idt.k, 40).q_log_deriv()
         print("   rescaled lhs == q dE/dq:", lhs_e.same_visible(want))

@@ -48,8 +48,9 @@ def cmd_ramanujan(args) -> int:
         d = idt.to_dict()
         checks.append(d)
         ok = ok and d["holds"]
-    for k in range(1, args.max_k + 1):
-        idt = ramanujan.extract_ode_family(k, max(args.max_k + 3, 6), args.order)
+    family = ramanujan.extract_ode_families(
+        range(1, args.max_k + 1), max(args.max_k + 3, 6), args.order)
+    for idt in family:
         d = idt.to_dict()
         d["source"] = "wp-pde"
         d["zExponent"] = idt.source_z_exponent

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, isqrt
+from math import factorial, isqrt
 
 from .series import QYSeries
 from .ratfunc import RatFunc
@@ -97,7 +97,3 @@ def eisenstein_ghat(k: int, trunc: int) -> QYSeries:
     """ghat_{2k} = -B_{2k}/(2k)! * E_{2k}; caller attaches pi-hat^{2k}."""
     scale = -bernoulli(2 * k) / factorial(2 * k)
     return eisenstein_e(k, trunc).scale(scale)
-
-
-def coprime(a: int, b: int) -> bool:
-    return gcd(a, b) == 1

@@ -15,7 +15,7 @@ from math import factorial
 from .errors import OutOfRange
 from .numtheory import bernoulli, eisenstein_e
 from .series import QYSeries
-from .elliptic import wp_pde_sides, wp_series, zetabar_series
+from .elliptic import wp_pde_sides, wp_series
 
 
 @dataclass
@@ -75,21 +75,36 @@ def extract_ode_family(k: int, z_order: int, q_order: int) -> OdeIdentity:
     window; k = 1, 2, 3 reproduce the classical E2, E4, E6 identities up to
     the ghat normalizations (k = 3 uses E8 = E4^2 implicitly through ghat_8).
     """
-    if not 1 <= k <= z_order - 2:
-        raise OutOfRange(f"need 1 <= k <= z_order - 2, got k={k}, z_order={z_order}")
-    zexp = 2 * k - 2
-    pexp = 2 * k + 1
+    return extract_ode_families([k], z_order, q_order)[0]
+
+
+def extract_ode_families(ks, z_order: int, q_order: int) -> list[OdeIdentity]:
+    """:func:`extract_ode_family` for each k in ``ks``, from one build of the
+    PDE sides.
+
+    The transport term zeta-bar * d_z wp is read off as the LHS of the PDE
+    minus its d_tau part, so no product beyond those of the sides is formed.
+    """
+    ks = list(ks)
+    for k in ks:
+        if not 1 <= k <= z_order - 2:
+            raise OutOfRange(f"need 1 <= k <= z_order - 2, got k={k}, z_order={z_order}")
+    if not ks:
+        return []
     lhs_full, rhs_full = wp_pde_sides(z_order, q_order)
     window = min(lhs_full.ztrunc, rhs_full.ztrunc)
-    if zexp >= window:
-        raise OutOfRange(f"z-exponent {zexp} outside provable window {window}")
-    wp = wp_series(z_order, q_order)
-    zb = zetabar_series(z_order, q_order)
-    tau_part = wp.q_log_deriv().pi_shift(1)
-    transport = zb * wp.z_deriv()
-    lhs = tau_part.coeff(zexp, pexp)
-    rhs = rhs_full.coeff(zexp, pexp) - transport.coeff(zexp, pexp)
-    return OdeIdentity(k, lhs, rhs, zexp)
+    tau_part = wp_series(z_order, q_order).q_log_deriv().pi_shift(1)
+    out = []
+    for k in ks:
+        zexp = 2 * k - 2
+        pexp = 2 * k + 1
+        if zexp >= window:
+            raise OutOfRange(f"z-exponent {zexp} outside provable window {window}")
+        lhs = tau_part.coeff(zexp, pexp)
+        transport = lhs_full.coeff(zexp, pexp) - lhs
+        rhs = rhs_full.coeff(zexp, pexp) - transport
+        out.append(OdeIdentity(k, lhs, rhs, zexp))
+    return out
 
 
 def e_variable_form(identity: OdeIdentity) -> tuple[QYSeries, QYSeries]:

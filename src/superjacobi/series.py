@@ -5,7 +5,8 @@ Two layers:
 * :class:`QYSeries` -- series in q on the exponent grid (1/qden)Z, with
   coefficients in Q(y) (:class:`~superjacobi.ratfunc.RatFunc`) and a single
   global fractional y-power prefactor.  Truncation is tracked per series and
-  propagated pessimistically; arithmetic never reads past it.
+  propagated pessimistically; arithmetic never reads past it.  A product of
+  two y-free series is convolved in Python ints over one common denominator.
 
 * :class:`ZPiSeries` -- Laurent series in a formal variable z, graded by
   powers of the formal symbol pi-hat (standing for 2*pi*i), with truncated
@@ -20,14 +21,10 @@ from __future__ import annotations
 import cmath
 import json
 from fractions import Fraction
-from math import gcd, isfinite
+from math import isfinite, lcm
 
 from .errors import IncompatiblePrefactor, NotAUnit, PoleProximity
 from .ratfunc import RatFunc
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 class QYSeries:
@@ -108,7 +105,7 @@ class QYSeries:
 
     @staticmethod
     def _unify(a: "QYSeries", b: "QYSeries") -> tuple["QYSeries", "QYSeries"]:
-        d = _lcm(a.qden, b.qden)
+        d = lcm(a.qden, b.qden)
         a = a.rescale_grid(d)
         b = b.rescale_grid(d)
         diff = a.ypref - b.ypref
@@ -147,6 +144,9 @@ class QYSeries:
     def __mul__(self, other: "QYSeries") -> "QYSeries":
         a, b = self._unify_grid_only(self, other)
         trunc = min(a.trunc + b.valuation(), b.trunc + a.valuation())
+        if _y_free(a) and _y_free(b):
+            return QYSeries(a.qden, a.ypref + b.ypref,
+                            _mul_constants(a.terms, b.terms, trunc), trunc)
         terms: dict[int, RatFunc] = {}
         bitems = sorted(b.terms.items())
         for ea, ca in sorted(a.terms.items()):
@@ -163,7 +163,7 @@ class QYSeries:
 
     @staticmethod
     def _unify_grid_only(a, b):
-        d = _lcm(a.qden, b.qden)
+        d = lcm(a.qden, b.qden)
         return a.rescale_grid(d), b.rescale_grid(d)
 
     def scale(self, c) -> "QYSeries":
@@ -176,20 +176,12 @@ class QYSeries:
     def shift(self, qexp, yexp: Fraction = Fraction(0)) -> "QYSeries":
         """Multiply by the monomial q^qexp * y^yexp (grid refined as needed)."""
         q = Fraction(qexp)
-        d = _lcm(self.qden, q.denominator)
+        d = lcm(self.qden, q.denominator)
         s = self.rescale_grid(d)
         off = int(q * d)
         return QYSeries(d, s.ypref + Fraction(yexp),
                         {e + off: c for e, c in s.terms.items()},
                         s.trunc + off)
-
-    def power(self, n: int) -> "QYSeries":
-        if n < 0:
-            return self.invert().power(-n)
-        out = QYSeries.one(self.trunc, self.qden)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def invert(self) -> "QYSeries":
         """Multiplicative inverse to the propagated truncation order.
@@ -253,7 +245,7 @@ class QYSeries:
         if m == 0:
             return self
         pshift = Fraction(m) * self.ypref
-        d = _lcm(self.qden, pshift.denominator)
+        d = lcm(self.qden, pshift.denominator)
         base = self.rescale_grid(d)
         new_trunc = base.trunc + m * tail_y_bound * d
         poff = int(pshift * d)
@@ -378,6 +370,37 @@ class QYSeries:
         pref = f"y^({self.ypref}) * " if self.ypref else ""
         body = " + ".join(bits) if bits else "0"
         return f"QYSeries[{pref}{body}{more} + O(q^({Fraction(self.trunc, self.qden)}))]"
+
+
+# -- y-free products in Python ints ---------------------------------------------
+
+def _y_free(s: QYSeries) -> bool:
+    """True when every coefficient is a constant; stops at the first that is not."""
+    return all(c.is_const() for c in s.terms.values())
+
+
+def _integer_numerators(terms: dict[int, RatFunc]) -> tuple[dict[int, int], int]:
+    """Constant coefficients as integer numerators over one common denominator."""
+    vals = {e: c.const_value() for e, c in terms.items()}
+    den = lcm(*(v.denominator for v in vals.values()))
+    return {e: v.numerator * (den // v.denominator) for e, v in vals.items()}, den
+
+
+def _mul_constants(ta: dict[int, RatFunc], tb: dict[int, RatFunc],
+                   trunc: int) -> dict[int, RatFunc]:
+    """Truncated product of two y-free term maps, convolved in Python ints."""
+    na, da = _integer_numerators(ta)
+    nb, db = _integer_numerators(tb)
+    acc: dict[int, int] = {}
+    bitems = sorted(nb.items())
+    for ea, x in sorted(na.items()):
+        for eb, y in bitems:
+            e = ea + eb
+            if e >= trunc:
+                break
+            acc[e] = acc.get(e, 0) + x * y
+    den = da * db
+    return {e: RatFunc.const(Fraction(n, den)) for e, n in acc.items() if n}
 
 
 # -- helpers used by the product-formula layer -------------------------------

@@ -16,7 +16,7 @@ brackets are
 with all other pairs zero and reversed pairs given by super-antisymmetry
 [b, a] = -(-1)^{p(a)p(b)} [a, b].
 
-The vector-field realization on C[z, 1/z] (x) /\[theta] uses
+The vector-field realization on C[z, 1/z] (x) /\\[theta] uses
 
     L_n = -z^{n+1} d_z - (n+1) z^n theta d_theta
     J_n = -z^n theta d_theta
@@ -280,7 +280,7 @@ def virasoro_map_check(max_index: int, naive: bool) -> SweepReport:
 # -- vector-field realization ---------------------------------------------------
 
 class SuperPoly:
-    """Element of C[z, 1/z] (x) /\[theta]: even part + theta * odd part."""
+    """Element of C[z, 1/z] (x) /\\[theta]: even part + theta * odd part."""
 
     __slots__ = ("ev", "od")
 

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from superjacobi.elliptic import wp_pde_sides, wp_series, zetabar_series
 from superjacobi.errors import OutOfRange
 from superjacobi.numtheory import eisenstein_e
-from superjacobi.ramanujan import (e_variable_form, extract_ode_family,
-                                   ramanujan_triple)
+from superjacobi.ramanujan import (e_variable_form, extract_ode_families,
+                                   extract_ode_family, ramanujan_triple)
 
 F = Fraction
 
@@ -43,6 +44,43 @@ def test_extract_family_exact():
 def test_extract_family_deeper():
     for k in (5, 6):
         assert extract_ode_family(k, 8, 40).holds()
+
+
+@pytest.mark.parametrize("z_order, q_order", [(6, 40), (7, 60), (8, 40), (5, 13)])
+def test_extract_matches_direct_transport_product(z_order, q_order):
+    # reference: the transport term as the product zeta-bar * d_z wp itself
+    lhs_full, rhs_full = wp_pde_sides(z_order, q_order)
+    wp = wp_series(z_order, q_order)
+    transport = zetabar_series(z_order, q_order) * wp.z_deriv()
+    tau_part = wp.q_log_deriv().pi_shift(1)
+    ks = list(range(1, z_order - 1))
+    assert 2 * ks[-1] - 2 < min(lhs_full.ztrunc, rhs_full.ztrunc)
+    for k, batch in zip(ks, extract_ode_families(ks, z_order, q_order)):
+        idt = extract_ode_family(k, z_order, q_order)
+        zexp, pexp = 2 * k - 2, 2 * k + 1
+        lhs = tau_part.coeff(zexp, pexp)
+        rhs = rhs_full.coeff(zexp, pexp) - transport.coeff(zexp, pexp)
+        for got in (idt, batch):
+            assert got.lhs.terms == lhs.terms and got.lhs.trunc == lhs.trunc
+            assert got.rhs.terms == rhs.terms and got.rhs.trunc == rhs.trunc
+            assert got.holds(), f"k={k}"
+
+
+def test_truncation_prefix_property():
+    # a result at order T is a prefix of the same result at 2T
+    T = 20
+    for lo, hi in zip(wp_pde_sides(6, T), wp_pde_sides(6, 2 * T)):
+        assert lo.ztrunc == hi.ztrunc
+        for key in set(lo.terms) | set(hi.terms):
+            assert lo.coeff(*key).trunc == T
+            assert lo.coeff(*key).same_visible(hi.coeff(*key)), key
+    prod = eisenstein_e(1, T) * eisenstein_e(2, T)
+    assert prod.trunc == T
+    assert prod.same_visible(eisenstein_e(1, 2 * T) * eisenstein_e(2, 2 * T))
+    for lo, hi in zip(ramanujan_triple(T), ramanujan_triple(2 * T)):
+        for a, b in ((lo.lhs, hi.lhs), (lo.rhs, hi.rhs)):
+            assert a.trunc == T + 1
+            assert a.same_visible(b)
 
 
 def test_extract_out_of_range():

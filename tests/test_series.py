@@ -73,21 +73,63 @@ def test_mul_field_inverse_coefficient():
     assert (a * b).terms == {0: RatFunc.one()}
 
 
-def test_mul_matches_naive_convolution(rng):
+def _naive_product(a: QYSeries, b: QYSeries) -> tuple[dict, int]:
+    """Brute-force double loop over the terms, same truncation rule."""
+    tr = min(a.trunc + b.valuation(), b.trunc + a.valuation())
+    acc = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            if ea + eb < tr:
+                cur = acc.get(ea + eb, RatFunc.zero())
+                acc[ea + eb] = cur + ca * cb
+    return {e: c for e, c in acc.items() if not c.is_zero()}, tr
+
+
+def _rand_constant_series(rng, trunc, qden=1, vmin=0, ypref=F(0)) -> QYSeries:
+    """y-free coefficients with mixed denominators; valuation vmin."""
+    def const():
+        return RatFunc.const(F(rng.choice([-7, -3, -1, 1, 2, 5, 9]),
+                               rng.choice([1, 2, 3, 4, 6, 35])))
+    terms = {rng.randint(vmin, trunc - 1): const() for _ in range(8)}
+    terms[vmin] = const()
+    return QYSeries(qden, ypref, terms, trunc)
+
+
+def test_mul_matches_naive_convolution(rng, monkeypatch):
+    import superjacobi.series as series
+    kernel_calls = []
+    real_kernel = series._mul_constants
+
+    def counting_kernel(*args):
+        kernel_calls.append(args)
+        return real_kernel(*args)
+
+    monkeypatch.setattr(series, "_mul_constants", counting_kernel)
+
+    def check(a, b, takes_kernel):
+        before = len(kernel_calls)
+        prod = a * b
+        acc, tr = _naive_product(a, b)
+        assert prod.terms == acc and prod.trunc == tr
+        assert prod.ypref == a.ypref + b.ypref
+        assert (len(kernel_calls) > before) == takes_kernel
+
     for _ in range(30):
         a = rand_series(rng, trunc=12, nterms=8)
         b = rand_series(rng, trunc=12, nterms=8)
-        prod = a * b
-        # brute-force double loop, same truncation rule
-        tr = min(a.trunc + b.valuation(), b.trunc + a.valuation())
-        acc = {}
-        for ea, ca in a.terms.items():
-            for eb, cb in b.terms.items():
-                if ea + eb < tr:
-                    cur = acc.get(ea + eb, RatFunc.zero())
-                    acc[ea + eb] = cur + ca * cb
-        acc = {e: c for e, c in acc.items() if not c.is_zero()}
-        assert prod.terms == acc and prod.trunc == tr
+        check(a, b, takes_kernel=False)
+    # y-free: constants with mixed denominators, negative valuation, qden 3,
+    # nonzero y-prefactors
+    for _ in range(30):
+        a = _rand_constant_series(rng, trunc=12, qden=3, vmin=-4, ypref=F(1, 3))
+        b = _rand_constant_series(rng, trunc=10, qden=3, vmin=-2, ypref=F(-5, 2))
+        check(a, b, takes_kernel=True)
+    # mixed: a y-free operand times a bivariate one, in both orders
+    for _ in range(30):
+        a = _rand_constant_series(rng, trunc=12, vmin=-3)
+        b = rand_series(rng, trunc=12, nterms=8, ypref=F(1, 2))
+        check(a, b, takes_kernel=False)
+        check(b, a, takes_kernel=False)
 
 
 def test_mul_truncation_respects_valuations():
