@@ -21,8 +21,11 @@ character as multiplication by q^{c m^2/6} y^{c m/3} followed by y -> q^m y.
 It is computed exactly at the level of product factors: each (1 - q^a y^s)
 maps to (1 - q^{a+ms} y^s), and factors driven to negative exponents are
 flipped via (1 - q^{-r} w) = -q^{-r} w (1 - q^r w^{-1}), which contributes an
-exact monomial.  Termwise substitution on the truncated series would instead
-require resumming infinite geometric tails, so it is not used here.
+exact monomial, so no series is resummed.
+
+Both the character and its flow are one product of binomial factors
+(_quotient_factors): those of (u, j, k), then those of the generic label
+(2, 1/2, 1/2) with their side flipped, applied one at a time to the series 1.
 """
 
 from __future__ import annotations
@@ -159,10 +162,11 @@ def character(label: ModuleLabel, q_order: Fraction,
     u, j, k = label.u, label.j, label.k
     qden = 2 * u
     q_order = Fraction(q_order)
-    num = p_product(label, q_order, qden)
-    du, dj, dk = _GENERIC_DENOM
-    den = p_product(ModuleLabel(du, dj, dk, generic=True), q_order, qden)
-    ser = num * den.invert()
+    tr = q_order * qden
+    if tr.denominator != 1:
+        raise ValueError("q_order not on the grid")
+    factors, _, _, _ = _quotient_factors(u, j, k, 0, q_order)
+    ser = _apply_factors(QYSeries.one(int(tr), qden), factors, qden)
     ypref = Fraction(j - k + 1, 1) / u
     if normalized:
         ypref += central_charge(u) / 6
@@ -173,7 +177,8 @@ def character(label: ModuleLabel, q_order: Fraction,
 # -- spectral flow --------------------------------------------------------------
 
 def _flowed_factors(u: int, j: Fraction, k: Fraction, m: int, qmax: Fraction):
-    """Factors of P_{j,k}^{(u)}(q, q^m y), flips applied.
+    """Factors of P_{j,k}^{(u)}(q, q^m y) with q-exponent below qmax, flips
+    applied.
 
     Returns (factors, sign, q_shift, y_shift): the flipped-monomial prefactor
     is sign * q^{q_shift} y^{y_shift}.
@@ -181,42 +186,37 @@ def _flowed_factors(u: int, j: Fraction, k: Fraction, m: int, qmax: Fraction):
     sign = 1
     q_shift = Fraction(0)
     y_shift = 0
+    if m == 0:      # the probe's hot path: nothing shifts or flips
+        return list(_p_factors(u, j, k, qmax)), sign, q_shift, y_shift
     factors = []
-    # shifted exponents can be as low as -|m| * max y-window; enumerate with
-    # headroom and flip anything negative
-    n = 1
-    while True:
-        raw = [
-            (u * (n - 1) + j + k, 0, +1),
-            (u * n - j - k, 0, +1),
-            (Fraction(u * n), 0, +1),
-            (Fraction(u * n), 0, +1),
-            (u * n - j, 1, -1),
-            (u * (n - 1) + j, -1, -1),
-            (u * n - k, -1, -1),
-            (u * (n - 1) + k, 1, -1),
-        ]
-        emitted = False
-        for a, yexp, side in raw:
-            a2 = a + m * yexp
-            if a2 < 0:
-                # (1 - q^{a2} y^s) = -q^{a2} y^s (1 - q^{-a2} y^{-s})
-                sign = -sign
-                if side > 0:
-                    q_shift += a2
-                    y_shift += yexp
-                else:
-                    q_shift -= a2
-                    y_shift -= yexp
-                a2, yexp2 = -a2, -yexp
-            else:
-                yexp2 = yexp
-            if a2 < qmax:
-                emitted = True
-                factors.append((a2, yexp2, side))
-        if not emitted and u * (n - 1) - abs(m) >= qmax:
-            return factors, sign, q_shift, y_shift
-        n += 1
+    # a shifted exponent a + m * yexp with |yexp| <= 1 is below qmax only if
+    # a < qmax + |m|; every flipped factor has a < |m|
+    for a, yexp, side in _p_factors(u, j, k, qmax + abs(m)):
+        a += m * yexp
+        if a < 0:
+            # (1 - q^a y^s) = -q^a y^s (1 - q^{-a} y^{-s})
+            sign = -sign
+            q_shift += side * a
+            y_shift += side * yexp
+            a, yexp = -a, -yexp
+        if a < qmax:
+            factors.append((a, yexp, side))
+    return factors, sign, q_shift, y_shift
+
+
+def _quotient_factors(u: int, j: Fraction, k: Fraction, m: int,
+                      qmax: Fraction):
+    """Factors of P_{j,k}^{(u)} / P_{1/2,1/2}^{(2)} at y -> q^m y: those of
+    (u, j, k), then those of _GENERIC_DENOM with their side flipped.
+
+    Returns (factors, sign, q_shift, y_shift) as _flowed_factors does, for
+    the quotient; m = 0 gives the character's factors and the prefactor 1.
+    """
+    num, sg_n, qs_n, ys_n = _flowed_factors(u, j, k, m, qmax)
+    den, sg_d, qs_d, ys_d = _flowed_factors(*_GENERIC_DENOM, m, qmax)
+    factors = num + [(a, yexp, -side) for a, yexp, side in den]
+    # the denominator's sign inverts itself
+    return factors, sg_n * sg_d, qs_n - qs_d, ys_n - ys_d
 
 
 def spectral_flow_transform(c: CharacterSeries, m: int,
@@ -237,23 +237,15 @@ def spectral_flow_transform(c: CharacterSeries, m: int,
     q_order = Fraction(q_order)
     tr = int(q_order * qden)
 
-    fac_n, sg_n, qs_n, ys_n = _flowed_factors(u, j, k, m, q_order)
-    du, dj, dk = _GENERIC_DENOM
-    fac_d, sg_d, qs_d, ys_d = _flowed_factors(du, dj, dk, m, q_order)
-
-    ser = QYSeries.one(tr, qden)
-    ser = _apply_factors(ser, fac_n, qden)
-    den = QYSeries.one(tr, qden)
-    den = _apply_factors(den, fac_d, qden)
-    ser = ser * den.invert()
+    factors, sign, q_shift, y_shift = _quotient_factors(u, j, k, m, q_order)
+    ser = _apply_factors(QYSeries.one(tr, qden), factors, qden)
 
     ypref = Fraction(j - k + 1, 1) / u + cc / 6
     qpref = (Fraction(j * k, 1) / u           # original q-prefactor
              + m * ypref                      # y-prefactor hit by y -> q^m y
              + cc * m * m / 6                 # transform factor
-             + qs_n - qs_d)                   # flip monomials
-    ytot = ypref + Fraction(cc * m, 3) + ys_n - ys_d
-    sign = sg_n * sg_d                        # denominator sign inverts itself
+             + q_shift)                       # flip monomials
+    ytot = ypref + Fraction(cc * m, 3) + y_shift
     ser = ser.shift(qpref, ytot)
     if sign < 0:
         ser = ser.scale(-1)

@@ -3,9 +3,7 @@
 Exit codes: 0 on success/pass, 1 on a failed mathematical check, 2 on usage
 errors.  Reports are machine-readable JSON (or CSV for numeric tables),
 written to stdout or to --out.  Identical invocations (including --seed)
-produce byte-identical output.  SUPERJACOBI_THREADS bounds the worker count
-of parallel sweeps (the default is single-threaded; all outputs are ordered
-and deterministic either way).
+produce byte-identical output.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ for index cc/6.
 The span-invariance test is a numerical probe of whether a span of functions
 is preserved: it fits a constant mixing matrix M with
 M v(p) ~ multiplier * v(g . p) by an orthogonal-factorization least squares
-over deterministic low-discrepancy samples (alpha in [0.1, 0.4] x [0, 0.3]i;
+over deterministic samples (alpha on the segment from 0.1 + 0.3i to 0.4;
 tau pinned at i by default, or sampled in an opt-in box such as TAU_BOX =
 [-0.3, 0.3] + i[0.9, 1.3]) and reports the residual.
 
@@ -46,11 +46,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .characters import (ModuleLabel, _GENERIC_DENOM, _p_factors,
-                         central_charge, character, spectrum)
+from .characters import (ModuleLabel, _quotient_factors, central_charge,
+                         character, spectrum)
 from .errors import IllConditioned, PoleProximity, TailBoundExceeded
 from .series import QYSeries
-from .util import worker_count
 
 
 @dataclass(frozen=True)
@@ -208,18 +207,12 @@ def eval_character_value(label: ModuleLabel, p: ModularPoint,
         return cmath.exp(2j * cmath.pi * p.alpha * float(s))
 
     val = qp(Fraction(j * k, 1) / u) * yp(Fraction(j - k + 1, 1) / u + cc / 6)
-    q_order = Fraction(q_order)
-    for a, yexp, side in _p_factors(u, j, k, q_order):
+    factors, _, _, _ = _quotient_factors(u, j, k, 0, Fraction(q_order))
+    for a, yexp, side in factors:
         f = 1.0 - qp(a) * yp(yexp)
         if abs(f) < 1e-12:
             raise PoleProximity(f"factor (1 - q^{a} y^{yexp}) within pole guard")
         val = val * f if side > 0 else val / f
-    du, dj, dk = _GENERIC_DENOM
-    for a, yexp, side in _p_factors(du, dj, dk, q_order):
-        f = 1.0 - qp(a) * yp(yexp)
-        if abs(f) < 1e-12:
-            raise PoleProximity(f"factor (1 - q^{a} y^{yexp}) within pole guard")
-        val = val / f if side > 0 else val * f
     return val
 
 
@@ -271,10 +264,15 @@ TAU_BOX = ((-0.3, 0.3), (0.9, 1.3))
 
 def sample_points(count: int, seed: int = 7,
                   tau_box: tuple | None = None) -> list[ModularPoint]:
-    """Deterministic low-discrepancy samples: alpha in the box
-    [0.1, 0.4] x [0, 0.3]i via a golden-ratio Kronecker sequence; tau = i, or,
-    given tau_box = ((re_lo, re_hi), (im_lo, im_hi)), tau in that box via
-    Kronecker sequences in sqrt 2 and sqrt 3."""
+    """Deterministic samples: alpha = 0.1 + 0.3 f1 + 0.3i f2 with f1, f2 the
+    Kronecker sequences in g = (sqrt 5 - 1)/2 and g^2; tau = i, or, given
+    tau_box = ((re_lo, re_hi), (im_lo, im_hi)), tau in that box via Kronecker
+    sequences in sqrt 2 and sqrt 3.
+
+    Since g^2 = 1 - g, f2 = 1 - f1: every alpha lies on the segment from
+    0.1 + 0.3i to 0.4, not in the box [0.1, 0.4] x [0, 0.3]i.  The probe
+    still fits, as the families are holomorphic in alpha; the values are kept
+    so that stored probe results stay reproducible."""
     pts = []
     for i in range(count):
         f1 = ((seed + i + 1) * _GOLDEN) % 1.0
@@ -301,16 +299,6 @@ def _tau_extent(pts: list[ModularPoint]) -> list:
     return [[min(re), max(re)], [min(im), max(im)]]
 
 
-def _map_points(fn, pts):
-    """Apply fn to each point, in order; parallel when SUPERJACOBI_THREADS > 1."""
-    workers = worker_count()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(fn, pts))
-    return [fn(p) for p in pts]
-
-
 def _sector_row(labels, p, q_order, cc, family, cosets) -> list[complex]:
     """[(f_lab | h)(p) for h in cosets for lab in labels], with the slash
     action (f | h)(p) = multiplier(h, p) f(h . p)."""
@@ -324,16 +312,15 @@ def _sector_row(labels, p, q_order, cc, family, cosets) -> list[complex]:
 
 def _fit(u, g, pts, q_order, cc, family, cosets):
     labels = spectrum(u)
-    V = np.array(_map_points(
-        lambda p: _sector_row(labels, p, q_order, cc, family, cosets), pts),
-        dtype=complex)
+    V = np.array([_sector_row(labels, p, q_order, cc, family, cosets)
+                  for p in pts], dtype=complex)
 
     def transformed_row(p):
         mult = multiplier(g, p, cc)
         return [mult * v for v in _sector_row(labels, act_on_point(g, p),
                                               q_order, cc, family, cosets)]
 
-    W = np.array(_map_points(transformed_row, pts), dtype=complex)
+    W = np.array([transformed_row(p) for p in pts], dtype=complex)
     cond = float(np.linalg.cond(V))
     if cond > 1e8:
         raise IllConditioned(f"sample matrix condition {cond:.3e} > 1e8")

@@ -231,54 +231,6 @@ class QYSeries:
                 terms[e] = t
         return QYSeries(self.qden, self.ypref, terms, self.trunc)
 
-    # -- substitution y -> q^m y --------------------------------------------
-
-    def substitute_y(self, m: int, tail_y_bound: int = 0) -> "QYSeries":
-        """Substitute y -> q^m y, including in the prefactor.
-
-        Rational coefficients are re-expanded as q-series (each denominator
-        D(q^m y) is a Puiseux unit, so the expansion is exact).  Soundness of
-        the result's truncation relies on the unknown tail (orders >= trunc)
-        containing no y-exponents below ``tail_y_bound`` when m > 0 (above it
-        when m < 0); the default 0 suits series with one-signed y-support.
-        """
-        if m == 0:
-            return self
-        pshift = Fraction(m) * self.ypref
-        d = lcm(self.qden, pshift.denominator)
-        base = self.rescale_grid(d)
-        new_trunc = base.trunc + m * tail_y_bound * d
-        poff = int(pshift * d)
-        out = QYSeries.zero(new_trunc, d)
-        for e, r in sorted(base.terms.items()):
-            if r.is_poly():
-                terms: dict[int, RatFunc] = {}
-                for s, c in r.num.items():
-                    ee = e + m * s * d + poff
-                    if ee < new_trunc:
-                        mono = RatFunc.monomial(c, s)
-                        cur = terms.get(ee)
-                        terms[ee] = mono if cur is None else cur + mono
-                out = out + QYSeries(d, Fraction(0), terms, new_trunc)
-            else:
-                need = new_trunc - e - poff
-                if need <= 0:
-                    continue
-                exps = [abs(m * s * d) for s in r.num] + [abs(m * s * d) for s in r.den]
-                pad = 3 * (max(exps) + 1)
-                num = QYSeries(d, Fraction(0),
-                               {m * s * d: RatFunc.monomial(c, s)
-                                for s, c in r.num.items()}, need + pad)
-                den = QYSeries(d, Fraction(0),
-                               {m * s * d: RatFunc.monomial(c, s)
-                                for s, c in r.den.items()}, need + pad)
-                piece = num * den.invert()
-                if piece.trunc < need:
-                    raise RuntimeError("substitution padding insufficient")
-                piece = QYSeries(d, Fraction(0), piece.terms, need)
-                out = out + piece.shift(Fraction(e + poff, d)).rescale_grid(d)
-        return QYSeries(d, base.ypref, out.terms, new_trunc)
-
     # -- comparison ---------------------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -1,9 +1,11 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from superjacobi.characters import (ModuleLabel, _p_factors,
-                                    central_charge, character,
+from superjacobi.characters import (_GENERIC_DENOM, ModuleLabel,
+                                    _apply_factors, _flowed_factors,
+                                    _p_factors, central_charge, character,
                                     find_flow_matches, p_product,
                                     spectral_flow_transform, spectrum)
 from superjacobi.errors import BadLevel
@@ -106,6 +108,93 @@ def test_product_matches_log_exp_oracle_311():
 def test_product_matches_log_exp_oracle_all(u):
     for lab in spectrum(u):
         assert p_product(lab, F(8)).same_visible(log_exp_oracle(lab, F(8)))
+
+
+# -- reference routes: numerator times the inverted denominator series ---------
+
+@pytest.mark.parametrize("q_order", [F(8), F(20)])
+def test_character_matches_inversion_route(q_order):
+    generic = ModuleLabel(*_GENERIC_DENOM, generic=True)
+    for u in range(2, 7):
+        den_inv = p_product(generic, q_order, 2 * u).invert()
+        for lab in spectrum(u):
+            quotient = p_product(lab, q_order) * den_inv
+            for normalized in (False, True):
+                got = character(lab, q_order, normalized).series
+                ypref = F(lab.j - lab.k + 1) / u
+                if normalized:
+                    ypref += central_charge(u) / 6
+                ref = quotient.shift(F(lab.j * lab.k) / u, ypref)
+                assert got.terms == ref.terms
+                assert (got.trunc, got.qden, got.ypref) == \
+                    (ref.trunc, ref.qden, ref.ypref)
+
+
+def _flowed_factors_reference(u, j, k, m, qmax):
+    """Factors of P_{j,k}^{(u)}(q, q^m y), flips applied, from their own
+    8-factor table and stop rule: (factors, sign, q_shift, y_shift)."""
+    sign, q_shift, y_shift = 1, F(0), 0
+    factors = []
+    n = 1
+    while True:
+        raw = [
+            (u * (n - 1) + j + k, 0, +1), (u * n - j - k, 0, +1),
+            (F(u * n), 0, +1), (F(u * n), 0, +1),
+            (u * n - j, 1, -1), (u * (n - 1) + j, -1, -1),
+            (u * n - k, -1, -1), (u * (n - 1) + k, 1, -1),
+        ]
+        emitted = False
+        for a, yexp, side in raw:
+            a2 = a + m * yexp
+            if a2 < 0:
+                sign = -sign
+                q_shift += a2 if side > 0 else -a2
+                y_shift += yexp if side > 0 else -yexp
+                a2, yexp = -a2, -yexp
+            if a2 < qmax:
+                emitted = True
+                factors.append((a2, yexp, side))
+        if not emitted and u * (n - 1) - abs(m) >= qmax:
+            return factors, sign, q_shift, y_shift
+        n += 1
+
+
+def _flow_by_inversion(label: ModuleLabel, m: int, q_order: F) -> QYSeries:
+    u, j, k = label.u, label.j, label.k
+    cc = central_charge(u)
+    qden = 2 * u
+    one = QYSeries.one(int(q_order * qden), qden)
+    fac_n, sg_n, qs_n, ys_n = _flowed_factors_reference(u, j, k, m, q_order)
+    fac_d, sg_d, qs_d, ys_d = _flowed_factors_reference(*_GENERIC_DENOM, m,
+                                                        q_order)
+    ser = (_apply_factors(one, fac_n, qden)
+           * _apply_factors(one, fac_d, qden).invert())
+    ypref = F(j - k + 1) / u + cc / 6
+    qpref = F(j * k) / u + m * ypref + cc * m * m / 6 + qs_n - qs_d
+    ser = ser.shift(qpref, ypref + F(cc * m, 3) + ys_n - ys_d)
+    return ser.scale(sg_n * sg_d)
+
+
+@pytest.mark.parametrize("m", [1, -1, 2, -2, 3])
+def test_flow_matches_inversion_route(m):
+    for u in range(2, 6):
+        for lab in spectrum(u):
+            ch = character(lab, F(8), normalized=True)
+            got = spectral_flow_transform(ch, m)
+            # the flow keeps the character's order, its prefactor included
+            ref = _flow_by_inversion(lab, m, F(ch.series.trunc, 2 * u))
+            assert got.terms == ref.terms
+            assert (got.trunc, got.qden, got.ypref) == \
+                (ref.trunc, ref.qden, ref.ypref)
+
+
+def test_flowed_factors_without_flow_are_the_product_factors():
+    labels = [(lab.u, lab.j, lab.k) for u in range(2, 7) for lab in spectrum(u)]
+    for u, j, k in labels + [_GENERIC_DENOM]:
+        for qmax in (F(1, 2), F(3), F(17, 2)):
+            factors, sign, q_shift, y_shift = _flowed_factors(u, j, k, 0, qmax)
+            assert Counter(factors) == Counter(_p_factors(u, j, k, qmax))
+            assert (sign, q_shift, y_shift) == (1, 0, 0)
 
 
 def test_character_leading_u3():

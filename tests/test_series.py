@@ -190,29 +190,7 @@ def test_qlogderiv_leibniz(rng):
         assert lhs.same_visible(rhs)
 
 
-# -- substitute_y -------------------------------------------------------------
-
-def test_substitute_simple():
-    a = qs({0: poly(p1=1), 1: RatFunc.one()}, 6)       # y + q
-    t = a.substitute_y(1)
-    assert t.terms == {1: poly(p0=1, p1=1)}            # qy + q
-
-
-def test_substitute_prefactor_grid_refined():
-    a = QYSeries(1, F(1, 3), {0: RatFunc.one()}, 4)    # y^{1/3}
-    t = a.substitute_y(1)
-    assert t.qden == 3
-    assert t.ypref == F(1, 3)
-    assert t.terms == {1: RatFunc.one()}               # q^{1/3} y^{1/3}
-
-
-def test_substitute_composition(rng):
-    for _ in range(30):
-        f = rand_series(rng, trunc=10, nterms=6, ymin=0, ymax=4)
-        once = f.substitute_y(1).substitute_y(1)
-        twice = f.substitute_y(2)
-        assert once.same_visible(twice)
-
+# -- y log deriv ------------------------------------------------------------
 
 def _ylogderiv_independent(f: QYSeries) -> QYSeries:
     """y d/dy recomputed directly from the term dicts (test-side oracle)."""
@@ -233,36 +211,6 @@ def test_ylogderiv_against_independent_route(rng):
     for _ in range(40):
         f = rand_series(rng, trunc=9, nterms=5, ypref=F(1, 3), rational=True)
         assert f.y_log_deriv().same_visible(_ylogderiv_independent(f))
-
-
-def test_substitute_chain_rule(rng):
-    # q d/dq (f(y -> q^m y)) == (q d/dq f + m * y d/dy f)(y -> q^m y),
-    # with y d/dy supplied by the independent test-side route
-    for _ in range(30):
-        f = rand_series(rng, trunc=10, nterms=6, ymin=0, ymax=4,
-                        ypref=F(0), rational=False)
-        for m in (1, 2):
-            lhs = f.substitute_y(m).q_log_deriv()
-            rhs = (f.q_log_deriv()
-                   + _ylogderiv_independent(f).scale(m)).substitute_y(m)
-            assert lhs.same_visible(rhs)
-
-
-def test_substitute_rational_resummation():
-    # 1/(1 - y^{-1}) under y -> qy resums to -qy/(1-qy) = -sum q^r y^r
-    r = poly(p0=1, m1=-1).inverse()
-    a = qs({0: r}, 5)
-    t = a.substitute_y(1)
-    assert t.terms == {e: poly(**{f"p{e}": -1}) for e in range(1, 5)}
-
-
-def test_substitute_rational_negative_shift():
-    # 1/(1 - y) under y -> y/q: the denominator acquires a negative-valuation
-    # unit, and the expansion is -sum_{r>=1} q^r y^{-r}
-    r = RatFunc({0: F(1)}, {0: F(1), 1: F(-1)})
-    a = qs({0: r}, 5)
-    t = a.substitute_y(-1)
-    assert t.terms == {e: poly(**{f"m{e}": -1}) for e in range(1, 5)}
 
 
 # -- eval ---------------------------------------------------------------------
