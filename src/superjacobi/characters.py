@@ -26,6 +26,9 @@ exact monomial, so no series is resummed.
 Both the character and its flow are one product of binomial factors
 (_quotient_factors): those of (u, j, k), then those of the generic label
 (2, 1/2, 1/2) with their side flipped, applied one at a time to the series 1.
+Every intermediate coefficient is an integer Laurent polynomial in y, so
+_apply_factors works on integer rows and builds one RatFunc per output term;
+the q^0 factors form the one rational constant, applied once at the end.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from math import gcd
 
 from .errors import BadLevel, NegativeExponent
 from .ratfunc import RatFunc
-from .series import QYSeries, mul_binomial, div_binomial
+from .series import QYSeries
 
 
 @dataclass(frozen=True)
@@ -116,10 +119,24 @@ def _p_factors(u: int, j: Fraction, k: Fraction, qmax: Fraction):
 
 
 def _apply_factors(series: QYSeries, factors, qden: int) -> QYSeries:
-    """Multiply/divide binomial factors into a series; q^0 factors are exact
-    rational-function constants."""
+    """Multiply/divide binomial factors (1 - q^a y^s) into a series whose
+    coefficients are integer Laurent polynomials in y.
+
+    The work runs on integer rows {e: {yexp: int}}: a numerator factor is one
+    descending-e pass, a denominator factor the forward recurrence.  q^0
+    factors are exact rational-function constants, folded into one RatFunc and
+    applied once at the end, so only one RatFunc is built per output term.
+    Raises ValueError on a coefficient that is not an integer Laurent
+    polynomial.
+    """
+    trunc = series.trunc
+    rows: dict[int, dict[int, int]] = {}
+    for e, c in series.terms.items():
+        if not c.is_poly() or any(v.denominator != 1 for v in c.num.values()):
+            raise ValueError(
+                "coefficient is not an integer Laurent polynomial in y")
+        rows[e] = {y: int(v) for y, v in c.num.items()}
     const = RatFunc.one()
-    out = series
     for a, yexp, side in factors:
         a_scaled = Fraction(a) * qden
         if a_scaled.denominator != 1:
@@ -129,12 +146,38 @@ def _apply_factors(series: QYSeries, factors, qden: int) -> QYSeries:
             f = RatFunc({0: Fraction(1), yexp: Fraction(-1)})
             const = const * f if side > 0 else const * f.inverse()
         elif side > 0:
-            out = mul_binomial(out, a_scaled, yexp, -1)
-        else:
-            out = div_binomial(out, a_scaled, yexp, -1)
+            # row e feeds row e + a, which a descending pass has already read
+            for e in sorted(rows, reverse=True):
+                if e + a_scaled < trunc:
+                    _add_shifted(rows.setdefault(e + a_scaled, {}), rows[e],
+                                 yexp, -1)
+        elif rows:
+            # out[e] = in[e] + y^s out[e - a], ascending
+            for e in range(min(rows) + a_scaled, trunc):
+                prev = rows.get(e - a_scaled)
+                if prev:
+                    _add_shifted(rows.setdefault(e, {}), prev, yexp, 1)
+    terms = {}
+    for e, row in rows.items():
+        if row:
+            terms[e] = RatFunc({y: Fraction(v) for y, v in row.items()},
+                               None, reduce=False)
+    out = QYSeries(series.qden, series.ypref, terms, trunc)
     if not (const.is_const() and const.const_value() == 1):
         out = out.scale(const)
     return out
+
+
+def _add_shifted(target: dict[int, int], row: dict[int, int], yexp: int,
+                 sign: int) -> None:
+    """target += sign * y^yexp * row, on integer rows without zero entries."""
+    for y, v in row.items():
+        y += yexp
+        w = target.get(y, 0) + sign * v
+        if w:
+            target[y] = w
+        else:
+            del target[y]
 
 
 def p_product(label: ModuleLabel, q_order: Fraction,
@@ -142,11 +185,16 @@ def p_product(label: ModuleLabel, q_order: Fraction,
     """P_{j,k}^{(u)} exact to q^q_order, on the grid 1/qden (default 2u)."""
     u, j, k = label.u, label.j, label.k
     qden = qden if qden is not None else 2 * u
+    return _apply_factors(_one(q_order, qden), _p_factors(u, j, k, q_order),
+                          qden)
+
+
+def _one(q_order: Fraction, qden: int) -> QYSeries:
+    """The series 1, exact to q^q_order on the grid 1/qden."""
     tr = Fraction(q_order) * qden
     if tr.denominator != 1:
         raise ValueError("q_order not on the grid")
-    out = QYSeries.one(int(tr), qden)
-    return _apply_factors(out, _p_factors(u, j, k, q_order), qden)
+    return QYSeries.one(int(tr), qden)
 
 
 _GENERIC_DENOM = (2, Fraction(1, 2), Fraction(1, 2))
@@ -162,11 +210,8 @@ def character(label: ModuleLabel, q_order: Fraction,
     u, j, k = label.u, label.j, label.k
     qden = 2 * u
     q_order = Fraction(q_order)
-    tr = q_order * qden
-    if tr.denominator != 1:
-        raise ValueError("q_order not on the grid")
     factors, _, _, _ = _quotient_factors(u, j, k, 0, q_order)
-    ser = _apply_factors(QYSeries.one(int(tr), qden), factors, qden)
+    ser = _apply_factors(_one(q_order, qden), factors, qden)
     ypref = Fraction(j - k + 1, 1) / u
     if normalized:
         ypref += central_charge(u) / 6
@@ -235,10 +280,9 @@ def spectral_flow_transform(c: CharacterSeries, m: int,
     if q_order is None:
         q_order = Fraction(c.series.trunc, qden)
     q_order = Fraction(q_order)
-    tr = int(q_order * qden)
 
     factors, sign, q_shift, y_shift = _quotient_factors(u, j, k, m, q_order)
-    ser = _apply_factors(QYSeries.one(tr, qden), factors, qden)
+    ser = _apply_factors(_one(q_order, qden), factors, qden)
 
     ypref = Fraction(j - k + 1, 1) / u + cc / 6
     qpref = (Fraction(j * k, 1) / u           # original q-prefactor

@@ -41,6 +41,7 @@ one sector per coset of Gamma^0(2) in SL2(Z) (coset_span_test, dimension
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -197,23 +198,33 @@ def eval_character_value(label: ModuleLabel, p: ModularPoint,
     span-invariance probe; agrees with the series route at machine precision
     on points with alpha in the fundamental box.
     """
-    u, j, k = label.u, label.j, label.k
-    cc = central_charge(u)
-
-    def qp(x) -> complex:
-        return cmath.exp(2j * cmath.pi * p.tau * float(x))
-
-    def yp(s) -> complex:
-        return cmath.exp(2j * cmath.pi * p.alpha * float(s))
-
-    val = qp(Fraction(j * k, 1) / u) * yp(Fraction(j - k + 1, 1) / u + cc / 6)
-    factors, _, _, _ = _quotient_factors(u, j, k, 0, Fraction(q_order))
-    for a, yexp, side in factors:
-        f = 1.0 - qp(a) * yp(yexp)
+    u, j, k, q_order = label.u, label.j, label.k, Fraction(q_order)
+    qexp, yexp0, factors = _float_factors(u, j, k, q_order)
+    tq = 2j * cmath.pi * p.tau
+    ty = 2j * cmath.pi * p.alpha
+    val = cmath.exp(tq * qexp) * cmath.exp(ty * yexp0)
+    for i, (af, sf, side) in enumerate(factors):
+        f = 1.0 - cmath.exp(tq * af) * cmath.exp(ty * sf)
         if abs(f) < 1e-12:
+            a, yexp, _ = _quotient_factors(u, j, k, 0, q_order)[0][i]
             raise PoleProximity(f"factor (1 - q^{a} y^{yexp}) within pole guard")
         val = val * f if side > 0 else val / f
     return val
+
+
+@functools.lru_cache(maxsize=256)
+def _float_factors(u: int, j: Fraction, k: Fraction, q_order: Fraction):
+    """The prefactor exponents and product factors of eval_character_value
+    with float exponents, built once per (u, j, k, q_order).
+
+    Returns (jk/u, (j-k+1)/u + c/6, factors), each factor
+    (float(a), float(yexp), side) for a factor (a, yexp, side) of
+    _quotient_factors, in its order.
+    """
+    factors, _, _, _ = _quotient_factors(u, j, k, 0, q_order)
+    return (float(Fraction(j * k, 1) / u),
+            float(Fraction(j - k + 1, 1) / u + central_charge(u) / 6),
+            tuple((float(a), float(yexp), side) for a, yexp, side in factors))
 
 
 def jacobi_normalized(label: ModuleLabel, p: ModularPoint,

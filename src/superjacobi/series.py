@@ -355,7 +355,9 @@ def _mul_constants(ta: dict[int, RatFunc], tb: dict[int, RatFunc],
     return {e: RatFunc.const(Fraction(n, den)) for e, n in acc.items() if n}
 
 
-# -- helpers used by the product-formula layer -------------------------------
+# -- binomial factors on RatFunc coefficients ----------------------------------
+# The RatFunc reference that the integer-row kernel characters._apply_factors
+# is tested against.
 
 def mul_binomial(s: QYSeries, a_scaled: int, yexp: int, sign: int = -1) -> QYSeries:
     """Multiply by (1 + sign * q^(a/qden) * y^yexp) with a_scaled > 0."""

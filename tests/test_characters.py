@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from superjacobi.characters import (_GENERIC_DENOM, ModuleLabel,
                                     spectral_flow_transform, spectrum)
 from superjacobi.errors import BadLevel
 from superjacobi.ratfunc import RatFunc
-from superjacobi.series import QYSeries
+from superjacobi.series import QYSeries, div_binomial, mul_binomial
 
 F = Fraction
 
@@ -49,6 +50,68 @@ def test_p_factor_families():
     # u=3, j=k=1 at n=1: numerator (1-q^2)(1-q)(1-q^3)^2
     nums = [a for a, s, side in _p_factors(3, F(1), F(1), F(4)) if side > 0]
     assert sorted(nums)[:4] == [1, 2, 3, 3]
+
+
+# -- the integer-row kernel against the RatFunc binomial fold ------------------
+
+def _apply_factors_reference(series: QYSeries, factors, qden: int) -> QYSeries:
+    """One mul_binomial/div_binomial per factor on RatFunc coefficients; q^0
+    factors fold into one exact constant applied at the end."""
+    const = RatFunc.one()
+    out = series
+    for a, yexp, side in factors:
+        a_scaled = int(F(a) * qden)
+        if a_scaled == 0:
+            f = RatFunc({0: F(1), yexp: F(-1)})
+            const = const * (f if side > 0 else f.inverse())
+        elif side > 0:
+            out = mul_binomial(out, a_scaled, yexp, -1)
+        else:
+            out = div_binomial(out, a_scaled, yexp, -1)
+    if not (const.is_const() and const.const_value() == 1):
+        out = out.scale(const)
+    return out
+
+
+def _random_kernel_case(rng: random.Random):
+    """An integer Laurent series with negative valuation and a nonzero
+    y-prefactor, and factors with yexp in {-1, 0, 1} that include q^0 factors
+    on both sides and exponents at trunc - 1 and at or past trunc."""
+    qden = rng.choice([1, 2, 6])
+    trunc = rng.randint(6, 24)
+    val = -rng.randint(1, 3)
+    terms = {val: RatFunc({rng.randint(-2, 2): F(rng.choice([-2, -1, 1, 3]))})}
+    for e in range(val + 1, trunc):
+        if rng.random() < 0.4:
+            ys = rng.sample(range(-2, 3), rng.randint(1, 3))
+            terms[e] = RatFunc({y: F(rng.randint(-3, 3)) for y in ys})
+    series = QYSeries(qden, F(rng.choice([-5, -1, 1, 2]), 3), terms, trunc)
+    scaled = [(0, rng.choice([-1, 1]), +1), (0, rng.choice([-1, 1]), -1),
+              (trunc - 1, rng.choice([-1, 0, 1]), rng.choice([-1, 1])),
+              (trunc + rng.randint(0, 2), rng.choice([-1, 0, 1]),
+               rng.choice([-1, 1]))]
+    for _ in range(rng.randint(4, 10)):
+        scaled.append((rng.randint(1, trunc - 1), rng.choice([-1, 0, 1]),
+                       rng.choice([-1, 1])))
+    rng.shuffle(scaled)
+    return series, [(F(a, qden), yexp, side) for a, yexp, side in scaled], qden
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_apply_factors_matches_binomial_fold(seed):
+    series, factors, qden = _random_kernel_case(random.Random(seed))
+    got = _apply_factors(series, factors, qden)
+    ref = _apply_factors_reference(series, factors, qden)
+    assert got.terms == ref.terms
+    assert (got.trunc, got.qden, got.ypref) == (ref.trunc, ref.qden, ref.ypref)
+
+
+@pytest.mark.parametrize("coeff", [RatFunc.const(F(1, 2)),
+                                   RatFunc({0: F(1)}, {0: F(1), 1: F(-1)})])
+def test_apply_factors_rejects_non_integer_coefficients(coeff):
+    series = QYSeries(2, F(0), {0: RatFunc.one(), 1: coeff}, 6)
+    with pytest.raises(ValueError):
+        _apply_factors(series, [(F(1, 2), 1, -1)], 2)
 
 
 # -- independent oracle: log of each factor, exponential via the ODE recurrence
@@ -195,6 +258,38 @@ def test_flowed_factors_without_flow_are_the_product_factors():
             factors, sign, q_shift, y_shift = _flowed_factors(u, j, k, 0, qmax)
             assert Counter(factors) == Counter(_p_factors(u, j, k, qmax))
             assert (sign, q_shift, y_shift) == (1, 0, 0)
+
+
+# -- truncation claims: the result at order T is a prefix of the one at 2T ----
+
+def _assert_prefix(short: QYSeries, long: QYSeries):
+    assert (short.qden, short.ypref) == (long.qden, long.ypref)
+    assert long.trunc >= short.trunc
+    assert short.terms == {e: c for e, c in long.terms.items()
+                           if e < short.trunc}
+
+
+@pytest.mark.parametrize("u", range(2, 7))
+def test_character_is_prefix_of_double_order(u):
+    for lab in spectrum(u):
+        for normalized in (False, True):
+            _assert_prefix(character(lab, F(6), normalized).series,
+                           character(lab, F(12), normalized).series)
+
+
+@pytest.mark.parametrize("m", [1, -1, 2, -2, 3])
+def test_flow_is_prefix_of_double_order(m):
+    for u in range(2, 7):
+        for lab in spectrum(u):
+            _assert_prefix(
+                spectral_flow_transform(character(lab, F(6), True), m),
+                spectral_flow_transform(character(lab, F(12), True), m))
+
+
+def test_flow_rejects_off_grid_order():
+    ch = character(ModuleLabel(3, 1, 1), F(4), normalized=True)
+    with pytest.raises(ValueError, match="q_order not on the grid"):
+        spectral_flow_transform(ch, 1, F(20, 7))
 
 
 def test_character_leading_u3():

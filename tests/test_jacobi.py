@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from superjacobi.characters import ModuleLabel
+from superjacobi.characters import (ModuleLabel, _quotient_factors,
+                                    central_charge, spectrum)
 from superjacobi.errors import PoleProximity, TailBoundExceeded
 from superjacobi.jacobi import (TAU_BOX, JacobiGroupElement, ModularPoint,
                                 S_ELEMENT, T_SHEAR, act_on_point, compose,
@@ -125,6 +126,50 @@ def test_series_and_product_evaluation_agree():
             a, _ = eval_normalized_character(lab, p, F(14))
             b = eval_character_value(lab, p, F(14))
             assert abs(a - b) < 1e-12 * max(1.0, abs(a))
+
+
+def _eval_character_value_per_call(label, p, q_order):
+    """The product loop with the factor list rebuilt in Fractions on every
+    call, as the probe ran before the float list was cached."""
+    u, j, k = label.u, label.j, label.k
+
+    def qp(x):
+        return cmath.exp(2j * cmath.pi * p.tau * float(x))
+
+    def yp(s):
+        return cmath.exp(2j * cmath.pi * p.alpha * float(s))
+
+    val = qp(F(j * k, 1) / u) * yp(F(j - k + 1, 1) / u + central_charge(u) / 6)
+    factors, _, _, _ = _quotient_factors(u, j, k, 0, F(q_order))
+    for a, yexp, side in factors:
+        f = 1.0 - qp(a) * yp(yexp)
+        if abs(f) < 1e-12:
+            raise PoleProximity(f"factor (1 - q^{a} y^{yexp}) within pole guard")
+        val = val * f if side > 0 else val / f
+    return val
+
+
+def _outcome(fn, *args):
+    """The bits of a complex value, or the message of the pole guard."""
+    try:
+        v = fn(*args)
+    except PoleProximity as exc:
+        return str(exc)
+    return v.real.hex(), v.imag.hex()
+
+
+def test_eval_character_value_bit_identical_to_per_call_loop():
+    pts = sample_points(4) + sample_points(4, tau_box=TAU_BOX)
+    pts += [act_on_point(JacobiGroupElement.lattice(m, n), p)
+            for m, n in ((1, 0), (-1, 1)) for p in pts[::2]]
+    poles = [ModularPoint(1j, 0.0), ModularPoint(1j, 0.5j)]
+    for u in range(2, 6):
+        for lab in spectrum(u):
+            for q_order in (F(8), F(14)):
+                for p in pts + poles:
+                    assert _outcome(eval_character_value, lab, p, q_order) == \
+                        _outcome(_eval_character_value_per_call, lab, p,
+                                 q_order)
 
 
 def test_tail_bound_guard_fires_at_shifted_alpha():
