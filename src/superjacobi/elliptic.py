@@ -23,6 +23,7 @@ opposite overall sign satisfies neither.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -283,7 +284,6 @@ def _lattice_distance(t: complex, tau: complex) -> float:
 
 
 def _tail_terms(q_abs: float, tol: float) -> int:
-    import math
     if q_abs >= 1:
         raise ValueError("|q| must be < 1")
     n = int(math.log(tol) / math.log(q_abs)) + 8

@@ -44,10 +44,6 @@ class OdeIdentity:
         return d
 
 
-def _e(k: int, T: int) -> QYSeries:
-    return eisenstein_e(k, T)
-
-
 def ramanujan_triple(q_order: int) -> list[OdeIdentity]:
     """The three classical identities, each verified exactly through q_order:
 
@@ -58,7 +54,7 @@ def ramanujan_triple(q_order: int) -> list[OdeIdentity]:
     if q_order < 1:
         raise ValueError("q_order must be >= 1")
     T = q_order + 1
-    e2, e4, e6 = _e(1, T), _e(2, T), _e(3, T)
+    e2, e4, e6 = eisenstein_e(1, T), eisenstein_e(2, T), eisenstein_e(3, T)
     out = [
         OdeIdentity(1, e2.q_log_deriv(), (e2 * e2 - e4).scale(Fraction(1, 12)), 0),
         OdeIdentity(2, e4.q_log_deriv(), (e2 * e4 - e6).scale(Fraction(1, 3)), 2),

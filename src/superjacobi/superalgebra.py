@@ -34,6 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import WindowTooSmall
+
 
 EVEN, ODD = 0, 1
 _PARITY = {"L": EVEN, "J": EVEN, "H": ODD, "Q": ODD, "C": EVEN}
@@ -190,20 +192,19 @@ def bracket(a: BasisElt, b: BasisElt) -> SuperLinComb:
     return w.scale(-sign)
 
 
+def _add_bracket(acc: dict, x: dict, y: dict, sign: int) -> None:
+    """Add sign * [x, y] into ``acc`` for coefficient maps x and y."""
+    for a, ca in x.items():
+        for b, cb in y.items():
+            c = sign * ca * cb
+            for e, v in bracket(a, b).coeffs.items():
+                acc[e] = acc.get(e, 0) + c * v
+
+
 def bracket_comb(x: SuperLinComb, y: SuperLinComb) -> SuperLinComb:
-    out = _Z
-    for a, ca in x.coeffs.items():
-        for b, cb in y.coeffs.items():
-            out = out + bracket(a, b).scale(ca * cb)
-    return out
-
-
-def _ad_elt(a: BasisElt, comb: SuperLinComb) -> SuperLinComb:
-    """[a, comb] for a single basis element; avoids wrapper combinations."""
-    out = _Z
-    for b, cb in comb.coeffs.items():
-        out = out + bracket(a, b).scale(cb)
-    return out
+    acc: dict[BasisElt, Fraction] = {}
+    _add_bracket(acc, x.coeffs, y.coeffs, 1)
+    return SuperLinComb(acc)
 
 
 @dataclass
@@ -231,24 +232,22 @@ def super_jacobi_check(max_index: int) -> SweepReport:
         raise ValueError("max_index must be >= 1")
     elts = [BasisElt(f, n) for f in FAMILIES
             for n in range(-max_index, max_index + 1)] + [C]
+    units = [(e, e.parity, {e: 1}) for e in elts]
     violations = []
     checked = 0
-    for a in elts:
-        pa = a.parity
-        for b in elts:
-            pb = b.parity
-            ab = bracket(a, b)
-            for c in elts:
-                pc = c.parity
+    for a, pa, ua in units:
+        for b, pb, ub in units:
+            ab = bracket(a, b).coeffs
+            for c, pc, uc in units:
                 checked += 1
-                s1 = -1 if (pa and pc) else 1
-                s2 = -1 if (pb and pa) else 1
-                s3 = -1 if (pc and pb) else 1
-                total = (_ad_elt(a, bracket(b, c)).scale(s1)
-                         + _ad_elt(b, bracket(c, a)).scale(s2)
-                         + _ad_elt(c, ab).scale(s3))
-                if not total.is_zero():
-                    violations.append((a, b, c, total))
+                total: dict[BasisElt, Fraction] = {}
+                _add_bracket(total, ua, bracket(b, c).coeffs,
+                             -1 if (pa and pc) else 1)
+                _add_bracket(total, ub, bracket(c, a).coeffs,
+                             -1 if (pb and pa) else 1)
+                _add_bracket(total, uc, ab, -1 if (pc and pb) else 1)
+                if any(total.values()):
+                    violations.append((a, b, c, SuperLinComb(total)))
     return SweepReport(checked, violations)
 
 
@@ -258,6 +257,9 @@ def virasoro_map_check(max_index: int, naive: bool) -> SweepReport:
     naive=True uses image(L_n) = L_n (must fail, e.g. at (2, -2) where the
     discrepancy is exactly C/2); naive=False uses L_n - (n+1)/2 J_n (passes).
     """
+    if max_index < 1:
+        raise ValueError("max_index must be >= 1")
+
     def image(n: int) -> SuperLinComb:
         if naive:
             return SuperLinComb.of((1, L(n)))
@@ -312,50 +314,39 @@ class SuperPoly:
 
 @dataclass(frozen=True)
 class SuperDerivation:
-    """Derivation given by a window-limited action on monomials.
+    """Derivation given by the images of the generators z and theta.
 
-    ``z_image``/``theta_image`` are the images of the generators; parity is
-    0 or 1.  The Leibniz extension with Koszul signs is mechanical: for the
-    monomial z^p,   D(z^p) = p z^{p-1} D(z); for z^p theta,
-    D(z^p theta) = p z^{p-1} D(z) theta + (-1)^{parity * 0} z^p D(theta)
-    (z^p is even, so no sign appears; the sign convention lives entirely in
-    how theta components multiply below).
+    ``z_image``/``theta_image`` are D(z) and D(theta); parity is 0 or 1.
+    ``apply`` extends them by the Leibniz rule
+
+        D(z^p)       = p z^{p-1} D(z)
+        D(z^p theta) = p z^{p-1} D(z)_even theta + z^p D(theta)
+
+    where D(z)_even is the theta-free part of D(z): z^p is even, so no
+    Koszul sign appears, and theta^2 = 0 kills the theta part of D(z).
     """
     z_image: SuperPoly
     theta_image: SuperPoly
     parity: int
 
-    def apply_even_monomial(self, p: int) -> SuperPoly:
-        # D(z^p) = p z^{p-1} D(z)
-        out = SuperPoly()
-        if p == 0:
-            return out
-        for e, c in self.z_image.ev.items():
-            out.ev[e + p - 1] = out.ev.get(e + p - 1, Fraction(0)) + p * c
-        for e, c in self.z_image.od.items():
-            out.od[e + p - 1] = out.od.get(e + p - 1, Fraction(0)) + p * c
-        return SuperPoly(out.ev, out.od)
-
-    def apply_odd_monomial(self, p: int) -> SuperPoly:
-        # D(z^p theta) = D(z^p) theta + z^p D(theta); theta^2 = 0 kills the
-        # odd part of D(z^p) against theta.
-        out = SuperPoly()
-        dzp = self.apply_even_monomial(p)
-        for e, c in dzp.ev.items():          # (even) * theta -> odd slot
-            out.od[e] = out.od.get(e, Fraction(0)) + c
-        for e, c in self.theta_image.ev.items():
-            out.ev[e + p] = out.ev.get(e + p, Fraction(0)) + c
-        for e, c in self.theta_image.od.items():
-            out.od[e + p] = out.od.get(e + p, Fraction(0)) + c
-        return SuperPoly(out.ev, out.od)
-
     def apply(self, x: SuperPoly) -> SuperPoly:
-        out = SuperPoly()
+        zi, ti = self.z_image, self.theta_image
+        ev: dict[int, Fraction] = {}
+        od: dict[int, Fraction] = {}
         for p, c in x.ev.items():
-            out = out + self.apply_even_monomial(p).scale(c)
+            _add_shifted(ev, zi.ev, p - 1, p * c)
+            _add_shifted(od, zi.od, p - 1, p * c)
         for p, c in x.od.items():
-            out = out + self.apply_odd_monomial(p).scale(c)
-        return out
+            _add_shifted(od, zi.ev, p - 1, p * c)
+            _add_shifted(ev, ti.ev, p, c)
+            _add_shifted(od, ti.od, p, c)
+        return SuperPoly(ev, od)
+
+
+def _add_shifted(acc: dict, src: dict, shift: int, c) -> None:
+    """Add c * z^shift * src into ``acc`` (maps from z-exponent to coefficient)."""
+    for e, v in src.items():
+        acc[e + shift] = acc.get(e + shift, 0) + c * v
 
 
 def realization(elt: BasisElt) -> SuperDerivation:
@@ -390,7 +381,6 @@ def _identify(z_img: SuperPoly, th_img: SuperPoly, window: int) -> SuperLinComb:
     theta-image even   sum -c z^{n+1}  -> c Q_n;   odd part -c z^n theta -> c J_n
     then the J-coefficients are corrected for the theta d_theta part of L_n.
     """
-    from .errors import WindowTooSmall
     out: dict[BasisElt, Fraction] = {}
     lcoef: dict[int, Fraction] = {}
     for e, c in z_img.ev.items():
@@ -444,8 +434,9 @@ def realization_bracket_check(max_index: int, window: int) -> RealizationReport:
     Relations with m + n != 0 must match exactly; for m + n = 0 the
     difference is the central term, reported with its cocycle coefficient.
     """
+    if max_index < 1:
+        raise ValueError("max_index must be >= 1")
     if window < 2 * max_index + 2:
-        from .errors import WindowTooSmall
         raise WindowTooSmall("need window >= 2*max_index + 2")
     mismatches = []
     central = []

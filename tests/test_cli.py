@@ -88,3 +88,11 @@ def test_zetabar_table_csv():
     lines = out.strip().splitlines()
     assert lines[0].startswith("t_re,t_im")
     assert len(lines) == 4
+
+
+def test_realization_check_empty_sweep_exit2():
+    code, out, err = run_cli("realization-check", "--max", "-1",
+                             "--window", "0")
+    assert code == 2
+    assert out == ""
+    assert "max_index must be >= 1" in err

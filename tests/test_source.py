@@ -30,6 +30,9 @@ def test_traced_names_resolve():
             assert hasattr(obj, attr), f"{module}.{path}"
             obj = getattr(obj, attr)
         assert callable(obj), f"{module}.{path}"
+    # install() rebinds superalgebra.bracket for its counters, outside SPANNED
+    sa = importlib.import_module("superjacobi.superalgebra")
+    assert callable(getattr(sa, "bracket", None)), "superalgebra.bracket"
     rf = importlib.import_module("superjacobi.ratfunc").RatFunc
     for op in tracer.RATFUNC_OPS:
         assert op in rf.__dict__, f"RatFunc.{op}"

@@ -1,11 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from superjacobi import superalgebra
 from superjacobi.errors import WindowTooSmall
-from superjacobi.superalgebra import (C, FAMILIES, H, J, L, Q, BasisElt,
-                                      SuperLinComb, bracket,
-                                      realization, realization_bracket_check,
+from superjacobi.superalgebra import (C, EVEN, FAMILIES, H, J, L, Q, BasisElt,
+                                      SuperDerivation, SuperLinComb, SuperPoly,
+                                      bracket, bracket_comb, realization,
+                                      realization_bracket_check,
                                       super_jacobi_check, virasoro_map_check)
 
 F = Fraction
@@ -114,3 +117,153 @@ def test_realization_full_and_cocycle_values():
 def test_window_too_small():
     with pytest.raises(WindowTooSmall):
         realization_bracket_check(5, 8)
+
+
+@pytest.mark.parametrize("check", [
+    lambda m: realization_bracket_check(m, 2 * m + 2),
+    lambda m: virasoro_map_check(m, naive=True),
+    lambda m: virasoro_map_check(m, naive=False),
+    super_jacobi_check,
+], ids=["realization", "virasoro_naive", "virasoro", "jacobi"])
+@pytest.mark.parametrize("max_index", [0, -1])
+def test_empty_sweeps_are_rejected(check, max_index):
+    # a sweep over no elements would report passed without checking anything
+    with pytest.raises(ValueError, match="max_index must be >= 1"):
+        check(max_index)
+
+
+# -- negative controls: the sweeps can fail -------------------------------------
+
+@pytest.fixture
+def fresh_brackets(monkeypatch):
+    """Empty the bracket cache around a test that patches the table."""
+    bracket.cache_clear()
+    yield monkeypatch
+    monkeypatch.undo()
+    bracket.cache_clear()
+
+
+def test_jacobi_sweep_detects_corrupted_table(fresh_brackets):
+    table = superalgebra._table
+
+    def wrong_jq_sign(a, b):
+        v = table(a, b)
+        return v.scale(-1) if (a.family, b.family) == ("J", "Q") else v
+
+    fresh_brackets.setattr(superalgebra, "_table", wrong_jq_sign)
+    rep = super_jacobi_check(1)
+    assert rep.checked == 13 ** 3
+    assert not rep.passed
+    totals = {(a, b, c): t for a, b, c, t in rep.violations}
+    # [J0,[H0,Q0]] = 0, [H0,[Q0,J0]] = [H0,Q0] = L0 and -[Q0,[J0,H0]] = L0,
+    # where the true table gives -L0 for the middle term
+    assert totals[(J(0), H(0), Q(0))] == SuperLinComb.of((2, L(0)))
+
+
+def test_realization_check_detects_theta_dtheta_h(fresh_brackets):
+    true_realization = superalgebra.realization
+
+    def h_as_theta_dtheta(elt):
+        if elt.family == "H":
+            # z^n theta d_theta: z -> 0, theta -> z^n theta (an even field)
+            return SuperDerivation(SuperPoly(), SuperPoly({}, {elt.index: 1}),
+                                   EVEN)
+        return true_realization(elt)
+
+    fresh_brackets.setattr(superalgebra, "realization", h_as_theta_dtheta)
+    rep = realization_bracket_check(2, 6)
+    assert not rep.passed
+    got = {(a, b): (g, w) for a, b, g, w in rep.mismatches}
+    # [theta d_theta, -z d_theta] sends theta to z, which reads as -Q0
+    assert got[(H(0), Q(0))] == (SuperLinComb.of((-1, Q(0))),
+                                 SuperLinComb.of((1, L(0))))
+    assert all(a.family == "H" or b.family == "H" for a, b in got)
+
+
+# -- the in-place kernels against the composed-object originals -----------------
+
+def _old_even_monomial(d: SuperDerivation, p: int) -> SuperPoly:
+    out = SuperPoly()
+    if p == 0:
+        return out
+    for e, c in d.z_image.ev.items():
+        out.ev[e + p - 1] = out.ev.get(e + p - 1, Fraction(0)) + p * c
+    for e, c in d.z_image.od.items():
+        out.od[e + p - 1] = out.od.get(e + p - 1, Fraction(0)) + p * c
+    return SuperPoly(out.ev, out.od)
+
+
+def _old_odd_monomial(d: SuperDerivation, p: int) -> SuperPoly:
+    out = SuperPoly()
+    for e, c in _old_even_monomial(d, p).ev.items():
+        out.od[e] = out.od.get(e, Fraction(0)) + c
+    for e, c in d.theta_image.ev.items():
+        out.ev[e + p] = out.ev.get(e + p, Fraction(0)) + c
+    for e, c in d.theta_image.od.items():
+        out.od[e + p] = out.od.get(e + p, Fraction(0)) + c
+    return SuperPoly(out.ev, out.od)
+
+
+def _old_apply(d: SuperDerivation, x: SuperPoly) -> SuperPoly:
+    out = SuperPoly()
+    for p, c in x.ev.items():
+        out = out + _old_even_monomial(d, p).scale(c)
+    for p, c in x.od.items():
+        out = out + _old_odd_monomial(d, p).scale(c)
+    return out
+
+
+def _old_bracket_comb(x: SuperLinComb, y: SuperLinComb) -> SuperLinComb:
+    out = SuperLinComb()
+    for a, ca in x.coeffs.items():
+        for b, cb in y.coeffs.items():
+            out = out + bracket(a, b).scale(ca * cb)
+    return out
+
+
+def _rand_coeffs(rng: random.Random, keys: list, size: int) -> dict:
+    return {k: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            for k in rng.sample(keys, size)}
+
+
+def _rand_poly(rng: random.Random) -> SuperPoly:
+    exps = list(range(-3, 4))
+    return SuperPoly(_rand_coeffs(rng, exps, rng.randint(0, 4)),
+                     _rand_coeffs(rng, exps, rng.randint(0, 4)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_apply_matches_monomial_leibniz(seed):
+    rng = random.Random(seed)
+    z0_theta0 = SuperPoly({0: 1}, {0: 1})       # p = 0 on both sides
+    for _ in range(25):
+        d = SuperDerivation(_rand_poly(rng), _rand_poly(rng), rng.randint(0, 1))
+        for x in (_rand_poly(rng), z0_theta0):
+            assert d.apply(x) == _old_apply(d, x)
+    for fam in FAMILIES:
+        for n in range(-3, 4):
+            d = realization(BasisElt(fam, n))
+            for x in (_rand_poly(rng), z0_theta0):
+                assert d.apply(x) == _old_apply(d, x)
+
+
+def test_apply_odd_parts_on_both_sides():
+    # D(z) = z^2 + 3 z theta, D(theta) = 5 + 7 theta on x = 2 z^3 + 11 z theta
+    d = SuperDerivation(SuperPoly({2: 1}, {1: 3}), SuperPoly({0: 5}, {0: 7}), 1)
+    x = SuperPoly({3: 2}, {1: 11})
+    # 2*3 z^2 (z^2 + 3 z theta) + 11 (z^2 theta + z (5 + 7 theta))
+    want = SuperPoly({4: 6, 1: 55}, {3: 18, 2: 11, 1: 77})
+    assert d.apply(x) == want == _old_apply(d, x)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bracket_comb_matches_term_sum(seed):
+    rng = random.Random(100 + seed)
+    elts = [BasisElt(f, n) for f in FAMILIES for n in range(-3, 4)] + [C]
+    for _ in range(40):
+        x = SuperLinComb(_rand_coeffs(rng, elts, rng.randint(0, 5)))
+        y = SuperLinComb(_rand_coeffs(rng, elts, rng.randint(0, 5)))
+        if rng.random() < 0.5:
+            y = y + SuperLinComb.of((rng.randint(1, 3), C))
+        assert bracket_comb(x, y) == _old_bracket_comb(x, y)
+        assert bracket_comb(y, x) == _old_bracket_comb(y, x)
