@@ -13,8 +13,9 @@ with the infinite product
       / [(1-q^{un-j} y) (1-q^{u(n-1)+j} y^{-1}) (1-q^{un-k} y^{-1}) (1-q^{u(n-1)+k} y)].
 
 Zero-q-exponent factors (only (1 - y^{+-1}), from j = 0 or shifted labels)
-are kept as exact rational-function coefficients.  The normalized character
-carries an extra y^{c/6}.
+are kept as exact coefficients in Q[y, 1/y, 1/(y-1)]; a generic label with
+j + k = u would contribute (1 - q^0) = 0 and is rejected.  The normalized
+character carries an extra y^{c/6}.
 
 Spectral flow (the lattice part of the Jacobi action) acts on a normalized
 character as multiplication by q^{c m^2/6} y^{c m/3} followed by y -> q^m y.
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import BadLevel, NegativeExponent
+from .errors import BadLevel, NegativeExponent, VanishingFactor
 from .ratfunc import RatFunc
 from .series import QYSeries
 
@@ -91,7 +92,9 @@ def _p_factors(u: int, j: Fraction, k: Fraction, qmax: Fraction):
     """Yield (a, yexp, side) for every factor of P_{j,k}^{(u)} with q-exponent
     a < qmax; side is +1 for numerator factors, -1 for denominator ones.
 
-    Raises NegativeExponent if any factor exponent is negative.
+    Raises NegativeExponent if any factor exponent is negative, and
+    VanishingFactor for the factor (1 - q^0) of a generic label with
+    j + k = u * n, which makes the product zero.
     """
     n = 1
     while True:
@@ -105,11 +108,15 @@ def _p_factors(u: int, j: Fraction, k: Fraction, qmax: Fraction):
             (u * n - k, -1, -1),
             (u * (n - 1) + k, 1, -1),
         ]
+        negative = [a for a, _, _ in exps if a < 0]
+        if negative:
+            raise NegativeExponent(f"factor exponent {negative[0]} < 0 for "
+                                   f"(u, j, k) = ({u}, {j}, {k})")
         emitted = False
         for a, yexp, side in exps:
-            if a < 0:
-                raise NegativeExponent(
-                    f"factor exponent {a} < 0 for (u, j, k) = ({u}, {j}, {k})")
+            if a == 0 and yexp == 0:
+                raise VanishingFactor(
+                    f"factor (1 - q^0) = 0 for (u, j, k) = ({u}, {j}, {k})")
             if a < qmax:
                 emitted = True
                 yield a, yexp, side
@@ -124,7 +131,7 @@ def _apply_factors(series: QYSeries, factors, qden: int) -> QYSeries:
 
     The work runs on integer rows {e: {yexp: int}}: a numerator factor is one
     descending-e pass, a denominator factor the forward recurrence.  q^0
-    factors are exact rational-function constants, folded into one RatFunc and
+    factors are exact constants y^s (y-1)^{+-1}, folded into one RatFunc and
     applied once at the end, so only one RatFunc is built per output term.
     Raises ValueError on a coefficient that is not an integer Laurent
     polynomial.
@@ -160,8 +167,7 @@ def _apply_factors(series: QYSeries, factors, qden: int) -> QYSeries:
     terms = {}
     for e, row in rows.items():
         if row:
-            terms[e] = RatFunc({y: Fraction(v) for y, v in row.items()},
-                               None, reduce=False)
+            terms[e] = RatFunc({y: Fraction(v) for y, v in row.items()})
     out = QYSeries(series.qden, series.ypref, terms, trunc)
     if not (const.is_const() and const.const_value() == 1):
         out = out.scale(const)
@@ -326,7 +332,7 @@ def _monomial_ratio(a: QYSeries, b: QYSeries):
     window = min(aa.trunc, bb.trunc + dq)
     ca, cb = aa.terms[ea], bb.terms[eb]
     # leading coefficients must agree up to const * y^s0 for one (const, s0)
-    if ca.den != cb.den:
+    if ca.pole != cb.pole:
         return None
     s0 = ca.num_min_exp() - cb.num_min_exp()
     cb0 = cb.mul_monomial(s0)

@@ -29,6 +29,10 @@ class NegativeExponent(SuperjacobiError):
     """A product factor was assigned a negative q-exponent."""
 
 
+class VanishingFactor(SuperjacobiError):
+    """A product factor is (1 - q^0 y^0) = 0."""
+
+
 class BadLevel(SuperjacobiError):
     """Level parameter u must be an integer >= 2."""
 

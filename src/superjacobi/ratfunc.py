@@ -1,28 +1,32 @@
-"""Rational functions of one variable over the exact rationals.
+"""Rational functions in Q[y, 1/y, 1/(y-1)] over the exact rationals.
 
-A :class:`RatFunc` is a quotient N/D where N is a Laurent polynomial (finite
-dict exponent -> Fraction, exponents may be negative) and D is an ordinary
-polynomial with nonzero constant term.  The canonical form is:
+A :class:`RatFunc` is N/(y-1)^p where N is a Laurent polynomial (finite dict
+exponent -> Fraction, exponents may be negative) and p >= 0 is an int.  Every
+coefficient the engine builds lives in this ring: the only denominators are
+the q^0 product factors (1 - y^{+-1}) of the characters and the pole
+-1/(x-1) of xi.  The canonical form is:
 
-* N and D share no polynomial factor (after splitting off the monomial part
-  of N, which is always a unit),
-* D has integer coefficients of content 1 and positive leading coefficient,
-* zero is represented as N = {} with D = {0: 1}.
+* p = 0 or N(1) != 0, so N and (y-1)^p share no factor; reduction is exact
+  synthetic division by (y-1),
+* zero is represented as N = {} with p = 0.
 
-Coefficients of the q-series engine live here; the same class doubles as the
-field of rational functions of x for the partial-fraction layer (only the
-display name differs).
+``den`` is the expansion of (y-1)^p: monic, integer coefficients of content
+1 and a nonzero constant term, the canonical denominator of the quotient
+N/D printed in JSON.
+
+The same class doubles as the ring of rational functions of x for the
+partial-fraction layer (only the display name differs).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import comb
 
 Poly = dict[int, Fraction]
 
 _ZERO = Fraction(0)
-_ONE_POLY: Poly = {0: Fraction(1)}
+_POLE_EPS = 1e-12
 
 
 def _trim(p: Poly) -> Poly:
@@ -38,10 +42,6 @@ def _padd(a: Poly, b: Poly) -> Poly:
         else:
             out.pop(e, None)
     return out
-
-
-def _pneg(a: Poly) -> Poly:
-    return {e: -c for e, c in a.items()}
 
 
 def _pmul(a: Poly, b: Poly) -> Poly:
@@ -79,109 +79,77 @@ def _val(a: Poly) -> int:
     return min(a.keys())
 
 
-def _pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Euclidean division of ordinary polynomials (b nonzero)."""
-    db = _deg(b)
-    lb = b[db]
-    q: Poly = {}
-    r = dict(a)
-    while r and _deg(r) >= db:
-        dr = _deg(r)
-        c = r[dr] / lb
-        q[dr - db] = c
-        for e, v in b.items():
-            ee = dr - db + e
-            s = r.get(ee, _ZERO) - c * v
-            if s:
-                r[ee] = s
-            else:
-                r.pop(ee, None)
-    return q, r
+def _ym1_power(p: int) -> Poly:
+    """(y-1)^p expanded."""
+    return {e: Fraction((-1) ** (p - e) * comb(p, e)) for e in range(p + 1)}
 
 
-def _pgcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd of ordinary polynomials over Q."""
-    a, b = dict(a), dict(b)
-    while b:
-        _, r = _pdivmod(a, b)
-        a, b = b, r
-    if not a:
-        return {}
-    lead = a[_deg(a)]
-    return {e: c / lead for e, c in a.items()}
+def _div_ym1(a: Poly) -> Poly:
+    """a / (y-1) for a nonzero Laurent polynomial with a(1) = 0."""
+    out: Poly = {}
+    carry = _ZERO
+    for e in range(_deg(a), _val(a), -1):
+        carry += a.get(e, _ZERO)
+        if carry:
+            out[e - 1] = carry
+    return out
 
 
-def _content(p: Poly) -> Fraction:
-    """Positive rational c with p/c integral of content 1."""
-    num = 0
-    den = 1
-    for c in p.values():
-        num = gcd(num, abs(c.numerator))
-        den = den * c.denominator // gcd(den, c.denominator)
-    return Fraction(num, den)
+def _reduced(num: Poly, pole: int) -> tuple[Poly, int]:
+    """Cancel the (y-1) factors that num shares with (y-1)^pole."""
+    if not num:
+        return {}, 0
+    while pole and not sum(num.values()):
+        num = _div_ym1(num)
+        pole -= 1
+    return num, pole
+
+
+def _make(num: Poly, pole: int) -> "RatFunc":
+    """A RatFunc from an already canonical (num, pole)."""
+    r = RatFunc.__new__(RatFunc)
+    r.num = num
+    r.pole = pole
+    return r
 
 
 class RatFunc:
-    """Element of Q(y) in canonical reduced form."""
+    """Element of Q[y, 1/y, 1/(y-1)] in canonical reduced form."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "pole")
 
-    def __init__(self, num: Poly, den: Poly | None = None, reduce: bool = True):
-        if den is None:
-            den = dict(_ONE_POLY)
+    def __init__(self, num: Poly, den: Poly | None = None):
+        """num/den; den must be c * y^s * (y-1)^p, else ValueError."""
         num = _trim(num)
-        den = _trim(den)
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            self.num, self.den = {}, dict(_ONE_POLY)
-            return
-        if reduce:
-            num, den = self._canonicalize(num, den)
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def _canonicalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-        # Make the denominator an ordinary polynomial with nonzero constant
-        # term, shifting the monomial slack into the Laurent numerator.
-        dv = _val(den)
-        if dv != 0:
-            den = {e - dv: c for e, c in den.items()}
-            num = {e - dv: c for e, c in num.items()}
-        if _deg(den) > 0:
-            nv = _val(num)
-            nshift = {e - nv: c for e, c in num.items()}
-            g = _pgcd(nshift, den)
-            if g and _deg(g) > 0:
-                nshift, _ = _pdivmod(nshift, g)
-                den, _ = _pdivmod(den, g)
-            num = {e + nv: c for e, c in nshift.items()}
-        cont = _content(den)
-        if den[_deg(den)] < 0:
-            cont = -cont
-        if cont != 1:
-            den = {e: c / cont for e, c in den.items()}
-            num = {e: c / cont for e, c in num.items()}
-        return num, den
+        pole = 0
+        if den is not None:
+            den = _trim(den)
+            if not den:
+                raise ZeroDivisionError("zero denominator")
+            s = _val(den)
+            den = {e - s: c for e, c in den.items()}
+            while _deg(den) and not sum(den.values()):
+                den = _div_ym1(den)
+                pole += 1
+            if _deg(den):
+                raise ValueError("denominator is not c * y^s * (y-1)^p: "
+                                 "outside Q[y, 1/y, 1/(y-1)]")
+            c = 1 / Fraction(den[0])
+            if s or c != 1:
+                num = {e - s: v * c for e, v in num.items()}
+        self.num, self.pole = _reduced(num, pole)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def const(cls, c) -> "RatFunc":
         c = Fraction(c)
-        r = cls.__new__(cls)
-        r.num = {0: c} if c else {}
-        r.den = dict(_ONE_POLY)
-        return r
+        return _make({0: c} if c else {}, 0)
 
     @classmethod
     def monomial(cls, c, e: int) -> "RatFunc":
         c = Fraction(c)
-        r = cls.__new__(cls)
-        r.num = {e: c} if c else {}
-        r.den = dict(_ONE_POLY)
-        return r
+        return _make({e: c} if c else {}, 0)
 
     @classmethod
     def zero(cls) -> "RatFunc":
@@ -197,15 +165,20 @@ class RatFunc:
         return not self.num
 
     def is_const(self) -> bool:
-        return self.den == _ONE_POLY and (not self.num or set(self.num) == {0})
+        return not self.pole and (not self.num or set(self.num) == {0})
 
     def is_poly(self) -> bool:
-        return self.den == _ONE_POLY
+        return not self.pole
 
     def const_value(self) -> Fraction:
         if not self.is_const():
             raise ValueError("not a constant")
         return self.num.get(0, _ZERO)
+
+    @property
+    def den(self) -> Poly:
+        """The denominator (y-1)^pole, expanded."""
+        return _ym1_power(self.pole)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -214,19 +187,14 @@ class RatFunc:
             return other
         if other.is_zero():
             return self
-        if self.den == other.den:
-            n = _padd(self.num, other.num)
-            if self.den == _ONE_POLY:
-                return RatFunc(n, None, reduce=False)
-            return RatFunc(n, dict(self.den))
-        n = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return RatFunc(n, _pmul(self.den, other.den))
+        a, b = (self, other) if self.pole >= other.pole else (other, self)
+        nb = b.num
+        if a.pole > b.pole:
+            nb = _pmul(nb, _ym1_power(a.pole - b.pole))
+        return _make(*_reduced(_padd(a.num, nb), a.pole))
 
     def __neg__(self) -> "RatFunc":
-        r = RatFunc.__new__(RatFunc)
-        r.num = _pneg(self.num)
-        r.den = dict(self.den)
-        return r
+        return _make({e: -c for e, c in self.num.items()}, self.pole)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         return self + (-other)
@@ -234,44 +202,38 @@ class RatFunc:
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         if self.is_zero() or other.is_zero():
             return RatFunc.zero()
-        if self.den == _ONE_POLY and other.den == _ONE_POLY:
-            return RatFunc(_pmul(self.num, other.num), None, reduce=False)
-        return RatFunc(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        return _make(*_reduced(_pmul(self.num, other.num),
+                               self.pole + other.pole))
 
     def scale(self, c) -> "RatFunc":
         c = Fraction(c)
         if not c:
             return RatFunc.zero()
-        r = RatFunc.__new__(RatFunc)
-        r.num = _pscale(self.num, c)
-        r.den = dict(self.den)
-        return r
+        return _make(_pscale(self.num, c), self.pole)
 
     def mul_monomial(self, e: int) -> "RatFunc":
         """Multiply by y^e (unit; stays canonical)."""
         if self.is_zero() or e == 0:
             return self
-        r = RatFunc.__new__(RatFunc)
-        r.num = {k + e: c for k, c in self.num.items()}
-        r.den = dict(self.den)
-        return r
+        return _make({k + e: c for k, c in self.num.items()}, self.pole)
 
     def inverse(self) -> "RatFunc":
+        """Defined on the units c * y^s * (y-1)^k; ValueError otherwise."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero rational function")
-        return RatFunc(dict(self.den), dict(self.num))
+        return RatFunc(self.den, self.num)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         return self * other.inverse()
 
     def deriv(self) -> "RatFunc":
-        """d/dy."""
+        """d/dy: (N'(y-1) - pN) / (y-1)^{p+1}."""
         dn = {e - 1: c * e for e, c in self.num.items() if e}
-        if self.den == _ONE_POLY:
-            return RatFunc(dn, None, reduce=False)
-        dd = {e - 1: c * e for e, c in self.den.items() if e}
-        n = _padd(_pmul(dn, self.den), _pneg(_pmul(self.num, dd)))
-        return RatFunc(n, _pmul(self.den, self.den))
+        if not self.pole:
+            return _make(dn, 0)
+        n = _padd(_pmul(dn, _ym1_power(1)),
+                  _pscale(self.num, Fraction(-self.pole)))
+        return _make(*_reduced(n, self.pole + 1))
 
     def y_log_deriv(self) -> "RatFunc":
         """y d/dy."""
@@ -282,28 +244,21 @@ class RatFunc:
     def num_min_exp(self) -> int:
         return _val(self.num)
 
-    def num_max_exp(self) -> int:
-        return _deg(self.num)
-
-    def den_deg(self) -> int:
-        return _deg(self.den)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.num == other.num and self.pole == other.pole
 
     def __hash__(self):
-        return hash((tuple(sorted(self.num.items())), tuple(sorted(self.den.items()))))
+        return hash((tuple(sorted(self.num.items())), self.pole))
 
     # -- evaluation and display --------------------------------------------
 
-    def eval(self, y: complex, pole_eps: float = 1e-12) -> complex:
+    def eval(self, y: complex) -> complex:
         """Evaluate at a complex point; Horner on numerator and denominator.
 
-        Raises ZeroDivisionError-like pole signal by returning via exception in
-        the caller's domain: here we raise ValueError for |den| < pole_eps so
-        the series layer can translate it.
+        Raises ValueError when the denominator's modulus is below 1e-12, so
+        the series layer can translate it into its pole guard.
         """
         nv = _val(self.num) if self.num else 0
         nmax = _deg(self.num) if self.num else 0
@@ -312,11 +267,11 @@ class RatFunc:
             acc = acc * y + complex(self.num.get(e, _ZERO))
         if nv:
             acc *= y ** nv
-        dmax = _deg(self.den)
+        den = self.den
         dacc = 0j
-        for e in range(dmax, -1, -1):
-            dacc = dacc * y + complex(self.den.get(e, _ZERO))
-        if abs(dacc) < pole_eps:
+        for e in range(self.pole, -1, -1):
+            dacc = dacc * y + complex(den[e])
+        if abs(dacc) < _POLE_EPS:
             raise ValueError("denominator within pole guard")
         return acc / dacc
 
@@ -336,7 +291,7 @@ class RatFunc:
 
     def to_str(self, var: str = "y") -> str:
         ns = self._poly_str(self.num, var)
-        if self.den == _ONE_POLY:
+        if not self.pole:
             return ns
         return f"({ns})/({self._poly_str(self.den, var)})"
 
@@ -352,10 +307,7 @@ class RatFunc:
 
     @classmethod
     def from_pairs(cls, num: list, den: list) -> "RatFunc":
+        """Inverse of to_pairs; ValueError on a denominator outside the ring."""
         n = {int(e): Fraction(s) for e, s in num}
         d = {int(e): Fraction(s) for e, s in den}
         return cls(n, d)
-
-
-ONE = RatFunc.one()
-ZERO = RatFunc.zero()

@@ -3,10 +3,11 @@
 Two layers:
 
 * :class:`QYSeries` -- series in q on the exponent grid (1/qden)Z, with
-  coefficients in Q(y) (:class:`~superjacobi.ratfunc.RatFunc`) and a single
-  global fractional y-power prefactor.  Truncation is tracked per series and
-  propagated pessimistically; arithmetic never reads past it.  A product of
-  two y-free series is convolved in Python ints over one common denominator.
+  coefficients in Q[y, 1/y, 1/(y-1)] (:class:`~superjacobi.ratfunc.RatFunc`)
+  and a single global fractional y-power prefactor.  Truncation is tracked
+  per series and propagated pessimistically; arithmetic never reads past it.
+  A product of two y-free series is convolved in Python ints over one common
+  denominator.
 
 * :class:`ZPiSeries` -- Laurent series in a formal variable z, graded by
   powers of the formal symbol pi-hat (standing for 2*pi*i), with truncated
@@ -192,10 +193,11 @@ class QYSeries:
         if not self.terms:
             raise NotAUnit("cannot invert a series with empty term map")
         v = min(self.terms)
-        c0 = self.terms[v]
-        if c0.is_zero():
-            raise NotAUnit("lowest coefficient is zero")
-        c0inv = c0.inverse()
+        try:
+            c0inv = self.terms[v].inverse()
+        except ValueError:
+            raise NotAUnit("lowest coefficient is not a unit of "
+                           "Q[y, 1/y, 1/(y-1)]") from None
         n = self.trunc - v          # usable length of the unit part
         # unit part u = 1 + g with g[e] for 1 <= e < n
         g = {e - v: c * c0inv for e, c in self.terms.items() if e != v}

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -11,7 +12,10 @@ def rand_ratfunc(rng: random.Random, ymin=-2, ymax=3, rational=False) -> RatFunc
     num = {e: Fraction(rng.randint(-4, 4)) for e in range(ymin, ymax)}
     r = RatFunc(num)
     if rational and rng.random() < 0.5:
-        den = {0: Fraction(1), 1: Fraction(rng.randint(1, 2))}
+        # c * y^s * (y-1)^e, a denominator of Q[y, 1/y, 1/(y-1)]
+        e, s = rng.randint(1, 2), rng.randint(-1, 1)
+        c = Fraction(rng.choice([1, -1, 2, -3]))
+        den = {s + i: c * (-1) ** (e - i) * comb(e, i) for i in range(e + 1)}
         r = RatFunc(dict(num), den)
     return r
 

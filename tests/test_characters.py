@@ -342,6 +342,19 @@ def test_p_product_negative_exponent():
         p_product(bad, F(5))
 
 
+@pytest.mark.parametrize("j, k", [(1, 2), (F(1, 2), F(5, 2))])
+def test_vanishing_factor_rejected(j, k):
+    # j + k = u makes the factor (1 - q^{u-j-k}) = (1 - q^0) = 0; the exact
+    # path and the probe's float factors both refuse the label
+    from superjacobi.errors import VanishingFactor
+    from superjacobi.jacobi import _float_factors
+    bad = ModuleLabel(3, F(j), F(k), generic=True)
+    with pytest.raises(VanishingFactor, match=r"\(1 - q\^0\)"):
+        character(bad, F(3))
+    with pytest.raises(VanishingFactor):
+        _float_factors(3, bad.j, bad.k, F(3))
+
+
 @pytest.mark.parametrize("u", [3, 4, 5])
 @pytest.mark.parametrize("m", [1, -1])
 def test_flow_matches_exist(u, m):

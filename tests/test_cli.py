@@ -38,6 +38,14 @@ def test_bad_level_exit2():
     assert "u must be >= 2" in err
 
 
+def test_vanishing_factor_exit2():
+    code, out, err = run_cli("char", "--u", "3", "--j", "1", "--k", "2",
+                             "--generic", "--order", "3")
+    assert code == 2
+    assert out == ""
+    assert "(1 - q^0) = 0" in err
+
+
 def test_unknown_flag_exit2():
     code, *_ = run_cli("spectrum", "--u", "4", "--bogus")
     assert code == 2

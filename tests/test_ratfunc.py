@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb, gcd
 
 import pytest
 
@@ -10,6 +11,110 @@ from conftest import rand_ratfunc
 
 def F(n, d=1):
     return Fraction(n, d)
+
+
+# -- reference: the general quotient form N/D reduced by a polynomial gcd ----
+
+def _pmul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _padd(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _pdivmod(a, b):
+    db = max(b)
+    q, r = {}, dict(a)
+    while r and max(r) >= db:
+        dr = max(r)
+        c = r[dr] / b[db]
+        q[dr - db] = c
+        r = _padd(r, {dr - db + e: -c * v for e, v in b.items()})
+    return q, r
+
+
+def _pgcd(a, b):
+    while b:
+        a, b = b, _pdivmod(a, b)[1]
+    lead = a[max(a)]
+    return {e: c / lead for e, c in a.items()}
+
+
+def _content(p):
+    num, den = 0, 1
+    for c in p.values():
+        num = gcd(num, abs(c.numerator))
+        den = den * c.denominator // gcd(den, c.denominator)
+    return Fraction(num, den)
+
+
+def _canonicalize(num, den):
+    """Canonical N/D: no common factor, D integral of content 1 with positive
+    leading coefficient and nonzero constant term, N Laurent."""
+    num = {e: c for e, c in num.items() if c}
+    if not num:
+        return {}, {0: F(1)}
+    dv = min(den)
+    den = {e - dv: c for e, c in den.items()}
+    num = {e - dv: c for e, c in num.items()}
+    if max(den) > 0:
+        nv = min(num)
+        nshift = {e - nv: c for e, c in num.items()}
+        g = _pgcd(nshift, den)
+        if max(g) > 0:
+            nshift = _pdivmod(nshift, g)[0]
+            den = _pdivmod(den, g)[0]
+        num = {e + nv: c for e, c in nshift.items()}
+    cont = _content(den)
+    if den[max(den)] < 0:
+        cont = -cont
+    return ({e: c / cont for e, c in num.items()},
+            {e: c / cont for e, c in den.items()})
+
+
+def _pairs(num, den):
+    def fmt(p):
+        return [[e, f"{c.numerator}/{c.denominator}"] for e, c in sorted(p.items())]
+    return fmt(num), fmt(den)
+
+
+def _is_unit(r):
+    """True when r = c * y^s * (y-1)^k / (y-1)^p."""
+    if r.is_zero():
+        return False
+    v = min(r.num)
+    p = {e - v: c for e, c in r.num.items()}
+    while max(p) > 0:
+        p, rem = _pdivmod(p, {1: F(1), 0: F(-1)})
+        if rem:
+            return False
+    return True
+
+
+def _ym1(k):
+    """(y-1)^k expanded."""
+    return {i: F((-1) ** (k - i) * comb(k, i)) for i in range(k + 1)}
+
+
+def _rand_ring_pair(rng):
+    """Random (num, den) of the ring, num often sharing (y-1) factors with den."""
+    num = {e: F(rng.randint(-4, 4), rng.choice([1, 1, 2, 3])) for e in range(-2, 3)}
+    num = _pmul(num, _ym1(rng.randint(0, 2)))
+    c = F(rng.choice([1, -1, 2, -6]), rng.choice([1, 5]))
+    den = _pmul({rng.randint(-2, 2): c}, _ym1(rng.randint(0, 3)))
+    return num, den
+
+
+def _deriv(p):
+    return {e - 1: c * e for e, c in p.items() if e}
 
 
 def test_canonical_zero():
@@ -47,8 +152,11 @@ def test_field_axioms_random(rng):
         assert (a + b) + c == a + (b + c)
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
-        if not a.is_zero():
+        if _is_unit(a):
             assert a * a.inverse() == RatFunc.one()
+        elif not a.is_zero():
+            with pytest.raises(ValueError):
+                a.inverse()
 
 
 def test_inverse_of_one_minus_yinv():
@@ -78,3 +186,44 @@ def test_serialization_roundtrip(rng):
         r = rand_ratfunc(rng, rational=True)
         num, den = r.to_pairs()
         assert RatFunc.from_pairs(num, den) == r
+
+
+def test_to_pairs_matches_general_gcd_reference(rng):
+    # the canonical form printed in JSON is that of the general quotient
+    # N/D reduced by a polynomial gcd, through every arithmetic operation
+    for _ in range(150):
+        na, da = _rand_ring_pair(rng)
+        nb, db = _rand_ring_pair(rng)
+        a, b = RatFunc(na, da), RatFunc(nb, db)
+        assert a.to_pairs() == _pairs(*_canonicalize(na, da))
+        assert (a + b).to_pairs() == _pairs(*_canonicalize(
+            _padd(_pmul(na, db), _pmul(nb, da)), _pmul(da, db)))
+        assert (a * b).to_pairs() == _pairs(*_canonicalize(
+            _pmul(na, nb), _pmul(da, db)))
+        assert a.deriv().to_pairs() == _pairs(*_canonicalize(
+            _padd(_pmul(_deriv(na), da),
+                  {e: -c for e, c in _pmul(na, _deriv(da)).items()}),
+            _pmul(da, da)))
+
+
+def test_inverse_of_units_and_non_units(rng):
+    for _ in range(50):
+        c = F(rng.choice([1, -2, 3]), rng.choice([1, 7]))
+        s, k, p = rng.randint(-3, 3), rng.randint(0, 3), rng.randint(0, 3)
+        a = RatFunc(_pmul({s: c}, _ym1(k)), _ym1(p))
+        assert _is_unit(a)
+        assert a * a.inverse() == RatFunc.one()
+        for other in ({0: F(1), 1: F(1)}, {0: F(1), 1: F(1), 2: F(1)}):
+            b = a * RatFunc(other)                 # times 1 + y, 1 + y + y^2
+            assert not _is_unit(b)
+            with pytest.raises(ValueError):
+                b.inverse()
+
+
+def test_denominator_outside_the_ring_rejected():
+    with pytest.raises(ValueError):
+        RatFunc({0: F(1)}, {0: F(1), 1: F(1)})          # 1/(1 + y)
+    with pytest.raises(ValueError):
+        RatFunc.from_pairs([[0, "1/1"]], [[0, "1/1"], [1, "1/1"]])
+    with pytest.raises(ValueError):
+        RatFunc.from_pairs([[0, "1/1"]], [[0, "1/1"], [2, "-1/1"]])  # 1 - y^2

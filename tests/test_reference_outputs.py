@@ -1,0 +1,46 @@
+"""Exact CLI outputs against the benchmark's stored reference table.
+
+Every ``char``, ``flow``, ``xi-shift`` and ``xi-zetabar`` grid point of
+``perfbench/grid.py`` runs through ``cli.main`` in this process; its exit
+status and the SHA-256 of its stdout must equal those in
+``perfbench/reference.json``.  Both files are only read.
+"""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from superjacobi import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+EXACT = ("char", "flow", "xi-shift", "xi-zetabar")
+
+
+def _grid():
+    spec = importlib.util.spec_from_file_location("_grid", PERFBENCH / "grid.py")
+    grid = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grid)
+    return grid
+
+
+POINTS = [key for key in _grid().all_points() if key.split(" ")[0] in EXACT]
+REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())["jobs"]
+
+
+def test_every_exact_command_is_covered():
+    assert {key.split(" ")[0] for key in POINTS} == set(EXACT)
+
+
+@pytest.mark.parametrize("key", POINTS)
+def test_output_matches_reference(key):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(key.split(" "))
+    ref = REFERENCE[key]
+    assert code == ref["exit"]
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == ref["sha256"]

@@ -158,6 +158,15 @@ def test_invert_zero_raises():
         QYSeries.zero(5).invert()
 
 
+def test_invert_non_unit_leading_coefficient_raises():
+    # 1 + y is not a unit of Q[y, 1/y, 1/(y-1)]
+    with pytest.raises(NotAUnit):
+        qs({1: poly(p0=1, p1=1), 2: RatFunc.one()}, 6).invert()
+    # (y - 1)/y is one
+    u = qs({1: poly(p0=1, m1=-1), 2: RatFunc.one()}, 6)
+    assert (u * u.invert()).same_visible(QYSeries.one(4))
+
+
 def test_invert_two_sided(rng):
     for _ in range(40):
         u = rand_unit(rng, trunc=10)
@@ -255,6 +264,13 @@ def test_serialization_roundtrip(rng):
     for _ in range(20):
         f = rand_series(rng, trunc=9, nterms=5, ypref=F(1, 6), rational=True)
         assert QYSeries.from_json(f.to_json()) == f
+
+
+def test_from_json_rejects_denominator_outside_the_ring():
+    d = qs({0: poly(p0=1)}, 3).to_dict()
+    d["terms"][0]["den"] = [[0, "1/1"], [1, "1/1"]]            # 1 + y
+    with pytest.raises(ValueError):
+        QYSeries.from_dict(d)
 
 
 def test_json_schema_fields():
