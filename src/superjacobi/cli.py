@@ -136,13 +136,24 @@ def cmd_jacobi_test(args) -> int:
     return EXIT_OK if rep.residual < args.tol else EXIT_MATH_FAIL
 
 
+def _basis_elts(tokens: list[str]) -> list[superalgebra.BasisElt]:
+    """Read FAMILY [INDEX] pairs; INDEX defaults to 0 and is ignored for C."""
+    elts = []
+    while tokens:
+        fam, tokens = tokens[0], tokens[1:]
+        idx = 0
+        if tokens and tokens[0].lstrip("-").isdigit():
+            idx, tokens = int(tokens[0]), tokens[1:]
+        elts.append(superalgebra.C if fam == "C"
+                    else superalgebra.BasisElt(fam, idx))
+    return elts
+
+
 def cmd_bracket(args) -> int:
-    def elt(fam: str, idx: int) -> superalgebra.BasisElt:
-        if fam == "C":
-            return superalgebra.C
-        return superalgebra.BasisElt(fam, idx)
-    v = superalgebra.bracket(elt(args.family1, args.index1),
-                             elt(args.family2, args.index2))
+    elts = _basis_elts(args.elements)
+    if len(elts) != 2:
+        raise ValueError("bracket takes two basis elements")
+    v = superalgebra.bracket(*elts)
     _emit({"bracket": v.to_dict(), "text": str(v)}, args.out)
     return EXIT_OK
 
@@ -327,10 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_jacobi_test)
 
     p = sub.add_parser("bracket", help="bracket of two basis elements")
-    p.add_argument("family1", choices=["L", "J", "H", "Q", "C"])
-    p.add_argument("index1", type=int, nargs="?", default=0)
-    p.add_argument("family2", choices=["L", "J", "H", "Q", "C"])
-    p.add_argument("index2", type=int, nargs="?", default=0)
+    p.add_argument("elements", nargs="+", metavar="FAMILY [INDEX]",
+                   help="two basis elements; FAMILY is one of L J H Q C, "
+                        "INDEX an int (default 0, none for C)")
     common(p)
     p.set_defaults(fn=cmd_bracket)
 

@@ -26,6 +26,11 @@ The vector-field realization on C[z, 1/z] (x) /\\[theta] uses
 (H_n as printed elsewhere with theta d_theta would duplicate -J_n and have
 even parity; theta d_z is forced by parity and by the [H, Q] relation, and
 realizationBracketCheck confirms the whole table with it.)
+
+Every structure constant lies in Z/6, so the Jacobi sweep runs on an integer
+view of the same table: keys (family code, index), coefficients 6c.  The
+central 1/6 and 1/3 become m^2+m, 2m and m^2-m; a Jacobiator is exact at scale
+36 and only a violating one is divided back.  The realization is over Z.
 """
 
 from __future__ import annotations
@@ -173,13 +178,8 @@ def _table(a: BasisElt, b: BasisElt) -> SuperLinComb | None:
     return None
 
 
-@lru_cache(maxsize=None)
-def bracket(a: BasisElt, b: BasisElt) -> SuperLinComb:
-    """Super-bracket of two basis elements.
-
-    Pairs not displayed in the table are zero; reversed-order pairs follow
-    [b, a] = -(-1)^{p(a) p(b)} [a, b].
-    """
+def _bracket(a: BasisElt, b: BasisElt) -> SuperLinComb:
+    """Uncached :func:`bracket`, shared with the sweep's integer view."""
     if a.family == "C" or b.family == "C":
         return _Z
     v = _table(a, b)
@@ -192,19 +192,43 @@ def bracket(a: BasisElt, b: BasisElt) -> SuperLinComb:
     return w.scale(-sign)
 
 
-def _add_bracket(acc: dict, x: dict, y: dict, sign: int) -> None:
-    """Add sign * [x, y] into ``acc`` for coefficient maps x and y."""
-    for a, ca in x.items():
-        for b, cb in y.items():
-            c = sign * ca * cb
-            for e, v in bracket(a, b).coeffs.items():
-                acc[e] = acc.get(e, 0) + c * v
+@lru_cache(maxsize=None)
+def bracket(a: BasisElt, b: BasisElt) -> SuperLinComb:
+    """Super-bracket of two basis elements.
+
+    Pairs not displayed in the table are zero; reversed-order pairs follow
+    [b, a] = -(-1)^{p(a) p(b)} [a, b].
+    """
+    return _bracket(a, b)
 
 
 def bracket_comb(x: SuperLinComb, y: SuperLinComb) -> SuperLinComb:
     acc: dict[BasisElt, Fraction] = {}
-    _add_bracket(acc, x.coeffs, y.coeffs, 1)
+    for a, ca in x.coeffs.items():
+        for b, cb in y.coeffs.items():
+            c = ca * cb
+            for e, v in bracket(a, b).coeffs.items():
+                acc[e] = acc.get(e, 0) + c * v
     return SuperLinComb(acc)
+
+
+def _key(e: BasisElt) -> tuple[int, int]:
+    return "LJHQC".index(e.family), e.index or 0
+
+
+def _elt(key: tuple[int, int]) -> BasisElt:
+    return C if key[0] == 4 else BasisElt("LJHQC"[key[0]], key[1])
+
+
+class _SixView(dict):
+    """6 [a, b] as ((key, int), ...) for int keys a, b, built on first use."""
+
+    def __missing__(self, pair):
+        v = _bracket(_elt(pair[0]), _elt(pair[1])).scale(6).coeffs
+        if any(c.denominator != 1 for c in v.values()):
+            raise ValueError(f"{v} is not 6 times an integer combination")
+        out = self[pair] = tuple((_key(e), int(c)) for e, c in v.items())
+        return out
 
 
 @dataclass
@@ -232,23 +256,24 @@ def super_jacobi_check(max_index: int) -> SweepReport:
         raise ValueError("max_index must be >= 1")
     elts = [BasisElt(f, n) for f in FAMILIES
             for n in range(-max_index, max_index + 1)] + [C]
-    units = [(e, e.parity, {e: 1}) for e in elts]
+    units = [(e, _key(e), e.parity) for e in elts]
+    view = _SixView()
     violations = []
-    checked = 0
-    for a, pa, ua in units:
-        for b, pb, ub in units:
-            ab = bracket(a, b).coeffs
-            for c, pc, uc in units:
-                checked += 1
-                total: dict[BasisElt, Fraction] = {}
-                _add_bracket(total, ua, bracket(b, c).coeffs,
-                             -1 if (pa and pc) else 1)
-                _add_bracket(total, ub, bracket(c, a).coeffs,
-                             -1 if (pb and pa) else 1)
-                _add_bracket(total, uc, ab, -1 if (pc and pb) else 1)
+    for a, ka, pa in units:
+        for b, kb, pb in units:
+            for c, kc, pc in units:
+                total: dict[tuple[int, int], int] = {}
+                for kx, inner, odd in ((ka, view[kb, kc], pa and pc),
+                                       (kb, view[kc, ka], pb and pa),
+                                       (kc, view[ka, kb], pc and pb)):
+                    for e, v in inner:
+                        v = -v if odd else v
+                        for f, w in view[kx, e]:
+                            total[f] = total.get(f, 0) + v * w
                 if any(total.values()):
-                    violations.append((a, b, c, SuperLinComb(total)))
-    return SweepReport(checked, violations)
+                    violations.append((a, b, c, SuperLinComb(
+                        {_elt(k): Fraction(v, 36) for k, v in total.items()})))
+    return SweepReport(len(units) ** 3, violations)
 
 
 def virasoro_map_check(max_index: int, naive: bool) -> SweepReport:
@@ -286,27 +311,20 @@ class SuperPoly:
 
     __slots__ = ("ev", "od")
 
-    def __init__(self, ev: dict[int, Fraction] | None = None,
-                 od: dict[int, Fraction] | None = None):
-        self.ev = {e: Fraction(c) for e, c in (ev or {}).items() if c}
-        self.od = {e: Fraction(c) for e, c in (od or {}).items() if c}
+    def __init__(self, ev: dict[int, int | Fraction] | None = None,
+                 od: dict[int, int | Fraction] | None = None):
+        self.ev = {e: c for e, c in (ev or {}).items() if c}
+        self.od = {e: c for e, c in (od or {}).items() if c}
 
     def __add__(self, o: "SuperPoly") -> "SuperPoly":
-        ev = dict(self.ev)
-        for e, c in o.ev.items():
-            ev[e] = ev.get(e, Fraction(0)) + c
-        od = dict(self.od)
-        for e, c in o.od.items():
-            od[e] = od.get(e, Fraction(0)) + c
+        ev, od = dict(self.ev), dict(self.od)
+        _add_shifted(ev, o.ev, 0, 1)
+        _add_shifted(od, o.od, 0, 1)
         return SuperPoly(ev, od)
 
     def scale(self, c) -> "SuperPoly":
-        c = Fraction(c)
         return SuperPoly({e: v * c for e, v in self.ev.items()},
                          {e: v * c for e, v in self.od.items()})
-
-    def is_zero(self) -> bool:
-        return not self.ev and not self.od
 
     def __eq__(self, o) -> bool:
         return isinstance(o, SuperPoly) and self.ev == o.ev and self.od == o.od
@@ -331,8 +349,8 @@ class SuperDerivation:
 
     def apply(self, x: SuperPoly) -> SuperPoly:
         zi, ti = self.z_image, self.theta_image
-        ev: dict[int, Fraction] = {}
-        od: dict[int, Fraction] = {}
+        ev: dict[int, int | Fraction] = {}
+        od: dict[int, int | Fraction] = {}
         for p, c in x.ev.items():
             _add_shifted(ev, zi.ev, p - 1, p * c)
             _add_shifted(od, zi.od, p - 1, p * c)
@@ -351,26 +369,23 @@ def _add_shifted(acc: dict, src: dict, shift: int, c) -> None:
 
 def realization(elt: BasisElt) -> SuperDerivation:
     n = elt.index
-    one = Fraction(1)
     if elt.family == "L":
-        return SuperDerivation(SuperPoly({n + 1: -one}, {}),
+        return SuperDerivation(SuperPoly({n + 1: -1}, {}),
                                SuperPoly({}, {n: -(n + 1)}), EVEN)
     if elt.family == "J":
-        return SuperDerivation(SuperPoly(), SuperPoly({}, {n: -one}), EVEN)
+        return SuperDerivation(SuperPoly(), SuperPoly({}, {n: -1}), EVEN)
     if elt.family == "Q":
-        return SuperDerivation(SuperPoly(), SuperPoly({n + 1: -one}, {}), ODD)
+        return SuperDerivation(SuperPoly(), SuperPoly({n + 1: -1}, {}), ODD)
     if elt.family == "H":
-        return SuperDerivation(SuperPoly({}, {n: one}), SuperPoly(), ODD)
+        return SuperDerivation(SuperPoly({}, {n: 1}), SuperPoly(), ODD)
     raise ValueError(f"no realization for {elt}")
 
 
 def _commutator_images(d1: SuperDerivation, d2: SuperDerivation) -> tuple[SuperPoly, SuperPoly]:
     """Images of z and theta under [d1, d2] = d1 d2 - (-1)^{p1 p2} d2 d1."""
     sign = -1 if (d1.parity and d2.parity) else 1
-    z = SuperPoly({1: Fraction(1)}, {})
-    th = SuperPoly({}, {0: Fraction(1)})
-    za = d1.apply(d2.apply(z)) + d2.apply(d1.apply(z)).scale(-sign)
-    ta = d1.apply(d2.apply(th)) + d2.apply(d1.apply(th)).scale(-sign)
+    za = d1.apply(d2.z_image) + d2.apply(d1.z_image).scale(-sign)
+    ta = d1.apply(d2.theta_image) + d2.apply(d1.theta_image).scale(-sign)
     return za, ta
 
 
@@ -381,8 +396,8 @@ def _identify(z_img: SuperPoly, th_img: SuperPoly, window: int) -> SuperLinComb:
     theta-image even   sum -c z^{n+1}  -> c Q_n;   odd part -c z^n theta -> c J_n
     then the J-coefficients are corrected for the theta d_theta part of L_n.
     """
-    out: dict[BasisElt, Fraction] = {}
-    lcoef: dict[int, Fraction] = {}
+    out: dict[BasisElt, int | Fraction] = {}
+    lcoef: dict[int, int | Fraction] = {}
     for e, c in z_img.ev.items():
         n = e - 1
         if abs(n) > window:
@@ -403,8 +418,7 @@ def _identify(z_img: SuperPoly, th_img: SuperPoly, window: int) -> SuperLinComb:
     for e in set(th_img.od) | set(lcoef):
         if abs(e) > window:
             raise WindowTooSmall(f"J-index {e} outside window {window}")
-        c = th_img.od.get(e, Fraction(0))
-        val = -c - lcoef.get(e, Fraction(0)) * (e + 1)
+        val = -th_img.od.get(e, 0) - lcoef.get(e, 0) * (e + 1)
         if val:
             out[J(e)] = val
     return SuperLinComb(out)

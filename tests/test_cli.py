@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "superjacobi.cli", *args],
@@ -75,6 +77,21 @@ def test_bracket_cli():
     assert code == 0
     payload = json.loads(out)
     assert payload["bracket"] == {"L1": "3"}
+
+
+@pytest.mark.parametrize("args", [("C", "L", "2"), ("L", "2", "C"), ("C", "C")])
+def test_bracket_cli_central_takes_no_index(args):
+    code, out, _ = run_cli("bracket", *args)
+    assert code == 0
+    assert json.loads(out) == {"bracket": {}, "text": "0"}
+
+
+@pytest.mark.parametrize("args", [("X", "1", "L", "2"), ("L", "2"),
+                                  ("L", "2", "L", "3", "L")])
+def test_bracket_cli_bad_elements_exit2(args):
+    code, out, err = run_cli("bracket", *args)
+    assert code == 2
+    assert out == "" and err.startswith("error:")
 
 
 def test_self_test_flag():

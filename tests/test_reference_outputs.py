@@ -1,6 +1,7 @@
 """Exact CLI outputs against the benchmark's stored reference table.
 
-Every ``char``, ``flow``, ``xi-shift`` and ``xi-zetabar`` grid point of
+Every ``char``, ``flow``, ``xi-shift``, ``xi-zetabar``, ``bracket``,
+``jacobi-identity`` and ``realization-check`` grid point of
 ``perfbench/grid.py`` runs through ``cli.main`` in this process; its exit
 status and the SHA-256 of its stdout must equal those in
 ``perfbench/reference.json``.  Both files are only read.
@@ -18,7 +19,8 @@ import pytest
 from superjacobi import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-EXACT = ("char", "flow", "xi-shift", "xi-zetabar")
+EXACT = ("char", "flow", "xi-shift", "xi-zetabar", "bracket",
+         "jacobi-identity", "realization-check")
 
 
 def _grid():

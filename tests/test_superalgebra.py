@@ -7,6 +7,7 @@ from superjacobi import superalgebra
 from superjacobi.errors import WindowTooSmall
 from superjacobi.superalgebra import (C, EVEN, FAMILIES, H, J, L, Q, BasisElt,
                                       SuperDerivation, SuperLinComb, SuperPoly,
+                                      _commutator_images, _key, _SixView,
                                       bracket, bracket_comb, realization,
                                       realization_bracket_check,
                                       super_jacobi_check, virasoro_map_check)
@@ -267,3 +268,115 @@ def test_bracket_comb_matches_term_sum(seed):
             y = y + SuperLinComb.of((rng.randint(1, 3), C))
         assert bracket_comb(x, y) == _old_bracket_comb(x, y)
         assert bracket_comb(y, x) == _old_bracket_comb(y, x)
+
+
+def _old_commutator_images(d1: SuperDerivation, d2: SuperDerivation):
+    sign = -1 if (d1.parity and d2.parity) else 1
+    z = SuperPoly({1: Fraction(1)}, {})
+    th = SuperPoly({}, {0: Fraction(1)})
+    za = _old_apply(d1, _old_apply(d2, z)) \
+        + _old_apply(d2, _old_apply(d1, z)).scale(-sign)
+    ta = _old_apply(d1, _old_apply(d2, th)) \
+        + _old_apply(d2, _old_apply(d1, th)).scale(-sign)
+    return za, ta
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_commutator_images_match_generator_route(seed):
+    rng = random.Random(200 + seed)
+    for _ in range(40):
+        d1, d2 = (SuperDerivation(_rand_poly(rng), _rand_poly(rng), rng.randint(0, 1))
+                  for _ in range(2))
+        assert _commutator_images(d1, d2) == _old_commutator_images(d1, d2)
+
+
+def test_realization_commutators_match_generator_route():
+    ds = [realization(BasisElt(f, n)) for f in FAMILIES for n in range(-3, 4)]
+    for d in ds:
+        coeffs = [*d.z_image.ev.values(), *d.z_image.od.values(),
+                  *d.theta_image.ev.values(), *d.theta_image.od.values()]
+        assert all(type(c) is int for c in coeffs)
+    for d1 in ds:
+        for d2 in ds:
+            assert _commutator_images(d1, d2) == _old_commutator_images(d1, d2)
+
+
+# -- the sweep's integer view against the table ---------------------------------
+
+def test_six_view_matches_table():
+    # every pair the m = 6 sweep looks up: a box element with a box element or
+    # with any result of an inner bracket (indices up to 12, and C)
+    box = [BasisElt(f, n) for f in FAMILIES for n in range(-6, 7)] + [C]
+    inner = [BasisElt(f, n) for f in FAMILIES for n in range(-12, 13)] + [C]
+    view = _SixView()
+    for a in box:
+        for b in inner:
+            entry = view[_key(a), _key(b)]
+            assert all(type(v) is int for _, v in entry)
+            assert dict(entry) == {_key(e): 6 * c
+                                   for e, c in bracket(a, b).coeffs.items()}
+            assert len(dict(entry)) == len(entry)
+
+
+def test_sweep_does_not_use_the_bracket_cache(fresh_brackets):
+    super_jacobi_check(2)
+    info = bracket.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
+def _ref_add_bracket(acc: dict, x: dict, y: dict, sign: int) -> None:
+    for a, ca in x.items():
+        for b, cb in y.items():
+            c = sign * ca * cb
+            for e, v in bracket(a, b).coeffs.items():
+                acc[e] = acc.get(e, 0) + c * v
+
+
+def _fraction_sweep(max_index: int):
+    """The Fraction loop over BasisElt and the cached bracket, for reference."""
+    elts = [BasisElt(f, n) for f in FAMILIES
+            for n in range(-max_index, max_index + 1)] + [C]
+    units = [(e, e.parity, {e: 1}) for e in elts]
+    violations = []
+    checked = 0
+    for a, pa, ua in units:
+        for b, pb, ub in units:
+            ab = bracket(a, b).coeffs
+            for c, pc, uc in units:
+                checked += 1
+                total = {}
+                _ref_add_bracket(total, ua, bracket(b, c).coeffs,
+                                 -1 if (pa and pc) else 1)
+                _ref_add_bracket(total, ub, bracket(c, a).coeffs,
+                                 -1 if (pb and pa) else 1)
+                _ref_add_bracket(total, uc, ab, -1 if (pc and pb) else 1)
+                if any(total.values()):
+                    violations.append((a, b, c, SuperLinComb(total)))
+    return checked, violations
+
+
+def _jq_sign(table, a, b):
+    v = table(a, b)
+    return v.scale(-1) if (a.family, b.family) == ("J", "Q") else v
+
+
+def _jj_sixth(table, a, b):
+    # [J_m, J_-m] = m/6 C instead of m/3 C
+    v = table(a, b)
+    return v.scale(F(1, 2)) if (a.family, b.family) == ("J", "J") else v
+
+
+@pytest.mark.parametrize("max_index", [1, 2])
+@pytest.mark.parametrize("corrupt", [None, _jq_sign, _jj_sixth],
+                         ids=["true", "jq_sign", "jj_central"])
+def test_sweep_matches_fraction_reference(fresh_brackets, corrupt, max_index):
+    if corrupt:
+        table = superalgebra._table
+        fresh_brackets.setattr(superalgebra, "_table",
+                               lambda a, b: corrupt(table, a, b))
+    rep = super_jacobi_check(max_index)
+    checked, violations = _fraction_sweep(max_index)
+    assert rep.checked == checked == (4 * (2 * max_index + 1) + 1) ** 3
+    assert rep.passed == (corrupt is None)
+    assert rep.violations == violations
+    assert rep.to_dict()["violations"] == [str(v) for v in violations[:20]]
