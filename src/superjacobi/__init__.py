@@ -9,7 +9,7 @@ with a numerical span-invariance probe, and the W(1|1) Lie superalgebra.
 from .ratfunc import RatFunc
 from .series import QYSeries, ZPiSeries
 from .numtheory import bernoulli, divisor_sum, eisenstein_e, eisenstein_ghat
-from .elliptic import (LatticePoint, XiSeries, eval_wp, eval_zetabar,
+from .elliptic import (LatticePoint, eval_wp, eval_zetabar,
                        wp_pde_check, wp_series, xi_series, xi_shift_check,
                        xi_zetabar_check, zetabar_series)
 from .ramanujan import OdeIdentity, extract_ode_family, ramanujan_triple
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "RatFunc", "QYSeries", "ZPiSeries",
     "bernoulli", "divisor_sum", "eisenstein_e", "eisenstein_ghat",
-    "LatticePoint", "XiSeries", "eval_wp", "eval_zetabar", "wp_pde_check",
+    "LatticePoint", "eval_wp", "eval_zetabar", "wp_pde_check",
     "wp_series", "xi_series", "xi_shift_check", "xi_zetabar_check",
     "zetabar_series",
     "OdeIdentity", "extract_ode_family", "ramanujan_triple",

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import BadLevel, NegativeExponent, VanishingFactor
 from .ratfunc import RatFunc
@@ -237,8 +236,6 @@ def _flowed_factors(u: int, j: Fraction, k: Fraction, m: int, qmax: Fraction):
     sign = 1
     q_shift = Fraction(0)
     y_shift = 0
-    if m == 0:      # the probe's hot path: nothing shifts or flips
-        return list(_p_factors(u, j, k, qmax)), sign, q_shift, y_shift
     factors = []
     # a shifted exponent a + m * yexp with |yexp| <= 1 is below qmax only if
     # a < qmax + |m|; every flipped factor has a < |m|
@@ -325,8 +322,8 @@ def _monomial_ratio(a: QYSeries, b: QYSeries):
     (const, dq, dy); else None.  Compares the visible windows."""
     if a.is_zero() or b.is_zero():
         return None
-    d = a.qden * b.qden // gcd(a.qden, b.qden)
-    aa, bb = a.rescale_grid(d), b.rescale_grid(d)
+    aa, bb = QYSeries._unify_grid_only(a, b)
+    d = aa.qden
     ea, eb = min(aa.terms), min(bb.terms)
     dq = ea - eb
     window = min(aa.trunc, bb.trunc + dq)

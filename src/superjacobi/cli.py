@@ -30,6 +30,12 @@ def _emit(payload, out_path: str | None, as_json: bool = True) -> None:
         sys.stdout.write(text)
 
 
+def _report(rep, out_path: str | None) -> int:
+    """Emit a check report; exit 0 if it passed, 1 if it failed."""
+    _emit(rep.to_dict(), out_path)
+    return EXIT_OK if rep.passed else EXIT_MATH_FAIL
+
+
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -89,21 +95,15 @@ def cmd_eisenstein(args) -> int:
 
 
 def cmd_wp_pde(args) -> int:
-    rep = elliptic.wp_pde_check(args.z_order, args.order)
-    _emit(rep.to_dict(), args.out)
-    return EXIT_OK if rep.passed else EXIT_MATH_FAIL
+    return _report(elliptic.wp_pde_check(args.z_order, args.order), args.out)
 
 
 def cmd_xi_shift(args) -> int:
-    rep = elliptic.xi_shift_check(args.order)
-    _emit(rep.to_dict(), args.out)
-    return EXIT_OK if rep.passed else EXIT_MATH_FAIL
+    return _report(elliptic.xi_shift_check(args.order), args.out)
 
 
 def cmd_xi_zetabar(args) -> int:
-    rep = elliptic.xi_zetabar_check(args.t_order, args.order)
-    _emit(rep.to_dict(), args.out)
-    return EXIT_OK if rep.passed else EXIT_MATH_FAIL
+    return _report(elliptic.xi_zetabar_check(args.t_order, args.order), args.out)
 
 
 def cmd_zetabar_table(args) -> int:
@@ -159,15 +159,11 @@ def cmd_bracket(args) -> int:
 
 
 def cmd_jacobi_identity(args) -> int:
-    rep = superalgebra.super_jacobi_check(args.max)
-    _emit(rep.to_dict(), args.out)
-    return EXIT_OK if rep.passed else EXIT_MATH_FAIL
+    return _report(superalgebra.super_jacobi_check(args.max), args.out)
 
 
 def cmd_realization_check(args) -> int:
-    rep = superalgebra.realization_bracket_check(args.max, args.window)
-    _emit(rep.to_dict(), args.out)
-    return EXIT_OK if rep.passed else EXIT_MATH_FAIL
+    return _report(superalgebra.realization_bracket_check(args.max, args.window), args.out)
 
 
 # -- per-subcommand invariant mini-suites -------------------------------------
@@ -373,10 +369,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if ok else EXIT_MATH_FAIL
     try:
         return args.fn(args)
-    except SuperjacobiError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (SuperjacobiError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import PolePoint
-from .numtheory import bernoulli, eisenstein_ghat
+from .numtheory import bernoulli, divisors, eisenstein_ghat
 from .ratfunc import RatFunc
 from .series import QYSeries, ZPiSeries
 
@@ -80,10 +80,10 @@ def _ghat_zpi(k: int, q_order: int) -> ZPiSeries:
     return ZPiSeries({(0, 2 * k): eisenstein_ghat(k, q_order)}, 10 ** 9, q_order)
 
 
-def wp_pde_sides(z_order: int, q_order: int) -> tuple[ZPiSeries, ZPiSeries]:
-    """Both sides of the tau-derivative PDE for wp.
+def _pde_parts(z_order: int, q_order: int) -> tuple[ZPiSeries, ZPiSeries, ZPiSeries]:
+    """The three parts of the tau-derivative PDE for wp, from one build of wp:
+    (d_tau wp, zeta-bar * d_z wp, RHS) with d_tau = pi-hat * (q d/dq) and
 
-    LHS = d_tau wp + zeta-bar * d_z wp  with  d_tau = pi-hat * (q d/dq).
     RHS = pi-hat^-1 (2 wp^2 - 6 G_2 wp + 3 G_2^2 - 15 G_4).
 
     The RHS coefficients are the ones consistent with the G_2-inclusive wp
@@ -92,11 +92,16 @@ def wp_pde_sides(z_order: int, q_order: int) -> tuple[ZPiSeries, ZPiSeries]:
     """
     wp = wp_series(z_order, q_order)
     zb = zetabar_series(z_order, q_order)
-    lhs = wp.q_log_deriv().pi_shift(1) + zb * wp.z_deriv()
     g2 = _ghat_zpi(1, q_order)
     g4 = _ghat_zpi(2, q_order)
     rhs = (wp * wp).scale(2) - (g2 * wp).scale(6) + (g2 * g2).scale(3) - g4.scale(15)
-    return lhs, rhs.pi_shift(-1)
+    return wp.q_log_deriv().pi_shift(1), zb * wp.z_deriv(), rhs.pi_shift(-1)
+
+
+def wp_pde_sides(z_order: int, q_order: int) -> tuple[ZPiSeries, ZPiSeries]:
+    """Both sides of the wp PDE: d_tau wp + zeta-bar * d_z wp, and the RHS."""
+    tau, transport, rhs = _pde_parts(z_order, q_order)
+    return tau + transport, rhs
 
 
 def wp_pde_check(z_order: int, q_order: int) -> CheckReport:
@@ -108,6 +113,8 @@ def wp_pde_check(z_order: int, q_order: int) -> CheckReport:
     """
     if z_order < 3:
         raise ValueError("z_order must be >= 3 for a nonempty window")
+    if q_order < 1:
+        raise ValueError("q_order must be >= 1")
     lhs, rhs = wp_pde_sides(z_order, q_order)
     failures = lhs.diff_exponents(rhs)
     window = min(lhs.ztrunc, rhs.ztrunc)
@@ -119,29 +126,16 @@ def wp_pde_check(z_order: int, q_order: int) -> CheckReport:
 
 # -- xi: partial fractions ----------------------------------------------------
 
-@dataclass
-class XiSeries:
-    """Map q-exponent -> rational function of x; only the q^0 coefficient may
-    carry a denominator (it is -1/2 - 1/(x-1))."""
-    terms: dict[int, RatFunc]
-    trunc: int
-
-    def coeff(self, j: int) -> RatFunc:
-        return self.terms.get(j, RatFunc.zero())
-
-
-def xi_series(q_order: int) -> XiSeries:
-    one = Fraction(1)
-    x_minus_1 = RatFunc({1: one, 0: -one})
-    c0 = RatFunc.const(Fraction(-1, 2)) - x_minus_1.inverse()
-    terms = {0: c0}
+def xi_series(q_order: int) -> QYSeries:
+    """xi(x, q) to q^q_order as a QYSeries on the integer grid whose
+    coefficients are rational functions of x (the RatFunc variable):
+    -1/2 - 1/(x-1) at q^0 and sum_{m | j} (x^m - x^{-m}) at q^j."""
+    x_minus_1 = RatFunc({1: Fraction(1), 0: Fraction(-1)})
+    terms = {0: RatFunc.const(Fraction(-1, 2)) - x_minus_1.inverse()}
     for j in range(1, q_order):
-        c = RatFunc.zero()
-        for m in range(1, j + 1):
-            if j % m == 0:
-                c = c + RatFunc.monomial(1, m) - RatFunc.monomial(1, -m)
-        terms[j] = c
-    return XiSeries(terms, q_order)
+        terms[j] = RatFunc({s: Fraction(c) for m in divisors(j)
+                            for s, c in ((m, 1), (-m, -1))})
+    return QYSeries(1, Fraction(0), terms, q_order)
 
 
 def _expand_inverse_direction(r: RatFunc, order: int) -> dict[int, Fraction]:
@@ -169,6 +163,8 @@ def xi_shift_check(q_order: int, offset: Fraction = Fraction(1)) -> CheckReport:
     expanding the rational target in descending powers of x through x^{-(T-1)}.
     A correct run passes only for offset = 1.
     """
+    if q_order < 1:
+        raise ValueError("q_order must be >= 1")
     xi = xi_series(q_order)
     T = q_order
     computed: dict[int, dict[int, Fraction]] = {}
@@ -231,10 +227,9 @@ def xi_t_expansion(t_order: int, q_order: int) -> ZPiSeries:
     put(0, 0, Fraction(-1, 2))
     # q^j coefficients
     for j in range(1, q_order):
-        for m in range(1, j + 1):
-            if j % m == 0:
-                for r in range(1, t_order + 1, 2):
-                    put(r, j, Fraction(2 * m ** r, factorial(r)))
+        for m in divisors(j):
+            for r in range(1, t_order + 1, 2):
+                put(r, j, Fraction(2 * m ** r, factorial(r)))
     zterms = {}
     for (r, p), row in terms.items():
         if r > t_order:
@@ -254,6 +249,8 @@ def xi_zetabar_check(t_order: int, q_order: int) -> CheckReport:
     """
     if t_order < 2:
         raise ValueError("t_order must be >= 2")
+    if q_order < 1:
+        raise ValueError("q_order must be >= 1")
     lhs = xi_t_expansion(t_order, q_order)
     half_k = (t_order + 1) // 2
     rhs = zetabar_series(half_k, q_order)

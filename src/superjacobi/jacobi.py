@@ -145,16 +145,9 @@ def multiplier(g: JacobiGroupElement, p: ModularPoint, cc: Fraction) -> complex:
 
 # -- numerical character evaluation ---------------------------------------------
 
-_char_cache: dict[tuple, QYSeries] = {}
-
-
+@functools.lru_cache(maxsize=256)
 def _normalized_series(label: ModuleLabel, q_order: Fraction) -> QYSeries:
-    key = (label.u, label.j, label.k, Fraction(q_order))
-    s = _char_cache.get(key)
-    if s is None:
-        s = character(label, q_order, normalized=True).series
-        _char_cache[key] = s
-    return s
+    return character(label, q_order, normalized=True).series
 
 
 def eval_normalized_character(label: ModuleLabel, p: ModularPoint,

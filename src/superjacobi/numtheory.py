@@ -45,18 +45,18 @@ def bernoulli(n: int) -> Fraction:
     return _bernoulli_upto(n)[n]
 
 
-def divisor_sum(n: int, r: int) -> int:
-    """sigma_r(n) = sum of d^r over divisors d of n."""
+def divisors(n: int) -> list[int]:
+    """The positive divisors of n in increasing order, by trial division to
+    sqrt(n)."""
     if n < 1:
         raise ValueError("n must be positive")
-    total = 0
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            total += d ** r
-            e = n // d
-            if e != d:
-                total += e ** r
-    return total
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def divisor_sum(n: int, r: int) -> int:
+    """sigma_r(n) = sum of d^r over divisors d of n."""
+    return sum(d ** r for d in divisors(n))
 
 
 def divisor_sum_multiplicative(n: int, r: int) -> int:

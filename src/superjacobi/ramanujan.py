@@ -15,7 +15,7 @@ from math import factorial
 from .errors import OutOfRange
 from .numtheory import bernoulli, eisenstein_e
 from .series import QYSeries
-from .elliptic import wp_pde_sides, wp_series
+from .elliptic import _pde_parts
 
 
 @dataclass
@@ -76,10 +76,8 @@ def extract_ode_family(k: int, z_order: int, q_order: int) -> OdeIdentity:
 
 def extract_ode_families(ks, z_order: int, q_order: int) -> list[OdeIdentity]:
     """:func:`extract_ode_family` for each k in ``ks``, from one build of the
-    PDE sides.
-
-    The transport term zeta-bar * d_z wp is read off as the LHS of the PDE
-    minus its d_tau part, so no product beyond those of the sides is formed.
+    PDE's parts: the d_tau part, the transport zeta-bar * d_z wp and the
+    right-hand side (:func:`~superjacobi.elliptic._pde_parts`).
     """
     ks = list(ks)
     for k in ks:
@@ -87,19 +85,16 @@ def extract_ode_families(ks, z_order: int, q_order: int) -> list[OdeIdentity]:
             raise OutOfRange(f"need 1 <= k <= z_order - 2, got k={k}, z_order={z_order}")
     if not ks:
         return []
-    lhs_full, rhs_full = wp_pde_sides(z_order, q_order)
-    window = min(lhs_full.ztrunc, rhs_full.ztrunc)
-    tau_part = wp_series(z_order, q_order).q_log_deriv().pi_shift(1)
+    tau, transport, rhs_full = _pde_parts(z_order, q_order)
+    window = min(tau.ztrunc, transport.ztrunc, rhs_full.ztrunc)
     out = []
     for k in ks:
         zexp = 2 * k - 2
         pexp = 2 * k + 1
         if zexp >= window:
             raise OutOfRange(f"z-exponent {zexp} outside provable window {window}")
-        lhs = tau_part.coeff(zexp, pexp)
-        transport = lhs_full.coeff(zexp, pexp) - lhs
-        rhs = rhs_full.coeff(zexp, pexp) - transport
-        out.append(OdeIdentity(k, lhs, rhs, zexp))
+        rhs = rhs_full.coeff(zexp, pexp) - transport.coeff(zexp, pexp)
+        out.append(OdeIdentity(k, tau.coeff(zexp, pexp), rhs, zexp))
     return out
 
 

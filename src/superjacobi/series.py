@@ -62,14 +62,6 @@ class QYSeries:
         r = RatFunc.const(c) if not isinstance(c, RatFunc) else c
         return cls(qden, Fraction(0), {0: r}, trunc)
 
-    @classmethod
-    def monomial(cls, coeff: RatFunc, qexp: Fraction, trunc_scaled: int,
-                 qden: int) -> "QYSeries":
-        e = Fraction(qexp) * qden
-        if e.denominator != 1:
-            raise ValueError("qexp not on the given grid")
-        return cls(qden, Fraction(0), {int(e): coeff}, trunc_scaled)
-
     # -- basic structure ---------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -78,9 +70,6 @@ class QYSeries:
     def valuation(self) -> int:
         """Scaled valuation; equals trunc for a series with no visible terms."""
         return min(self.terms) if self.terms else self.trunc
-
-    def q_order(self, e_scaled: int) -> Fraction:
-        return Fraction(e_scaled, self.qden)
 
     def leading(self) -> tuple[Fraction, RatFunc]:
         if not self.terms:
@@ -106,9 +95,8 @@ class QYSeries:
 
     @staticmethod
     def _unify(a: "QYSeries", b: "QYSeries") -> tuple["QYSeries", "QYSeries"]:
-        d = lcm(a.qden, b.qden)
-        a = a.rescale_grid(d)
-        b = b.rescale_grid(d)
+        a, b = QYSeries._unify_grid_only(a, b)
+        d = a.qden
         diff = a.ypref - b.ypref
         if diff.denominator != 1:
             raise IncompatiblePrefactor(
@@ -407,14 +395,6 @@ class ZPiSeries:
         self.ztrunc = ztrunc
         self.qtrunc = qtrunc
 
-    @classmethod
-    def zero(cls, ztrunc: int, qtrunc: int) -> "ZPiSeries":
-        return cls({}, ztrunc, qtrunc)
-
-    @classmethod
-    def from_qseries(cls, s: QYSeries, zexp: int, piexp: int, ztrunc: int) -> "ZPiSeries":
-        return cls({(zexp, piexp): s}, ztrunc, s.trunc)
-
     def z_valuation(self) -> int:
         return min((z for z, _ in self.terms), default=self.ztrunc)
 
@@ -473,17 +453,14 @@ class ZPiSeries:
     def coeff(self, zexp: int, piexp: int) -> QYSeries:
         return self.terms.get((zexp, piexp), QYSeries.zero(self.qtrunc))
 
-    def diff_exponents(self, other: "ZPiSeries",
-                       qwindow: int | None = None) -> list[tuple[int, int, int]]:
+    def diff_exponents(self, other: "ZPiSeries") -> list[tuple[int, int, int]]:
         """Exponent triples (z, pi, q) where the two series provably differ.
 
-        Only z-exponents below both z-truncations and q-exponents below the
-        joint q-window are compared.
+        Only z-exponents below both z-truncations and q-exponents below both
+        q-truncations are compared.
         """
         zt = min(self.ztrunc, other.ztrunc)
         qt = min(self.qtrunc, other.qtrunc)
-        if qwindow is not None:
-            qt = min(qt, qwindow)
         out = []
         keys = set(self.terms) | set(other.terms)
         for (z, p) in sorted(keys):

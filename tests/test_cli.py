@@ -121,3 +121,12 @@ def test_realization_check_empty_sweep_exit2():
     assert code == 2
     assert out == ""
     assert "max_index must be >= 1" in err
+
+
+@pytest.mark.parametrize("order", ["0", "-1"])
+@pytest.mark.parametrize("command", ["wp-pde", "xi-shift", "xi-zetabar"])
+def test_exact_check_nonpositive_order_exit2(command, order):
+    code, out, err = run_cli(command, "--order", order)
+    assert code == 2
+    assert out == ""
+    assert err == "error: q_order must be >= 1\n"

@@ -151,3 +151,35 @@ def test_two_evaluation_routes_agree_near_zero():
         a = eval_zetabar(p)
         b = eval_zetabar_zseries(p, 8, 30)
         assert abs(a - b) < 1e-8
+
+
+def _xi_series_by_repeated_sums(q_order):
+    """The q^j >= 1 coefficients of xi by a scan over 1..j with one RatFunc
+    sum per divisor, and the q^0 pole term."""
+    terms = {0: RatFunc.const(F(-1, 2)) - RatFunc({1: F(1), 0: F(-1)}).inverse()}
+    for j in range(1, q_order):
+        c = RatFunc.zero()
+        for m in range(1, j + 1):
+            if j % m == 0:
+                c = c + RatFunc.monomial(1, m) - RatFunc.monomial(1, -m)
+        terms[j] = c
+    return terms
+
+
+@pytest.mark.parametrize("T", [1, 2, 120])
+def test_xi_series_matches_repeated_sums(T):
+    xi = xi_series(T)
+    assert xi.trunc == T
+    assert (xi.qden, xi.ypref) == (1, 0)
+    assert xi.terms == _xi_series_by_repeated_sums(T)
+
+
+@pytest.mark.parametrize("order", [0, -1])
+@pytest.mark.parametrize("check", [
+    lambda T: wp_pde_check(6, T),
+    lambda T: xi_shift_check(T),
+    lambda T: xi_zetabar_check(8, T),
+], ids=["wp-pde", "xi-shift", "xi-zetabar"])
+def test_checks_reject_nonpositive_q_order(check, order):
+    with pytest.raises(ValueError, match="q_order must be >= 1"):
+        check(order)

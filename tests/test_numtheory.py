@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 from math import comb, factorial
 
+import pytest
+
 from superjacobi.numtheory import (bernoulli, divisor_sum,
-                                   divisor_sum_multiplicative, eisenstein_e,
-                                   eisenstein_ghat)
+                                   divisor_sum_multiplicative, divisors,
+                                   eisenstein_e, eisenstein_ghat)
 
 F = Fraction
 
@@ -80,3 +82,17 @@ def test_ghat_denominator_bound():
         g = eisenstein_ghat(k, 30)
         for c in g.terms.values():
             assert bound % c.const_value().denominator == 0
+
+
+def test_divisors_against_scan():
+    for n in range(1, 501):
+        ds = divisors(n)
+        assert ds == [d for d in range(1, n + 1) if n % d == 0], n
+    assert divisors(36) == [1, 2, 3, 4, 6, 9, 12, 18, 36]   # 6 listed once
+    assert divisors(1) == [1]
+
+
+@pytest.mark.parametrize("n", [0, -1, -12])
+def test_divisors_rejects_nonpositive(n):
+    with pytest.raises(ValueError):
+        divisors(n)

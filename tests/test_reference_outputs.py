@@ -1,10 +1,10 @@
 """Exact CLI outputs against the benchmark's stored reference table.
 
-Every ``char``, ``flow``, ``xi-shift``, ``xi-zetabar``, ``bracket``,
-``jacobi-identity`` and ``realization-check`` grid point of
-``perfbench/grid.py`` runs through ``cli.main`` in this process; its exit
-status and the SHA-256 of its stdout must equal those in
-``perfbench/reference.json``.  Both files are only read.
+Every ``ramanujan``, ``wp-pde``, ``eisenstein``, ``spectrum``, ``char``,
+``flow``, ``xi-shift``, ``xi-zetabar``, ``bracket``, ``jacobi-identity`` and
+``realization-check`` grid point of ``perfbench/grid.py`` runs through
+``cli.main`` in this process; its exit status and the SHA-256 of its stdout
+must equal those in ``perfbench/reference.json``.  Both files are only read.
 """
 
 import contextlib
@@ -19,8 +19,9 @@ import pytest
 from superjacobi import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-EXACT = ("char", "flow", "xi-shift", "xi-zetabar", "bracket",
-         "jacobi-identity", "realization-check")
+EXACT = ("ramanujan", "wp-pde", "eisenstein", "spectrum", "char", "flow",
+         "xi-shift", "xi-zetabar", "bracket", "jacobi-identity",
+         "realization-check")
 
 
 def _grid():

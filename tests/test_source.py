@@ -36,3 +36,11 @@ def test_traced_names_resolve():
     rf = importlib.import_module("superjacobi.ratfunc").RatFunc
     for op in tracer.RATFUNC_OPS:
         assert op in rf.__dict__, f"RatFunc.{op}"
+
+
+def test_public_namespace_resolves():
+    namespace = {}
+    exec("from superjacobi import *", namespace)
+    for name in superjacobi.__all__:
+        assert name in namespace, name
+        assert getattr(superjacobi, name) is namespace[name], name
