@@ -215,6 +215,8 @@ def character(label: ModuleLabel, q_order: Fraction,
     u, j, k = label.u, label.j, label.k
     qden = 2 * u
     q_order = Fraction(q_order)
+    if q_order < 1:
+        raise ValueError("q_order must be >= 1")
     factors, _, _, _ = _quotient_factors(u, j, k, 0, q_order)
     ser = _apply_factors(_one(q_order, qden), factors, qden)
     ypref = Fraction(j - k + 1, 1) / u

@@ -13,7 +13,13 @@ import json
 import sys
 from fractions import Fraction
 
-from . import characters, elliptic, jacobi, numtheory, ramanujan, superalgebra
+# Each subcommand imports the modules it runs, so a job loads no others.
+# numpy alone stays here, though only jacobi uses it: perfbench/run.py reads
+# its line from `python -X importtime -c "import superjacobi.cli"` as
+# cli.numpy_import_s, and deferring it waits until that read is optional
+# (ROADMAP item 1).
+import numpy  # noqa: F401
+
 from .errors import SuperjacobiError
 
 EXIT_OK = 0
@@ -46,6 +52,7 @@ def _fraction(text: str) -> Fraction:
 # -- subcommand implementations ---------------------------------------------
 
 def cmd_ramanujan(args) -> int:
+    from . import ramanujan
     checks = []
     ok = True
     for idt in ramanujan.ramanujan_triple(args.order):
@@ -65,6 +72,7 @@ def cmd_ramanujan(args) -> int:
 
 
 def cmd_char(args) -> int:
+    from . import characters
     label = characters.ModuleLabel(args.u, _fraction(args.j), _fraction(args.k),
                                    generic=args.generic)
     ch = characters.character(label, Fraction(args.order),
@@ -74,6 +82,7 @@ def cmd_char(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from . import characters
     labels = characters.spectrum(args.u)
     _emit({"u": args.u,
            "count": len(labels),
@@ -82,6 +91,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_flow(args) -> int:
+    from . import characters
     matches = characters.find_flow_matches(args.u, args.m, Fraction(args.order))
     _emit({"u": args.u, "m": args.m,
            "matches": [m.to_dict() for m in matches]}, args.out)
@@ -89,25 +99,30 @@ def cmd_flow(args) -> int:
 
 
 def cmd_eisenstein(args) -> int:
+    from . import numtheory
     fn = numtheory.eisenstein_ghat if args.ghat else numtheory.eisenstein_e
     _emit(fn(args.k, args.order).to_dict(), args.out)
     return EXIT_OK
 
 
 def cmd_wp_pde(args) -> int:
+    from . import elliptic
     return _report(elliptic.wp_pde_check(args.z_order, args.order), args.out)
 
 
 def cmd_xi_shift(args) -> int:
+    from . import elliptic
     return _report(elliptic.xi_shift_check(args.order), args.out)
 
 
 def cmd_xi_zetabar(args) -> int:
+    from . import elliptic
     return _report(elliptic.xi_zetabar_check(args.t_order, args.order), args.out)
 
 
 def cmd_zetabar_table(args) -> int:
     """CSV table of zeta-bar (or wp) values along a t-grid."""
+    from . import elliptic
     tau = complex(args.tau_re, args.tau_im)
     rows = ["t_re,t_im,tau_re,tau_im,value_re,value_im"]
     fn = elliptic.eval_wp if args.what == "wp" else elliptic.eval_zetabar
@@ -121,6 +136,7 @@ def cmd_zetabar_table(args) -> int:
 
 
 def cmd_jacobi_test(args) -> int:
+    from . import jacobi
     gens = {
         "S": jacobi.S_ELEMENT,
         "T": jacobi.T_SHEAR,
@@ -138,6 +154,7 @@ def cmd_jacobi_test(args) -> int:
 
 def _basis_elts(tokens: list[str]) -> list[superalgebra.BasisElt]:
     """Read FAMILY [INDEX] pairs; INDEX defaults to 0 and is ignored for C."""
+    from . import superalgebra
     elts = []
     while tokens:
         fam, tokens = tokens[0], tokens[1:]
@@ -150,6 +167,7 @@ def _basis_elts(tokens: list[str]) -> list[superalgebra.BasisElt]:
 
 
 def cmd_bracket(args) -> int:
+    from . import superalgebra
     elts = _basis_elts(args.elements)
     if len(elts) != 2:
         raise ValueError("bracket takes two basis elements")
@@ -159,20 +177,24 @@ def cmd_bracket(args) -> int:
 
 
 def cmd_jacobi_identity(args) -> int:
+    from . import superalgebra
     return _report(superalgebra.super_jacobi_check(args.max), args.out)
 
 
 def cmd_realization_check(args) -> int:
+    from . import superalgebra
     return _report(superalgebra.realization_bracket_check(args.max, args.window), args.out)
 
 
 # -- per-subcommand invariant mini-suites -------------------------------------
 
 def _st_ramanujan() -> bool:
+    from . import ramanujan
     return all(i.holds() for i in ramanujan.ramanujan_triple(20))
 
 
 def _st_characters() -> bool:
+    from . import characters
     ok = all(len(characters.spectrum(u)) == u * (u - 1) // 2
              for u in range(2, 9))
     ch = characters.character(characters.ModuleLabel(3, 1, 1), Fraction(3))
@@ -181,11 +203,13 @@ def _st_characters() -> bool:
 
 
 def _st_flow() -> bool:
+    from . import characters
     return all(len(characters.find_flow_matches(3, m, Fraction(6))) == 3
                for m in (1, -1))
 
 
 def _st_eisenstein() -> bool:
+    from . import numtheory
     ok = all(numtheory.eisenstein_e(k, 2).coeff(0).const_value() == 1
              for k in range(1, 7))
     g2 = numtheory.eisenstein_ghat(1, 4)
@@ -193,6 +217,7 @@ def _st_eisenstein() -> bool:
 
 
 def _st_wp_pde() -> bool:
+    from . import elliptic
     if not elliptic.wp_pde_check(4, 12).passed:
         return False
     wp = elliptic.wp_series(4, 12)
@@ -201,15 +226,18 @@ def _st_wp_pde() -> bool:
 
 
 def _st_xi_shift() -> bool:
+    from . import elliptic
     return (elliptic.xi_shift_check(15).passed
             and not elliptic.xi_shift_check(15, offset=Fraction(2)).passed)
 
 
 def _st_xi_zetabar() -> bool:
+    from . import elliptic
     return elliptic.xi_zetabar_check(4, 10).passed
 
 
 def _st_zetabar_table() -> bool:
+    from . import elliptic
     p = elliptic.LatticePoint(0.21 + 0.08j, 1j)
     z0 = elliptic.eval_zetabar(p)
     z1 = elliptic.eval_zetabar(elliptic.LatticePoint(p.t + p.tau, p.tau))
@@ -217,6 +245,7 @@ def _st_zetabar_table() -> bool:
 
 
 def _st_jacobi_test() -> bool:
+    from . import jacobi
     g = jacobi.JacobiGroupElement.lattice(1, 0)
     rep = jacobi.span_invariance_test(2, g, q_order=Fraction(10))
     ok = rep.residual < 1e-6
@@ -226,10 +255,12 @@ def _st_jacobi_test() -> bool:
 
 
 def _st_bracket() -> bool:
+    from . import superalgebra
     return superalgebra.super_jacobi_check(2).passed
 
 
 def _st_realization() -> bool:
+    from . import superalgebra
     return superalgebra.realization_bracket_check(2, 6).passed
 
 

@@ -353,6 +353,8 @@ def span_invariance_test(u: int, g: JacobiGroupElement,
     pin tau = i unless tau_box is given.  Runs the fit on two disjoint sample sets and reports the
     entrywise matrix discrepancy along with the worst relative residual.
     """
+    if q_order < 1:
+        raise ValueError("q_order must be >= 1")
     family = family or eval_character_value
     dim = len(spectrum(u)) * len(cosets)
     count = max(3 * dim, 9)

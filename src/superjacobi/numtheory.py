@@ -85,6 +85,8 @@ def eisenstein_e(k: int, trunc: int) -> QYSeries:
     """E_{2k} as a y-free QYSeries on the integer grid, exact to q^trunc."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    if trunc < 1:
+        raise ValueError("q_order must be >= 1")
     b = bernoulli(2 * k)
     factor = Fraction(-4 * k) / b
     terms = {0: RatFunc.one()}

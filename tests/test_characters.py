@@ -286,6 +286,14 @@ def test_flow_is_prefix_of_double_order(m):
                 spectral_flow_transform(character(lab, F(12), True), m))
 
 
+@pytest.mark.parametrize("q_order", [F(0), F(-1)])
+def test_nonpositive_order_rejected(q_order):
+    with pytest.raises(ValueError, match="q_order must be >= 1"):
+        character(ModuleLabel(3, 1, 1), q_order)
+    with pytest.raises(ValueError, match="q_order must be >= 1"):
+        find_flow_matches(3, 1, q_order)
+
+
 def test_flow_rejects_off_grid_order():
     ch = character(ModuleLabel(3, 1, 1), F(4), normalized=True)
     with pytest.raises(ValueError, match="q_order not on the grid"):

@@ -124,9 +124,12 @@ def test_realization_check_empty_sweep_exit2():
 
 
 @pytest.mark.parametrize("order", ["0", "-1"])
-@pytest.mark.parametrize("command", ["wp-pde", "xi-shift", "xi-zetabar"])
+@pytest.mark.parametrize("command", [
+    "wp-pde", "xi-shift", "xi-zetabar", "eisenstein --k 2",
+    "eisenstein --k 2 --ghat", "flow --u 3", "char --u 3 --j 1 --k 1",
+    "jacobi-test --u 3 --gen x10"])
 def test_exact_check_nonpositive_order_exit2(command, order):
-    code, out, err = run_cli(command, "--order", order)
+    code, out, err = run_cli(*command.split(), "--order", order)
     assert code == 2
     assert out == ""
     assert err == "error: q_order must be >= 1\n"

@@ -199,6 +199,13 @@ def test_span_report_shape():
     assert len(d["matrix"][0][0]) == 2
 
 
+@pytest.mark.parametrize("q_order", [F(0), F(-1)])
+def test_span_test_rejects_nonpositive_order(q_order):
+    with pytest.raises(ValueError, match="q_order must be >= 1"):
+        span_invariance_test(3, JacobiGroupElement.lattice(1, 0),
+                             q_order=q_order)
+
+
 def test_ill_conditioned_samples_rejected():
     from superjacobi.errors import IllConditioned
     p = ModularPoint(1j, 0.2 + 0.1j)

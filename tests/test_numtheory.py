@@ -96,3 +96,10 @@ def test_divisors_against_scan():
 def test_divisors_rejects_nonpositive(n):
     with pytest.raises(ValueError):
         divisors(n)
+
+
+@pytest.mark.parametrize("trunc", [0, -1])
+@pytest.mark.parametrize("fn", [eisenstein_e, eisenstein_ghat])
+def test_eisenstein_rejects_nonpositive_order(fn, trunc):
+    with pytest.raises(ValueError, match="q_order must be >= 1"):
+        fn(2, trunc)
