@@ -26,10 +26,11 @@ exact monomial, so no series is resummed.
 
 Both the character and its flow are one product of binomial factors
 (_quotient_factors): those of (u, j, k), then those of the generic label
-(2, 1/2, 1/2) with their side flipped, applied one at a time to the series 1.
-Every intermediate coefficient is an integer Laurent polynomial in y, so
-_apply_factors works on integer rows and builds one RatFunc per output term;
-the q^0 factors form the one rational constant, applied once at the end.
+(2, 1/2, 1/2) with their side flipped; _flowed builds both, the character
+being the flow with m = 0.  Every intermediate coefficient is an integer
+Laurent polynomial in y, so _product multiplies the factors out on integer
+rows, starting from the row of 1, and builds one RatFunc per output term; the
+q^0 factors form the one rational constant, applied once at the end.
 """
 
 from __future__ import annotations
@@ -124,24 +125,21 @@ def _p_factors(u: int, j: Fraction, k: Fraction, qmax: Fraction):
         n += 1
 
 
-def _apply_factors(series: QYSeries, factors, qden: int) -> QYSeries:
-    """Multiply/divide binomial factors (1 - q^a y^s) into a series whose
-    coefficients are integer Laurent polynomials in y.
+def _product(factors, q_order: Fraction, qden: int) -> QYSeries:
+    """The product of binomial factors (1 - q^a y^s)^side, exact to
+    q^q_order on the grid 1/qden.
 
-    The work runs on integer rows {e: {yexp: int}}: a numerator factor is one
-    descending-e pass, a denominator factor the forward recurrence.  q^0
-    factors are exact constants y^s (y-1)^{+-1}, folded into one RatFunc and
-    applied once at the end, so only one RatFunc is built per output term.
-    Raises ValueError on a coefficient that is not an integer Laurent
-    polynomial.
+    The work runs on integer rows {e: {yexp: int}}, starting from the row of
+    1: a numerator factor is one descending-e pass, a denominator factor the
+    forward recurrence.  q^0 factors are exact constants y^s (y-1)^{+-1},
+    folded into one RatFunc and applied once at the end, so only one RatFunc
+    is built per output term.
     """
-    trunc = series.trunc
-    rows: dict[int, dict[int, int]] = {}
-    for e, c in series.terms.items():
-        if not c.is_poly() or any(v.denominator != 1 for v in c.num.values()):
-            raise ValueError(
-                "coefficient is not an integer Laurent polynomial in y")
-        rows[e] = {y: int(v) for y, v in c.num.items()}
+    trunc = Fraction(q_order) * qden
+    if trunc.denominator != 1:
+        raise ValueError("q_order not on the grid")
+    trunc = int(trunc)
+    rows: dict[int, dict[int, int]] = {0: {0: 1}}
     const = RatFunc.one()
     for a, yexp, side in factors:
         a_scaled = Fraction(a) * qden
@@ -157,17 +155,15 @@ def _apply_factors(series: QYSeries, factors, qden: int) -> QYSeries:
                 if e + a_scaled < trunc:
                     _add_shifted(rows.setdefault(e + a_scaled, {}), rows[e],
                                  yexp, -1)
-        elif rows:
+        else:
             # out[e] = in[e] + y^s out[e - a], ascending
-            for e in range(min(rows) + a_scaled, trunc):
+            for e in range(a_scaled, trunc):
                 prev = rows.get(e - a_scaled)
                 if prev:
                     _add_shifted(rows.setdefault(e, {}), prev, yexp, 1)
-    terms = {}
-    for e, row in rows.items():
-        if row:
-            terms[e] = RatFunc({y: Fraction(v) for y, v in row.items()})
-    out = QYSeries(series.qden, series.ypref, terms, trunc)
+    terms = {e: RatFunc({y: Fraction(v) for y, v in row.items()})
+             for e, row in rows.items() if row}
+    out = QYSeries(qden, Fraction(0), terms, trunc)
     if not (const.is_const() and const.const_value() == 1):
         out = out.scale(const)
     return out
@@ -190,16 +186,7 @@ def p_product(label: ModuleLabel, q_order: Fraction,
     """P_{j,k}^{(u)} exact to q^q_order, on the grid 1/qden (default 2u)."""
     u, j, k = label.u, label.j, label.k
     qden = qden if qden is not None else 2 * u
-    return _apply_factors(_one(q_order, qden), _p_factors(u, j, k, q_order),
-                          qden)
-
-
-def _one(q_order: Fraction, qden: int) -> QYSeries:
-    """The series 1, exact to q^q_order on the grid 1/qden."""
-    tr = Fraction(q_order) * qden
-    if tr.denominator != 1:
-        raise ValueError("q_order not on the grid")
-    return QYSeries.one(int(tr), qden)
+    return _product(_p_factors(u, j, k, q_order), q_order, qden)
 
 
 _GENERIC_DENOM = (2, Fraction(1, 2), Fraction(1, 2))
@@ -212,18 +199,11 @@ def character(label: ModuleLabel, q_order: Fraction,
     Grid is 1/(2u); the leading q-exponent is jk/u and the y-prefactor is
     (j - k + 1)/u, plus c(u)/6 when normalized.
     """
-    u, j, k = label.u, label.j, label.k
-    qden = 2 * u
     q_order = Fraction(q_order)
     if q_order < 1:
         raise ValueError("q_order must be >= 1")
-    factors, _, _, _ = _quotient_factors(u, j, k, 0, q_order)
-    ser = _apply_factors(_one(q_order, qden), factors, qden)
-    ypref = Fraction(j - k + 1, 1) / u
-    if normalized:
-        ypref += central_charge(u) / 6
-    ser = ser.shift(Fraction(j * k, 1) / u, ypref)
-    return CharacterSeries(label, ser, normalized)
+    return CharacterSeries(label, _flowed(label, 0, q_order, normalized),
+                           normalized)
 
 
 # -- spectral flow --------------------------------------------------------------
@@ -269,6 +249,25 @@ def _quotient_factors(u: int, j: Fraction, k: Fraction, m: int,
     return factors, sg_n * sg_d, qs_n - qs_d, ys_n - ys_d
 
 
+def _flowed(label: ModuleLabel, m: int, q_order: Fraction,
+            normalized: bool) -> QYSeries:
+    """q^{c m^2/6} y^{c m/3} * chi(q, q^m y), exact to q^q_order, from the
+    product factors at y -> q^m y; m = 0 gives the character itself."""
+    u, j, k = label.u, label.j, label.k
+    cc = central_charge(u)
+    factors, sign, q_shift, y_shift = _quotient_factors(u, j, k, m, q_order)
+    ser = _product(factors, q_order, 2 * u)
+    ypref = Fraction(j - k + 1, 1) / u
+    if normalized:
+        ypref += cc / 6
+    qpref = (Fraction(j * k, 1) / u           # original q-prefactor
+             + m * ypref                      # y-prefactor hit by y -> q^m y
+             + cc * m * m / 6                 # transform factor
+             + q_shift)                       # flip monomials
+    ser = ser.shift(qpref, ypref + Fraction(cc * m, 3) + y_shift)
+    return ser.scale(-1) if sign < 0 else ser
+
+
 def spectral_flow_transform(c: CharacterSeries, m: int,
                             q_order: Fraction | None = None) -> QYSeries:
     """q^{c m^2/6} y^{c m/3} * chi(q, q^m y) for a normalized character.
@@ -278,27 +277,9 @@ def spectral_flow_transform(c: CharacterSeries, m: int,
     """
     if not c.normalized:
         raise ValueError("spectral flow is defined on normalized characters")
-    lab = c.label
-    u, j, k = lab.u, lab.j, lab.k
-    cc = central_charge(u)
-    qden = 2 * u
     if q_order is None:
-        q_order = Fraction(c.series.trunc, qden)
-    q_order = Fraction(q_order)
-
-    factors, sign, q_shift, y_shift = _quotient_factors(u, j, k, m, q_order)
-    ser = _apply_factors(_one(q_order, qden), factors, qden)
-
-    ypref = Fraction(j - k + 1, 1) / u + cc / 6
-    qpref = (Fraction(j * k, 1) / u           # original q-prefactor
-             + m * ypref                      # y-prefactor hit by y -> q^m y
-             + cc * m * m / 6                 # transform factor
-             + q_shift)                       # flip monomials
-    ytot = ypref + Fraction(cc * m, 3) + y_shift
-    ser = ser.shift(qpref, ytot)
-    if sign < 0:
-        ser = ser.scale(-1)
-    return ser
+        q_order = Fraction(c.series.trunc, 2 * c.label.u)
+    return _flowed(c.label, m, Fraction(q_order), True)
 
 
 @dataclass

@@ -73,8 +73,7 @@ def cmd_ramanujan(args) -> int:
 
 def cmd_char(args) -> int:
     from . import characters
-    label = characters.ModuleLabel(args.u, _fraction(args.j), _fraction(args.k),
-                                   generic=args.generic)
+    label = characters.ModuleLabel(args.u, args.j, args.k, generic=args.generic)
     ch = characters.character(label, Fraction(args.order),
                               normalized=args.normalized)
     _emit(ch.series.to_dict(), args.out)
@@ -300,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("char", help="expand a module character")
     p.add_argument("--u", type=int, required=True)
-    p.add_argument("--j", required=True)
-    p.add_argument("--k", required=True)
+    p.add_argument("--j", type=_fraction, required=True)
+    p.add_argument("--k", type=_fraction, required=True)
     p.add_argument("--order", type=int, default=10)
     p.add_argument("--normalized", action="store_true")
     p.add_argument("--generic", action="store_true")

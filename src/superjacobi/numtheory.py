@@ -97,5 +97,5 @@ def eisenstein_e(k: int, trunc: int) -> QYSeries:
 
 def eisenstein_ghat(k: int, trunc: int) -> QYSeries:
     """ghat_{2k} = -B_{2k}/(2k)! * E_{2k}; caller attaches pi-hat^{2k}."""
-    scale = -bernoulli(2 * k) / factorial(2 * k)
-    return eisenstein_e(k, trunc).scale(scale)
+    e = eisenstein_e(k, trunc)          # validates k before B_{2k} is read
+    return e.scale(-bernoulli(2 * k) / factorial(2 * k))

@@ -346,7 +346,7 @@ def _mul_constants(ta: dict[int, RatFunc], tb: dict[int, RatFunc],
 
 
 # -- binomial factors on RatFunc coefficients ----------------------------------
-# The RatFunc reference that the integer-row kernel characters._apply_factors
+# The RatFunc reference that the integer-row kernel characters._product
 # is tested against.
 
 def mul_binomial(s: QYSeries, a_scaled: int, yexp: int, sign: int = -1) -> QYSeries:

@@ -27,17 +27,17 @@ The vector-field realization on C[z, 1/z] (x) /\\[theta] uses
 even parity; theta d_z is forced by parity and by the [H, Q] relation, and
 realizationBracketCheck confirms the whole table with it.)
 
-Every structure constant lies in Z/6, so the Jacobi sweep runs on an integer
-view of the same table: keys (family code, index), coefficients 6c.  The
-central 1/6 and 1/3 become m^2+m, 2m and m^2-m; a Jacobiator is exact at scale
-36 and only a violating one is divided back.  The realization is over Z.
+Every structure constant lies in Z/6, so the table is written once at scale
+6, on keys (family code, index) with int coefficients: the central 1/6 and 1/3
+become m^2+m, 2m and m^2-m.  bracket() divides an entry by 6; the Jacobi sweep
+stays on the integers, where a Jacobiator is exact at scale 36 and only a
+violating one is divided back.  The realization is over Z.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import WindowTooSmall
 
@@ -144,62 +144,66 @@ class SuperLinComb:
         return out
 
 
-_Z = SuperLinComb()
+_L, _J, _H, _Q, _C = range(5)          # family codes, in the order "LJHQC"
+_CK = (_C, 0)
 
 
-def _table(a: BasisElt, b: BasisElt) -> SuperLinComb | None:
-    """Table value for the canonical family order; None if not a table pair."""
-    m, n = a.index, b.index
-    fa, fb = a.family, b.family
-    if fa == "L" and fb == "L":
-        return SuperLinComb.of((m - n, L(m + n)))
-    if fa == "L" and fb == "J":
-        out = SuperLinComb.of((-n, J(m + n)))
-        if m == -n:
-            out = out + SuperLinComb.of((Fraction(m * m + m, 6), C))
-        return out
-    if fa == "L" and fb == "H":
-        return SuperLinComb.of((-n, H(m + n)))
-    if fa == "L" and fb == "Q":
-        return SuperLinComb.of((m - n, Q(m + n)))
-    if fa == "J" and fb == "J":
-        return SuperLinComb.of((Fraction(m, 3), C)) if m == -n else _Z
-    if fa == "J" and fb == "Q":
-        return SuperLinComb.of((1, Q(m + n)))
-    if fa == "J" and fb == "H":
-        return SuperLinComb.of((-1, H(m + n)))
-    if fa == "H" and fb == "Q":
-        out = SuperLinComb.of((1, L(m + n)), (-m, J(m + n)))
-        if m == -n:
-            out = out + SuperLinComb.of((Fraction(m * m - m, 6), C))
-        return out
-    if fa == fb and fa in ("H", "Q"):
-        return _Z
-    return None
+def _key(e: BasisElt) -> tuple[int, int]:
+    return "LJHQC".index(e.family), e.index or 0
 
 
-def _bracket(a: BasisElt, b: BasisElt) -> SuperLinComb:
-    """Uncached :func:`bracket`, shared with the sweep's integer view."""
-    if a.family == "C" or b.family == "C":
-        return _Z
+def _elt(key: tuple[int, int]) -> BasisElt:
+    return C if key[0] == _C else BasisElt("LJHQC"[key[0]], key[1])
+
+
+def _table(a: tuple[int, int], b: tuple[int, int]):
+    """6 [a, b] for keys (family code, index) in table order, as
+    ((key, int), ...) without zero terms; None if (a, b) is not a table pair."""
+    (fa, m), (fb, n) = a, b
+    s, central = m + n, m == -n
+    if (fa, fb) == (_L, _L):
+        out = (((_L, s), 6 * (m - n)),)
+    elif (fa, fb) == (_L, _J):
+        out = (((_J, s), -6 * n), (_CK, m * m + m if central else 0))
+    elif (fa, fb) == (_L, _H):
+        out = (((_H, s), -6 * n),)
+    elif (fa, fb) == (_L, _Q):
+        out = (((_Q, s), 6 * (m - n)),)
+    elif (fa, fb) == (_J, _J):
+        out = ((_CK, 2 * m if central else 0),)
+    elif (fa, fb) == (_J, _Q):
+        out = (((_Q, s), 6),)
+    elif (fa, fb) == (_J, _H):
+        out = (((_H, s), -6),)
+    elif (fa, fb) == (_H, _Q):
+        out = (((_L, s), 6), ((_J, s), -6 * m),
+               (_CK, m * m - m if central else 0))
+    elif fa == fb and fa in (_H, _Q):
+        out = ()
+    else:
+        return None
+    return tuple(t for t in out if t[1])
+
+
+def _six(a: tuple[int, int], b: tuple[int, int]):
+    """6 [a, b] for any keys: the table entry, or super-antisymmetry on it."""
+    if _C in (a[0], b[0]):
+        return ()
     v = _table(a, b)
     if v is not None:
         return v
-    w = _table(b, a)
-    if w is None:
-        return _Z
-    sign = -1 if (a.parity and b.parity) else 1
-    return w.scale(-sign)
+    odd = a[0] in (_H, _Q) and b[0] in (_H, _Q)
+    return tuple((e, c if odd else -c) for e, c in _table(b, a))
 
 
-@lru_cache(maxsize=None)
 def bracket(a: BasisElt, b: BasisElt) -> SuperLinComb:
     """Super-bracket of two basis elements.
 
     Pairs not displayed in the table are zero; reversed-order pairs follow
     [b, a] = -(-1)^{p(a) p(b)} [a, b].
     """
-    return _bracket(a, b)
+    return SuperLinComb({_elt(e): Fraction(c, 6)
+                         for e, c in _six(_key(a), _key(b))})
 
 
 def bracket_comb(x: SuperLinComb, y: SuperLinComb) -> SuperLinComb:
@@ -212,22 +216,11 @@ def bracket_comb(x: SuperLinComb, y: SuperLinComb) -> SuperLinComb:
     return SuperLinComb(acc)
 
 
-def _key(e: BasisElt) -> tuple[int, int]:
-    return "LJHQC".index(e.family), e.index or 0
-
-
-def _elt(key: tuple[int, int]) -> BasisElt:
-    return C if key[0] == 4 else BasisElt("LJHQC"[key[0]], key[1])
-
-
 class _SixView(dict):
     """6 [a, b] as ((key, int), ...) for int keys a, b, built on first use."""
 
     def __missing__(self, pair):
-        v = _bracket(_elt(pair[0]), _elt(pair[1])).scale(6).coeffs
-        if any(c.denominator != 1 for c in v.values()):
-            raise ValueError(f"{v} is not 6 times an integer combination")
-        out = self[pair] = tuple((_key(e), int(c)) for e, c in v.items())
+        out = self[pair] = _six(*pair)
         return out
 
 

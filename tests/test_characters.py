@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from superjacobi.characters import (_GENERIC_DENOM, ModuleLabel,
-                                    _apply_factors, _flowed_factors,
-                                    _p_factors, central_charge, character,
+                                    _flowed_factors, _p_factors, _product,
+                                    central_charge, character,
                                     find_flow_matches, p_product,
                                     spectral_flow_transform, spectrum)
 from superjacobi.errors import BadLevel
@@ -54,11 +54,12 @@ def test_p_factor_families():
 
 # -- the integer-row kernel against the RatFunc binomial fold ------------------
 
-def _apply_factors_reference(series: QYSeries, factors, qden: int) -> QYSeries:
-    """One mul_binomial/div_binomial per factor on RatFunc coefficients; q^0
-    factors fold into one exact constant applied at the end."""
+def _product_reference(factors, trunc: int, qden: int) -> QYSeries:
+    """One mul_binomial/div_binomial per factor on RatFunc coefficients,
+    started from the series 1; q^0 factors fold into one exact constant
+    applied at the end."""
     const = RatFunc.one()
-    out = series
+    out = QYSeries.one(trunc, qden)
     for a, yexp, side in factors:
         a_scaled = int(F(a) * qden)
         if a_scaled == 0:
@@ -74,18 +75,10 @@ def _apply_factors_reference(series: QYSeries, factors, qden: int) -> QYSeries:
 
 
 def _random_kernel_case(rng: random.Random):
-    """An integer Laurent series with negative valuation and a nonzero
-    y-prefactor, and factors with yexp in {-1, 0, 1} that include q^0 factors
-    on both sides and exponents at trunc - 1 and at or past trunc."""
+    """A grid, a scaled order and factors with yexp in {-1, 0, 1} that include
+    q^0 factors on both sides and exponents at trunc - 1 and at or past trunc."""
     qden = rng.choice([1, 2, 6])
     trunc = rng.randint(6, 24)
-    val = -rng.randint(1, 3)
-    terms = {val: RatFunc({rng.randint(-2, 2): F(rng.choice([-2, -1, 1, 3]))})}
-    for e in range(val + 1, trunc):
-        if rng.random() < 0.4:
-            ys = rng.sample(range(-2, 3), rng.randint(1, 3))
-            terms[e] = RatFunc({y: F(rng.randint(-3, 3)) for y in ys})
-    series = QYSeries(qden, F(rng.choice([-5, -1, 1, 2]), 3), terms, trunc)
     scaled = [(0, rng.choice([-1, 1]), +1), (0, rng.choice([-1, 1]), -1),
               (trunc - 1, rng.choice([-1, 0, 1]), rng.choice([-1, 1])),
               (trunc + rng.randint(0, 2), rng.choice([-1, 0, 1]),
@@ -94,24 +87,16 @@ def _random_kernel_case(rng: random.Random):
         scaled.append((rng.randint(1, trunc - 1), rng.choice([-1, 0, 1]),
                        rng.choice([-1, 1])))
     rng.shuffle(scaled)
-    return series, [(F(a, qden), yexp, side) for a, yexp, side in scaled], qden
+    return [(F(a, qden), yexp, side) for a, yexp, side in scaled], trunc, qden
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_apply_factors_matches_binomial_fold(seed):
-    series, factors, qden = _random_kernel_case(random.Random(seed))
-    got = _apply_factors(series, factors, qden)
-    ref = _apply_factors_reference(series, factors, qden)
+    factors, trunc, qden = _random_kernel_case(random.Random(seed))
+    got = _product(factors, F(trunc, qden), qden)
+    ref = _product_reference(factors, trunc, qden)
     assert got.terms == ref.terms
     assert (got.trunc, got.qden, got.ypref) == (ref.trunc, ref.qden, ref.ypref)
-
-
-@pytest.mark.parametrize("coeff", [RatFunc.const(F(1, 2)),
-                                   RatFunc({0: F(1)}, {0: F(1), 1: F(-1)})])
-def test_apply_factors_rejects_non_integer_coefficients(coeff):
-    series = QYSeries(2, F(0), {0: RatFunc.one(), 1: coeff}, 6)
-    with pytest.raises(ValueError):
-        _apply_factors(series, [(F(1, 2), 1, -1)], 2)
 
 
 # -- independent oracle: log of each factor, exponential via the ODE recurrence
@@ -226,12 +211,11 @@ def _flow_by_inversion(label: ModuleLabel, m: int, q_order: F) -> QYSeries:
     u, j, k = label.u, label.j, label.k
     cc = central_charge(u)
     qden = 2 * u
-    one = QYSeries.one(int(q_order * qden), qden)
     fac_n, sg_n, qs_n, ys_n = _flowed_factors_reference(u, j, k, m, q_order)
     fac_d, sg_d, qs_d, ys_d = _flowed_factors_reference(*_GENERIC_DENOM, m,
                                                         q_order)
-    ser = (_apply_factors(one, fac_n, qden)
-           * _apply_factors(one, fac_d, qden).invert())
+    ser = (_product(fac_n, q_order, qden)
+           * _product(fac_d, q_order, qden).invert())
     ypref = F(j - k + 1) / u + cc / 6
     qpref = F(j * k) / u + m * ypref + cc * m * m / 6 + qs_n - qs_d
     ser = ser.shift(qpref, ypref + F(cc * m, 3) + ys_n - ys_d)

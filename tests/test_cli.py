@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+
+from superjacobi import cli
 
 
 def run_cli(*args):
@@ -38,6 +42,25 @@ def test_bad_level_exit2():
     code, out, err = run_cli("char", "--u", "1", "--j", "0", "--k", "1")
     assert code == 2
     assert "u must be >= 2" in err
+
+
+@pytest.mark.parametrize("text", ["1/0", "abc"])
+@pytest.mark.parametrize("flag", ["--j", "--k"])
+def test_bad_label_text_is_a_usage_error(flag, text):
+    args = ["char", "--u", "3", "--j", "1", "--k", "1"]
+    args[args.index(flag) + 1] = text
+    code, out, err = run_cli(*args)
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("k", ["-1", "0"])
+def test_ghat_nonpositive_k_exit2(k):
+    code, out, err = run_cli("eisenstein", "--k", k, "--ghat")
+    assert code == 2
+    assert out == ""
+    assert err == "error: k must be >= 1\n"
 
 
 def test_vanishing_factor_exit2():
@@ -98,6 +121,28 @@ def test_self_test_flag():
     code, out, _ = run_cli("spectrum", "--u", "5", "--self-test")
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+# one cheap invocation per subcommand; --self-test ignores all but the name
+SELF_TEST_ARGV = [
+    "ramanujan", "char --u 3 --j 1 --k 1", "spectrum --u 3", "flow --u 3",
+    "eisenstein --k 2", "wp-pde", "xi-shift", "xi-zetabar", "zetabar-table",
+    "jacobi-test --u 2 --gen x10", "bracket L 1 L 2", "jacobi-identity",
+    "realization-check"]
+
+
+def test_self_tests_cover_every_subcommand():
+    assert [a.split()[0] for a in SELF_TEST_ARGV] == list(cli.SELF_TESTS)
+
+
+@pytest.mark.parametrize("argv", SELF_TEST_ARGV)
+def test_self_test_every_subcommand(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([*argv.split(), "--self-test"])
+    assert code == 0
+    assert json.loads(out.getvalue()) == {"selfTest": argv.split()[0],
+                                          "passed": True}
 
 
 def test_out_file(tmp_path):

@@ -25,6 +25,57 @@ def test_bracket_table_examples():
     assert bracket(J(1), H(1)) == SuperLinComb.of((-1, H(2)))
 
 
+# -- the integer table against the Fraction table it replaced -------------------
+
+def _fraction_table(a: BasisElt, b: BasisElt) -> SuperLinComb | None:
+    """[a, b] over Q for the canonical family order; None if not a table pair."""
+    m, n = a.index, b.index
+    fa, fb = a.family, b.family
+    if fa == "L" and fb == "L":
+        return SuperLinComb.of((m - n, L(m + n)))
+    if fa == "L" and fb == "J":
+        out = SuperLinComb.of((-n, J(m + n)))
+        if m == -n:
+            out = out + SuperLinComb.of((F(m * m + m, 6), C))
+        return out
+    if fa == "L" and fb == "H":
+        return SuperLinComb.of((-n, H(m + n)))
+    if fa == "L" and fb == "Q":
+        return SuperLinComb.of((m - n, Q(m + n)))
+    if fa == "J" and fb == "J":
+        return SuperLinComb.of((F(m, 3), C)) if m == -n else SuperLinComb()
+    if fa == "J" and fb == "Q":
+        return SuperLinComb.of((1, Q(m + n)))
+    if fa == "J" and fb == "H":
+        return SuperLinComb.of((-1, H(m + n)))
+    if fa == "H" and fb == "Q":
+        out = SuperLinComb.of((1, L(m + n)), (-m, J(m + n)))
+        if m == -n:
+            out = out + SuperLinComb.of((F(m * m - m, 6), C))
+        return out
+    if fa == fb and fa in ("H", "Q"):
+        return SuperLinComb()
+    return None
+
+
+def _fraction_bracket(a: BasisElt, b: BasisElt) -> SuperLinComb:
+    """The table above, with C central and super-antisymmetry for reversed pairs."""
+    if a.family == "C" or b.family == "C":
+        return SuperLinComb()
+    v = _fraction_table(a, b)
+    if v is not None:
+        return v
+    sign = -1 if (a.parity and b.parity) else 1
+    return _fraction_table(b, a).scale(-sign)
+
+
+def test_bracket_matches_fraction_table():
+    elts = [BasisElt(f, n) for f in FAMILIES for n in range(-12, 13)] + [C]
+    for a in elts:
+        for b in elts:
+            assert bracket(a, b) == _fraction_bracket(a, b), (a, b)
+
+
 def test_bracket_zero_pairs():
     assert bracket(L(1), C).is_zero()
     assert bracket(C, Q(2)).is_zero()
@@ -135,23 +186,18 @@ def test_empty_sweeps_are_rejected(check, max_index):
 
 # -- negative controls: the sweeps can fail -------------------------------------
 
-@pytest.fixture
-def fresh_brackets(monkeypatch):
-    """Empty the bracket cache around a test that patches the table."""
-    bracket.cache_clear()
-    yield monkeypatch
-    monkeypatch.undo()
-    bracket.cache_clear()
+_JJ = (_key(J(0))[0], _key(J(0))[0])      # family codes of the table pairs
+_JQ = (_key(J(0))[0], _key(Q(0))[0])
 
 
-def test_jacobi_sweep_detects_corrupted_table(fresh_brackets):
+def test_jacobi_sweep_detects_corrupted_table(monkeypatch):
     table = superalgebra._table
 
     def wrong_jq_sign(a, b):
         v = table(a, b)
-        return v.scale(-1) if (a.family, b.family) == ("J", "Q") else v
+        return _negated(v) if (a[0], b[0]) == _JQ else v
 
-    fresh_brackets.setattr(superalgebra, "_table", wrong_jq_sign)
+    monkeypatch.setattr(superalgebra, "_table", wrong_jq_sign)
     rep = super_jacobi_check(1)
     assert rep.checked == 13 ** 3
     assert not rep.passed
@@ -161,7 +207,7 @@ def test_jacobi_sweep_detects_corrupted_table(fresh_brackets):
     assert totals[(J(0), H(0), Q(0))] == SuperLinComb.of((2, L(0)))
 
 
-def test_realization_check_detects_theta_dtheta_h(fresh_brackets):
+def test_realization_check_detects_theta_dtheta_h(monkeypatch):
     true_realization = superalgebra.realization
 
     def h_as_theta_dtheta(elt):
@@ -171,7 +217,7 @@ def test_realization_check_detects_theta_dtheta_h(fresh_brackets):
                                    EVEN)
         return true_realization(elt)
 
-    fresh_brackets.setattr(superalgebra, "realization", h_as_theta_dtheta)
+    monkeypatch.setattr(superalgebra, "realization", h_as_theta_dtheta)
     rep = realization_bracket_check(2, 6)
     assert not rep.passed
     got = {(a, b): (g, w) for a, b, g, w in rep.mismatches}
@@ -318,10 +364,12 @@ def test_six_view_matches_table():
             assert len(dict(entry)) == len(entry)
 
 
-def test_sweep_does_not_use_the_bracket_cache(fresh_brackets):
-    super_jacobi_check(2)
-    info = bracket.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+def test_sweep_does_not_call_bracket(monkeypatch):
+    def no_bracket(a, b):
+        raise AssertionError("the sweep called bracket()")
+
+    monkeypatch.setattr(superalgebra, "bracket", no_bracket)
+    assert super_jacobi_check(2).passed
 
 
 def _ref_add_bracket(acc: dict, x: dict, y: dict, sign: int) -> None:
@@ -333,7 +381,7 @@ def _ref_add_bracket(acc: dict, x: dict, y: dict, sign: int) -> None:
 
 
 def _fraction_sweep(max_index: int):
-    """The Fraction loop over BasisElt and the cached bracket, for reference."""
+    """The Fraction loop over BasisElt and bracket(), for reference."""
     elts = [BasisElt(f, n) for f in FAMILIES
             for n in range(-max_index, max_index + 1)] + [C]
     units = [(e, e.parity, {e: 1}) for e in elts]
@@ -355,25 +403,29 @@ def _fraction_sweep(max_index: int):
     return checked, violations
 
 
+def _negated(v):
+    return tuple((e, -c) for e, c in v)
+
+
 def _jq_sign(table, a, b):
     v = table(a, b)
-    return v.scale(-1) if (a.family, b.family) == ("J", "Q") else v
+    return _negated(v) if (a[0], b[0]) == _JQ else v
 
 
 def _jj_sixth(table, a, b):
-    # [J_m, J_-m] = m/6 C instead of m/3 C
+    # [J_m, J_-m] = m/6 C instead of m/3 C; the table holds 6 m/3 = 2m
     v = table(a, b)
-    return v.scale(F(1, 2)) if (a.family, b.family) == ("J", "J") else v
+    return tuple((e, c // 2) for e, c in v) if (a[0], b[0]) == _JJ else v
 
 
 @pytest.mark.parametrize("max_index", [1, 2])
 @pytest.mark.parametrize("corrupt", [None, _jq_sign, _jj_sixth],
                          ids=["true", "jq_sign", "jj_central"])
-def test_sweep_matches_fraction_reference(fresh_brackets, corrupt, max_index):
+def test_sweep_matches_fraction_reference(monkeypatch, corrupt, max_index):
     if corrupt:
         table = superalgebra._table
-        fresh_brackets.setattr(superalgebra, "_table",
-                               lambda a, b: corrupt(table, a, b))
+        monkeypatch.setattr(superalgebra, "_table",
+                            lambda a, b: corrupt(table, a, b))
     rep = super_jacobi_check(max_index)
     checked, violations = _fraction_sweep(max_index)
     assert rep.checked == checked == (4 * (2 * max_index + 1) + 1) ** 3
