@@ -62,9 +62,6 @@ class ModuleLabel:
                 raise BadLevel(
                     f"(j, k) = ({self.j}, {self.k}) not in the level-{self.u} spectrum")
 
-    def key(self):
-        return (self.u, self.j, self.k)
-
 
 @dataclass
 class CharacterSeries:
@@ -333,13 +330,13 @@ def find_flow_matches(u: int, m: int, q_order: Fraction) -> list[FlowMatch]:
     """Match the m-flow of every normalized level-u character against the
     normalized spectrum, up to a single monomial constant."""
     labels = spectrum(u)
-    chars = {lab.key(): character(lab, q_order, normalized=True) for lab in labels}
+    chars = {lab: character(lab, q_order, normalized=True) for lab in labels}
     out = []
     for lab in labels:
-        flowed = spectral_flow_transform(chars[lab.key()], m)
+        flowed = spectral_flow_transform(chars[lab], m)
         hit = None
         for cand in labels:
-            r = _monomial_ratio(flowed, chars[cand.key()].series)
+            r = _monomial_ratio(flowed, chars[cand].series)
             if r is not None:
                 hit = FlowMatch(lab, m, cand, r[0], r[1], r[2])
                 break

@@ -49,10 +49,22 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    if not 0.0 < tol < float("inf"):
+        raise argparse.ArgumentTypeError(f"{text} is not a positive finite float")
+    return tol
+
+
 # -- subcommand implementations ---------------------------------------------
 
 def cmd_ramanujan(args) -> int:
     from . import ramanujan
+    if args.max_k < 1:
+        raise ValueError("max_k must be >= 1")
     checks = []
     ok = True
     for idt in ramanujan.ramanujan_triple(args.order):
@@ -358,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=int, required=True)
     p.add_argument("--gen", choices=["S", "T", "x10", "x01"], required=True)
     p.add_argument("--order", type=int, default=14)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_tolerance, default=1e-6)
     p.add_argument("--seed", type=int, default=7)
     common(p)
     p.set_defaults(fn=cmd_jacobi_test)

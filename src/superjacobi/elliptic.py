@@ -62,7 +62,6 @@ class CheckReport:
     check: str
     orders: dict
     failures: list = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -71,8 +70,7 @@ class CheckReport:
     def to_dict(self) -> dict:
         return {"check": self.check, "orders": self.orders,
                 "passed": self.passed,
-                "failures": [list(f) for f in self.failures],
-                **({"notes": self.notes} if self.notes else {})}
+                "failures": [list(f) for f in self.failures]}
 
 
 def _ghat_zpi(k: int, q_order: int) -> ZPiSeries:

@@ -42,15 +42,15 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .characters import (ModuleLabel, _quotient_factors, central_charge,
-                         character, spectrum)
+                         spectrum)
 from .errors import IllConditioned, PoleProximity, TailBoundExceeded
-from .series import QYSeries
 
 
 @dataclass(frozen=True)
@@ -145,51 +145,14 @@ def multiplier(g: JacobiGroupElement, p: ModularPoint, cc: Fraction) -> complex:
 
 # -- numerical character evaluation ---------------------------------------------
 
-@functools.lru_cache(maxsize=256)
-def _normalized_series(label: ModuleLabel, q_order: Fraction) -> QYSeries:
-    return character(label, q_order, normalized=True).series
-
-
-def eval_normalized_character(label: ModuleLabel, p: ModularPoint,
-                              q_order: Fraction, tol: float | None = None
-                              ) -> tuple[complex, float]:
-    """Evaluate the normalized character at q = e^{2 pi i tau}, y = e^{2 pi i
-    alpha}, resolving fractional powers through (tau, alpha) directly.
-
-    Returns (value, tail_bound); raises TailBoundExceeded when a tolerance is
-    supplied and the geometric tail estimate exceeds it.
-    """
-    s = _normalized_series(label, q_order)
-    q = cmath.exp(2j * cmath.pi * p.tau)
-    y = cmath.exp(2j * cmath.pi * p.alpha)
-    qa = abs(q)
-    # crude but honest tail estimate: magnitude of the last stored stretch
-    # times the geometric factor past the truncation
-    last = sorted(s.terms)[-3:]
-    mags = []
-    for e in last:
-        try:
-            mags.append(abs(s.terms[e].eval(y)) * qa ** (e / s.qden))
-        except ValueError:
-            mags.append(float("inf"))
-    tail = max(mags, default=0.0) * qa ** (float(s.trunc - last[-1]) / s.qden) \
-        / max(1.0 - qa, 1e-12) if last else 0.0
-    if tol is not None and tail > tol:
-        raise TailBoundExceeded(f"tail bound {tail:.3e} exceeds {tol:.3e}")
-    val = s.eval_numeric(q, y, tau=p.tau, alpha=p.alpha)
-    return val, tail
-
-
 def eval_character_value(label: ModuleLabel, p: ModularPoint,
                          q_order: Fraction = Fraction(14)) -> complex:
     """Value of the normalized character through the convergent product.
 
-    Multiplies every product factor with q-exponent below q_order (all
-    omitted factors differ from 1 by O(|q|^q_order) at moderate alpha), so
-    the result is meaningful even at lattice-shifted alpha where the
-    truncated series expansion is outside its reliable regime.  Used by the
-    span-invariance probe; agrees with the series route at machine precision
-    on points with alpha in the fundamental box.
+    Multiplies every product factor with q-exponent below q_order, so the
+    result is meaningful wherever the product converges, lattice-shifted
+    alpha included.  Used by the span-invariance probe;
+    eval_normalized_character bounds what the omitted factors change.
     """
     u, j, k, q_order = label.u, label.j, label.k, Fraction(q_order)
     qexp, yexp0, factors = _float_factors(u, j, k, q_order)
@@ -214,10 +177,46 @@ def _float_factors(u: int, j: Fraction, k: Fraction, q_order: Fraction):
     (float(a), float(yexp), side) for a factor (a, yexp, side) of
     _quotient_factors, in its order.
     """
+    if q_order < 1:
+        raise ValueError("q_order must be >= 1")
     factors, _, _, _ = _quotient_factors(u, j, k, 0, q_order)
     return (float(Fraction(j * k, 1) / u),
             float(Fraction(j - k + 1, 1) / u + central_charge(u) / 6),
             tuple((float(a), float(yexp), side) for a, yexp, side in factors))
+
+
+def eval_normalized_character(label: ModuleLabel, p: ModularPoint,
+                              q_order: Fraction, tol: float | None = None
+                              ) -> tuple[complex, float]:
+    """eval_character_value(label, p, q_order) and a proved bound tail with
+    |chi(p) - value| <= tail |value|.
+
+    An omitted factor (1 - x)^{+-1}, |x| = |q|^a |y|^s, is 1 + a_n with
+    |a_n| <= b = |x| (numerator) or |x|/(1 - |x|) (denominator).  Along a
+    factor row a steps by u or 2, so the row sums to at most b/(1 - |q|^2)
+    of its first omitted factor, which has q_order <= a < q_order + u; and
+    |prod (1 + a_n) - 1| <= exp(sum |a_n|) - 1 (Ahlfors, Complex Analysis,
+    ch. 5).  tail is inf when some |x| >= 1.  Raises TailBoundExceeded when
+    tol is given and tail exceeds it.
+    """
+    q_order = Fraction(q_order)
+    qa = math.exp(-2 * math.pi * p.tau.imag)
+    ya = math.exp(-2 * math.pi * p.alpha.imag)
+    _, _, factors = _float_factors(label.u, label.j, label.k,
+                                   q_order + label.u)
+    # a and q_order sit on coarse grids, so float order is exact order
+    xs = [(qa ** a * ya ** s, side) for a, s, side in factors
+          if a >= float(q_order)]
+    tail = math.inf
+    if all(x < 1.0 for x, _ in xs):
+        total = sum(x if side > 0 else x / (1.0 - x) for x, side in xs)
+        total /= 1.0 - qa * qa
+        tail = math.expm1(total) if total < 700.0 else math.inf
+    if tol is not None and tail > tol:
+        raise TailBoundExceeded(
+            f"tail bound {tail:.3e} exceeds {tol:.3e} at tau = {p.tau}, "
+            f"alpha = {p.alpha}")
+    return eval_character_value(label, p, q_order), tail
 
 
 def jacobi_normalized(label: ModuleLabel, p: ModularPoint,

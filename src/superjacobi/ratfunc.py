@@ -167,9 +167,6 @@ class RatFunc:
     def is_const(self) -> bool:
         return not self.pole and (not self.num or set(self.num) == {0})
 
-    def is_poly(self) -> bool:
-        return not self.pole
-
     def const_value(self) -> Fraction:
         if not self.is_const():
             raise ValueError("not a constant")

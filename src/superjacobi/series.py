@@ -244,12 +244,12 @@ class QYSeries:
     # -- numerics ------------------------------------------------------------
 
     def eval_numeric(self, q: complex, y: complex,
-                     tau: complex | None = None,
-                     alpha: complex | None = None) -> complex:
-        """Evaluate at complex (q, y), |q| < 1.
+                     tau: complex | None = None) -> complex:
+        """The truncated sum at complex (q, y), |q| < 1, with no tail bound.
 
-        Fractional powers use exp(2*pi*i * tau * r) / exp(2*pi*i * alpha * r)
-        when (tau, alpha) are supplied, else principal branches of q and y.
+        Fractional powers of q use exp(2*pi*i * tau * r) when tau is
+        supplied, else the principal branch; those of y (the y-prefactor)
+        use the principal branch.
         """
         def qpow(r: Fraction) -> complex:
             if r == 0:
@@ -258,13 +258,6 @@ class QYSeries:
                 return cmath.exp(2j * cmath.pi * tau * float(r))
             return q ** float(r)
 
-        def ypow(r: Fraction) -> complex:
-            if r == 0:
-                return 1.0 + 0j
-            if alpha is not None:
-                return cmath.exp(2j * cmath.pi * alpha * float(r))
-            return y ** float(r)
-
         acc = 0j
         for e in sorted(self.terms):
             try:
@@ -272,7 +265,8 @@ class QYSeries:
             except ValueError as exc:
                 raise PoleProximity(str(exc)) from None
             acc += cval * qpow(Fraction(e, self.qden))
-        acc *= ypow(self.ypref)
+        if self.ypref:
+            acc *= y ** float(self.ypref)
         if not (isfinite(acc.real) and isfinite(acc.imag)):
             raise PoleProximity("evaluation overflowed")
         return acc

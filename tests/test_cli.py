@@ -178,3 +178,20 @@ def test_exact_check_nonpositive_order_exit2(command, order):
     assert code == 2
     assert out == ""
     assert err == "error: q_order must be >= 1\n"
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "abc"])
+def test_jacobi_test_bad_tolerance_exit2(tol):
+    code, out, err = run_cli("jacobi-test", "--u", "2", "--gen", "x10",
+                             "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert "argument --tol" in err
+
+
+@pytest.mark.parametrize("max_k", ["0", "-1"])
+def test_ramanujan_nonpositive_max_k_exit2(max_k):
+    code, out, err = run_cli("ramanujan", "--order", "5", "--max-k", max_k)
+    assert code == 2
+    assert out == ""
+    assert err == "error: max_k must be >= 1\n"

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from superjacobi.characters import (ModuleLabel, _quotient_factors,
-                                    central_charge, spectrum)
+                                    central_charge, character, spectrum)
 from superjacobi.errors import PoleProximity, TailBoundExceeded
-from superjacobi.jacobi import (TAU_BOX, JacobiGroupElement, ModularPoint,
-                                S_ELEMENT, T_SHEAR, act_on_point, compose,
+from superjacobi.jacobi import (IDENTITY, TAU_BOX, JacobiGroupElement,
+                                ModularPoint, S_ELEMENT, T_SHEAR,
+                                act_on_point, compose,
                                 coset_span_test, eval_character_value,
                                 eval_normalized_character, inverse,
                                 jacobi_normalized, multiplier,
@@ -121,11 +122,26 @@ def test_eval_fractional_power_consistency():
 
 def test_series_and_product_evaluation_agree():
     for lab in (ModuleLabel(2, 0, 1), ModuleLabel(3, 0, 2), ModuleLabel(3, 1, 1)):
+        s = character(lab, 14, normalized=True).series
         for alpha in (0.21, 0.13 + 0.19j, 0.37 + 0.05j):
             p = ModularPoint(1j, alpha)
-            a, _ = eval_normalized_character(lab, p, F(14))
+            q = cmath.exp(2j * cmath.pi * p.tau)
+            y = cmath.exp(2j * cmath.pi * p.alpha)
+            a = s.eval_numeric(q, y, tau=p.tau)
             b = eval_character_value(lab, p, F(14))
             assert abs(a - b) < 1e-12 * max(1.0, abs(a))
+
+
+def test_eval_below_first_order_raises():
+    lab = ModuleLabel(3, 1, 1)
+    p = ModularPoint(1j, 0.2)
+    for q_order in (F(0), F(-3), F(1, 2)):
+        with pytest.raises(ValueError, match="q_order must be >= 1"):
+            eval_character_value(lab, p, q_order)
+        with pytest.raises(ValueError, match="q_order must be >= 1"):
+            jacobi_normalized(lab, p, q_order)
+        with pytest.raises(ValueError, match="q_order must be >= 1"):
+            eval_normalized_character(lab, p, q_order)
 
 
 def _eval_character_value_per_call(label, p, q_order):
@@ -172,13 +188,50 @@ def test_eval_character_value_bit_identical_to_per_call_loop():
                                  q_order)
 
 
-def test_tail_bound_guard_fires_at_shifted_alpha():
-    # series evaluation at alpha + tau sits outside the reliable regime and
-    # the reported tail bound must say so
-    lab = ModuleLabel(3, 1, 1)
-    p = ModularPoint(1j, 0.2 + 1.0j)   # alpha with Im = Im tau
-    with pytest.raises(TailBoundExceeded):
-        eval_normalized_character(lab, p, F(10), tol=1e-6)
+# relative rounding of the float products: |v(T) - v(2T)| reaches 5.7e-16
+# |v| at points where the tail bound is 1e-18 to 5e-16
+ROUNDING = 1e-15
+
+
+def test_tail_bound_is_sound():
+    base = sample_points(20) + sample_points(20, tau_box=TAU_BOX)
+    moves = (IDENTITY, S_ELEMENT, T_SHEAR, JacobiGroupElement.lattice(1, 0),
+             compose(S_ELEMENT, T_SHEAR))
+    pts = [act_on_point(g, p) for g in moves for p in base]
+    checked = 0
+    for u in range(2, 6):
+        for lab in spectrum(u):
+            for q_order in (F(8), F(14)):
+                for p in pts:
+                    v, tail = eval_normalized_character(lab, p, q_order)
+                    v2 = eval_character_value(lab, p, 2 * q_order)
+                    err = abs(v - v2)
+                    assert err <= (tail + ROUNDING) * min(abs(v), abs(v2)), \
+                        (lab, q_order, p, err, tail)
+                    checked += 1
+    assert checked == 8000
+
+
+def test_tail_bound_guard_fires():
+    lab = ModuleLabel(3, 0, 1)
+    p = ModularPoint(0.3j, 0.2)
+    v, tail = eval_normalized_character(lab, p, F(4))
+    assert v == eval_character_value(lab, p, F(4))
+    assert 3e-3 < tail < 3.2e-3
+    with pytest.raises(TailBoundExceeded, match="tail bound 3.086e-03 exceeds"):
+        eval_normalized_character(lab, p, F(4), tol=1e-6)
+    # the product converges at lattice-shifted alpha
+    _, tail = eval_normalized_character(ModuleLabel(3, 1, 1),
+                                        ModularPoint(1j, 0.2 + 1.0j), F(10))
+    assert tail < 1e-24
+
+
+def test_tail_bound_infinite_where_an_omitted_factor_is_not_small():
+    # at tau = i, alpha = 0.2 + 1.5i the first omitted factor (1 - q y^{-1})
+    # of (2, 0, 1) at order 1 has |q y^{-1}| = e^{pi} > 1
+    lab = ModuleLabel(2, 0, 1)
+    _, tail = eval_normalized_character(lab, ModularPoint(1j, 0.2 + 1.5j), F(1))
+    assert tail == math.inf
 
 
 @pytest.mark.parametrize("u", [2, 3])
