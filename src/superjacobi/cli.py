@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -49,12 +50,19 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _tolerance(text: str) -> float:
+def _finite(text: str) -> float:
     try:
-        tol = float(text)
+        x = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    if not 0.0 < tol < float("inf"):
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"{text} is not a finite float")
+    return x
+
+
+def _tolerance(text: str) -> float:
+    tol = _finite(text)
+    if tol <= 0.0:
         raise argparse.ArgumentTypeError(f"{text} is not a positive finite float")
     return tol
 
@@ -134,6 +142,8 @@ def cmd_xi_zetabar(args) -> int:
 def cmd_zetabar_table(args) -> int:
     """CSV table of zeta-bar (or wp) values along a t-grid."""
     from . import elliptic
+    if args.points < 1:
+        raise ValueError("points must be >= 1")
     tau = complex(args.tau_re, args.tau_im)
     rows = ["t_re,t_im,tau_re,tau_im,value_re,value_im"]
     fn = elliptic.eval_wp if args.what == "wp" else elliptic.eval_zetabar
@@ -357,11 +367,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zetabar-table", help="numeric table (CSV)")
     p.add_argument("--what", choices=["zetabar", "wp"], default="zetabar")
-    p.add_argument("--tau-re", type=float, default=0.0)
-    p.add_argument("--tau-im", type=float, default=1.0)
-    p.add_argument("--t-re", type=float, default=0.2)
-    p.add_argument("--t-im", type=float, default=0.1)
-    p.add_argument("--step", type=float, default=0.05)
+    p.add_argument("--tau-re", type=_finite, default=0.0)
+    p.add_argument("--tau-im", type=_finite, default=1.0)
+    p.add_argument("--t-re", type=_finite, default=0.2)
+    p.add_argument("--t-im", type=_finite, default=0.1)
+    p.add_argument("--step", type=_finite, default=0.05)
     p.add_argument("--points", type=int, default=5)
     common(p)
     p.set_defaults(fn=cmd_zetabar_table)

@@ -278,11 +278,18 @@ def _lattice_distance(t: complex, tau: complex) -> float:
     return abs(da * tau + db)
 
 
+_MAX_TAIL_TERMS = 10 ** 6
+
+
 def _tail_terms(q_abs: float, tol: float) -> int:
     if q_abs >= 1:
         raise ValueError("|q| must be < 1")
-    n = int(math.log(tol) / math.log(q_abs)) + 8
-    return max(n, 8)
+    n = max(int(math.log(tol) / math.log(q_abs)) + 8, 8)
+    if n > _MAX_TAIL_TERMS:
+        raise ValueError(f"tail guard: {n} partial-fraction terms needed at "
+                         f"Im tau = {-math.log(q_abs) / (2 * math.pi):.3g}, "
+                         f"more than {_MAX_TAIL_TERMS}")
+    return n
 
 
 def eval_zetabar(p: LatticePoint, tol: float = 1e-15) -> complex:

@@ -59,28 +59,6 @@ def divisor_sum(n: int, r: int) -> int:
     return sum(d ** r for d in divisors(n))
 
 
-def divisor_sum_multiplicative(n: int, r: int) -> int:
-    """sigma_r via prime factorization; independent of trial summation."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    total = 1
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            pk = 1
-            acc = 1
-            while m % p == 0:
-                m //= p
-                pk *= p ** r
-                acc += pk
-            total *= acc
-        p += 1 if p == 2 else 2
-    if m > 1:
-        total *= 1 + m ** r
-    return total
-
-
 def eisenstein_e(k: int, trunc: int) -> QYSeries:
     """E_{2k} as a y-free QYSeries on the integer grid, exact to q^trunc."""
     if k < 1:

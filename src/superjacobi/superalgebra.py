@@ -31,7 +31,8 @@ Every structure constant lies in Z/6, so the table is written once at scale
 6, on keys (family code, index) with int coefficients: the central 1/6 and 1/3
 become m^2+m, 2m and m^2-m.  bracket() divides an entry by 6; the Jacobi sweep
 stays on the integers, where a Jacobiator is exact at scale 36 and only a
-violating one is divided back.  The realization is over Z.
+violating one is divided back.  The realization is over Z; its check reads
+each commutator at scale 6 on the same keys and compares it with _six.
 """
 
 from __future__ import annotations
@@ -196,14 +197,18 @@ def _six(a: tuple[int, int], b: tuple[int, int]):
     return tuple((e, c if odd else -c) for e, c in _table(b, a))
 
 
+def _comb(scaled, scale: int) -> SuperLinComb:
+    """The combination of the (key, scale * coefficient) pairs ``scaled``."""
+    return SuperLinComb({_elt(k): Fraction(v, scale) for k, v in scaled})
+
+
 def bracket(a: BasisElt, b: BasisElt) -> SuperLinComb:
     """Super-bracket of two basis elements.
 
     Pairs not displayed in the table are zero; reversed-order pairs follow
     [b, a] = -(-1)^{p(a) p(b)} [a, b].
     """
-    return SuperLinComb({_elt(e): Fraction(c, 6)
-                         for e, c in _six(_key(a), _key(b))})
+    return _comb(_six(_key(a), _key(b)), 6)
 
 
 def bracket_comb(x: SuperLinComb, y: SuperLinComb) -> SuperLinComb:
@@ -264,8 +269,7 @@ def super_jacobi_check(max_index: int) -> SweepReport:
                         for f, w in view[kx, e]:
                             total[f] = total.get(f, 0) + v * w
                 if any(total.values()):
-                    violations.append((a, b, c, SuperLinComb(
-                        {_elt(k): Fraction(v, 36) for k, v in total.items()})))
+                    violations.append((a, b, c, _comb(total.items(), 36)))
     return SweepReport(len(units) ** 3, violations)
 
 
@@ -341,17 +345,21 @@ class SuperDerivation:
     parity: int
 
     def apply(self, x: SuperPoly) -> SuperPoly:
-        zi, ti = self.z_image, self.theta_image
-        ev: dict[int, int | Fraction] = {}
-        od: dict[int, int | Fraction] = {}
-        for p, c in x.ev.items():
-            _add_shifted(ev, zi.ev, p - 1, p * c)
-            _add_shifted(od, zi.od, p - 1, p * c)
-        for p, c in x.od.items():
-            _add_shifted(od, zi.ev, p - 1, p * c)
-            _add_shifted(ev, ti.ev, p, c)
-            _add_shifted(od, ti.od, p, c)
+        ev, od = {}, {}
+        _add_applied(ev, od, self, x, 1)
         return SuperPoly(ev, od)
+
+
+def _add_applied(ev: dict, od: dict, d: SuperDerivation, x: SuperPoly, c) -> None:
+    """Add c * d(x) into the parts ``ev``, ``od`` by the Leibniz rule above."""
+    zi, ti = d.z_image, d.theta_image
+    for p, v in x.ev.items():
+        _add_shifted(ev, zi.ev, p - 1, c * p * v)
+        _add_shifted(od, zi.od, p - 1, c * p * v)
+    for p, v in x.od.items():
+        _add_shifted(od, zi.ev, p - 1, c * p * v)
+        _add_shifted(ev, ti.ev, p, c * v)
+        _add_shifted(od, ti.od, p, c * v)
 
 
 def _add_shifted(acc: dict, src: dict, shift: int, c) -> None:
@@ -376,45 +384,39 @@ def realization(elt: BasisElt) -> SuperDerivation:
 
 def _commutator_images(d1: SuperDerivation, d2: SuperDerivation) -> tuple[SuperPoly, SuperPoly]:
     """Images of z and theta under [d1, d2] = d1 d2 - (-1)^{p1 p2} d2 d1."""
-    sign = -1 if (d1.parity and d2.parity) else 1
-    za = d1.apply(d2.z_image) + d2.apply(d1.z_image).scale(-sign)
-    ta = d1.apply(d2.theta_image) + d2.apply(d1.theta_image).scale(-sign)
-    return za, ta
+    sign = 1 if (d1.parity and d2.parity) else -1     # -(-1)^{p1 p2}
+    zev, zod, tev, tod = {}, {}, {}, {}
+    _add_applied(zev, zod, d1, d2.z_image, 1)
+    _add_applied(zev, zod, d2, d1.z_image, sign)
+    _add_applied(tev, tod, d1, d2.theta_image, 1)
+    _add_applied(tev, tod, d2, d1.theta_image, sign)
+    return SuperPoly(zev, zod), SuperPoly(tev, tod)
 
 
-def _identify(z_img: SuperPoly, th_img: SuperPoly, window: int) -> SuperLinComb:
-    """Write a derivation, given by generator images, in the basis families.
+def _identify(z_img: SuperPoly, th_img: SuperPoly, window: int) -> dict:
+    """Write a derivation given by generator images at scale 6 on _six's keys.
 
     z-image even part  sum -c z^{n+1}  -> c L_n;   odd part  c z^n theta -> c H_n
     theta-image even   sum -c z^{n+1}  -> c Q_n;   odd part -c z^n theta -> c J_n
     then the J-coefficients are corrected for the theta d_theta part of L_n.
     """
-    out: dict[BasisElt, int | Fraction] = {}
-    lcoef: dict[int, int | Fraction] = {}
-    for e, c in z_img.ev.items():
-        n = e - 1
-        if abs(n) > window:
-            raise WindowTooSmall(f"L-index {n} outside window {window}")
-        lcoef[n] = -c
-        out[L(n)] = -c
-    for e, c in z_img.od.items():
-        if abs(e) > window:
-            raise WindowTooSmall(f"H-index {e} outside window {window}")
-        out[H(e)] = c
-    for e, c in th_img.ev.items():
-        n = e - 1
-        if abs(n) > window:
-            raise WindowTooSmall(f"Q-index {n} outside window {window}")
-        out[Q(n)] = -c
+    out: dict[tuple[int, int], int | Fraction] = {}
+    for code, img, shift, six in ((_L, z_img.ev, 1, -6), (_H, z_img.od, 0, 6),
+                                  (_Q, th_img.ev, 1, -6)):
+        for e, c in img.items():
+            if abs(e - shift) > window:
+                raise WindowTooSmall(f"{'LJHQ'[code]}-index {e - shift} "
+                                     f"outside window {window}")
+            out[code, e - shift] = six * c
     # theta-image odd part collects -J_n and the theta-d_theta part of L_n:
     # coefficient of z^e theta is -(e+1) c^L_e - c^J_e
-    for e in set(th_img.od) | set(lcoef):
+    for e in set(th_img.od) | {e - 1 for e in z_img.ev}:
         if abs(e) > window:
             raise WindowTooSmall(f"J-index {e} outside window {window}")
-        val = -th_img.od.get(e, 0) - lcoef.get(e, 0) * (e + 1)
+        val = -6 * th_img.od.get(e, 0) - out.get((_L, e), 0) * (e + 1)
         if val:
-            out[J(e)] = val
-    return SuperLinComb(out)
+            out[_J, e] = val
+    return out
 
 
 @dataclass
@@ -445,23 +447,21 @@ def realization_bracket_check(max_index: int, window: int) -> RealizationReport:
         raise ValueError("max_index must be >= 1")
     if window < 2 * max_index + 2:
         raise WindowTooSmall("need window >= 2*max_index + 2")
-    mismatches = []
-    central = []
-    checked = 0
-    for fa in FAMILIES:
-        for fb in FAMILIES:
-            for m in range(-max_index, max_index + 1):
-                for n in range(-max_index, max_index + 1):
-                    a, b = BasisElt(fa, m), BasisElt(fb, n)
-                    za, ta = _commutator_images(realization(a), realization(b))
-                    got = _identify(za, ta, window)
-                    want = bracket(a, b)
-                    cpart = want.coeffs.get(C, Fraction(0))
-                    want_nc = SuperLinComb(
-                        {k: v for k, v in want.coeffs.items() if k != C})
-                    checked += 1
-                    if got != want_nc:
-                        mismatches.append((a, b, got, want_nc))
+    idx = range(-max_index, max_index + 1)
+    elts = [[BasisElt(f, n) for n in idx] for f in FAMILIES]
+    rows = [[(e, _key(e), realization(e)) for e in row] for row in elts]
+    mismatches, central = [], []
+    for fa, row_a in zip(FAMILIES, rows):
+        for fb, row_b in zip(FAMILIES, rows):
+            for a, ka, da in row_a:
+                for b, kb, db in row_b:
+                    got = _identify(*_commutator_images(da, db), window)
+                    want = dict(_six(ka, kb))
+                    cpart = want.pop(_CK, 0)
+                    if got != want:
+                        mismatches.append((a, b, _comb(got.items(), 6),
+                                           _comb(want.items(), 6)))
                     elif cpart:
-                        central.append((fa + fb, m, n, cpart))
-    return RealizationReport(checked, mismatches, central)
+                        central.append((fa + fb, a.index, b.index,
+                                        Fraction(cpart, 6)))
+    return RealizationReport(sum(map(len, rows)) ** 2, mismatches, central)

@@ -195,3 +195,30 @@ def test_ramanujan_nonpositive_max_k_exit2(max_k):
     assert code == 2
     assert out == ""
     assert err == "error: max_k must be >= 1\n"
+
+
+@pytest.mark.parametrize("points", ["0", "-2"])
+def test_zetabar_table_nonpositive_points_exit2(points):
+    code, out, err = run_cli("zetabar-table", "--points", points)
+    assert code == 2
+    assert out == ""
+    assert err == "error: points must be >= 1\n"
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tau-im", "nan"), ("--t-re", "nan"), ("--step", "inf"),
+    ("--tau-im", "inf"), ("--tau-re", "inf"), ("--t-im", "-inf"),
+    ("--tau-re", "abc")])
+def test_zetabar_table_nonfinite_float_exit2(flag, value):
+    code, out, err = run_cli("zetabar-table", "--points", "1", flag, value)
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}" in err
+
+
+def test_zetabar_table_tail_guard_exit2():
+    code, out, err = run_cli("zetabar-table", "--points", "1",
+                             "--tau-im", "1e-9")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: tail guard: ") and "Im tau = 1e-09" in err

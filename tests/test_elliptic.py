@@ -1,9 +1,11 @@
+import cmath
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from superjacobi.elliptic import (LatticePoint, eval_wp,
+from superjacobi.elliptic import (LatticePoint, _tail_terms, eval_wp,
                                   eval_zetabar, eval_zetabar_zseries,
                                   wp_pde_check, wp_pde_sides, wp_series,
                                   xi_series, xi_shift_check, xi_t_expansion,
@@ -143,6 +145,28 @@ def test_numeric_pole_guard():
         eval_zetabar(LatticePoint(1e-9 + 0j, 1j))
     with pytest.raises(PolePoint):
         eval_wp(LatticePoint(1.0 + 1j, 1j))  # t = 1 + tau is a lattice point
+
+
+def _q_abs(tau_im: float) -> float:
+    return math.exp(-2 * math.pi * tau_im)
+
+
+def test_tail_guard_names_term_count_and_im_tau():
+    # the term count grows as 1/Im tau: 1e-9 would ask for 5.5e9 terms
+    for fn in (eval_zetabar, eval_wp):
+        with pytest.raises(ValueError, match=r"tail guard: 5497016983 "
+                           r".*Im tau = 1e-09, more than 1000000"):
+            fn(LatticePoint(0.2 + 0.1j, 1e-9j))
+    assert _tail_terms(_q_abs(6e-6), 1e-15) <= 10 ** 6
+    with pytest.raises(ValueError, match="tail guard"):
+        _tail_terms(_q_abs(5e-6), 1e-15)
+
+
+def test_small_im_tau_still_evaluates():
+    # Im tau = 1e-4 takes about 55k terms, well under the guard
+    assert 50_000 < _tail_terms(_q_abs(1e-4), 1e-15) < 60_000
+    for fn in (eval_zetabar, eval_wp):
+        assert cmath.isfinite(fn(LatticePoint(0.2 + 0.1j, 1e-4j)))
 
 
 def test_two_evaluation_routes_agree_near_zero():

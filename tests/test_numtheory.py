@@ -4,8 +4,7 @@ from math import comb, factorial
 
 import pytest
 
-from superjacobi.numtheory import (bernoulli, divisor_sum,
-                                   divisor_sum_multiplicative, divisors,
+from superjacobi.numtheory import (bernoulli, divisor_sum, divisors,
                                    eisenstein_e, eisenstein_ghat)
 
 F = Fraction
@@ -31,6 +30,28 @@ def test_bernoulli_against_recurrence_oracle():
     oracle = bernoulli_recurrence_oracle(30)
     for n in range(31):
         assert bernoulli(n) == oracle[n]
+
+
+def divisor_sum_multiplicative(n: int, r: int) -> int:
+    """sigma_r via prime factorization; independent of trial summation."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    total = 1
+    m = n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            pk = 1
+            acc = 1
+            while m % p == 0:
+                m //= p
+                pk *= p ** r
+                acc += pk
+            total *= acc
+        p += 1 if p == 2 else 2
+    if m > 1:
+        total *= 1 + m ** r
+    return total
 
 
 def test_divisor_sum_examples():

@@ -432,3 +432,109 @@ def test_sweep_matches_fraction_reference(monkeypatch, corrupt, max_index):
     assert rep.passed == (corrupt is None)
     assert rep.violations == violations
     assert rep.to_dict()["violations"] == [str(v) for v in violations[:20]]
+
+
+# -- the scale-6 realization check against the object route it replaced ---------
+
+def _object_identify(z_img: SuperPoly, th_img: SuperPoly) -> SuperLinComb:
+    out = {}
+    lcoef = {}
+    for e, c in z_img.ev.items():
+        lcoef[e - 1] = -c
+        out[L(e - 1)] = -c
+    for e, c in z_img.od.items():
+        out[H(e)] = c
+    for e, c in th_img.ev.items():
+        out[Q(e - 1)] = -c
+    for e in set(th_img.od) | set(lcoef):
+        out[J(e)] = -th_img.od.get(e, 0) - lcoef.get(e, 0) * (e + 1)
+    return SuperLinComb(out)
+
+
+def _object_realization_check(max_index: int):
+    """Every pair through realization(), bracket() and SuperLinComb."""
+    mismatches, central, checked = [], [], 0
+    for fa in FAMILIES:
+        for fb in FAMILIES:
+            for m in range(-max_index, max_index + 1):
+                for n in range(-max_index, max_index + 1):
+                    a, b = BasisElt(fa, m), BasisElt(fb, n)
+                    got = _object_identify(*_old_commutator_images(
+                        superalgebra.realization(a), superalgebra.realization(b)))
+                    want = bracket(a, b)
+                    cpart = want.coeffs.get(C, F(0))
+                    want_nc = SuperLinComb(
+                        {k: v for k, v in want.coeffs.items() if k != C})
+                    checked += 1
+                    if got != want_nc:
+                        mismatches.append((a, b, got, want_nc))
+                    elif cpart:
+                        central.append((fa + fb, m, n, cpart))
+    return checked, mismatches, central
+
+
+def _h_theta_dtheta(true_realization):
+    def realize(elt):
+        if elt.family == "H":
+            return SuperDerivation(SuperPoly(), SuperPoly({}, {elt.index: 1}),
+                                   EVEN)
+        return true_realization(elt)
+    return realize
+
+
+@pytest.mark.parametrize("max_index, window",
+                         [(1, 4), (2, 6), (3, 8), (4, 16), (5, 12)])
+@pytest.mark.parametrize("corrupt", ["true", "jq_sign", "h_theta_dtheta"])
+def test_realization_check_matches_object_reference(monkeypatch, corrupt,
+                                                    max_index, window):
+    if corrupt == "jq_sign":
+        table = superalgebra._table
+        monkeypatch.setattr(superalgebra, "_table",
+                            lambda a, b: _jq_sign(table, a, b))
+    elif corrupt == "h_theta_dtheta":
+        monkeypatch.setattr(superalgebra, "realization",
+                            _h_theta_dtheta(superalgebra.realization))
+    rep = realization_bracket_check(max_index, window)
+    checked, mismatches, central = _object_realization_check(max_index)
+    assert rep.passed == (corrupt == "true")
+    assert rep.checked == checked == 16 * (2 * max_index + 1) ** 2
+    assert rep.mismatches == mismatches
+    assert rep.central_kernel == central
+    ref = superalgebra.RealizationReport(checked, mismatches, central)
+    assert rep.to_dict() == ref.to_dict()
+
+
+@pytest.mark.parametrize("realize", ["true", "h_theta_dtheta"])
+def test_realization_check_does_not_call_bracket(monkeypatch, realize):
+    def no_bracket(a, b):
+        raise AssertionError("the realization check called bracket()")
+
+    if realize == "h_theta_dtheta":
+        monkeypatch.setattr(superalgebra, "realization",
+                            _h_theta_dtheta(superalgebra.realization))
+    monkeypatch.setattr(superalgebra, "bracket", no_bracket)
+    assert realization_bracket_check(2, 6).passed == (realize == "true")
+
+
+@pytest.mark.parametrize("max_index", [1, 3, 5])
+def test_realization_runs_once_per_box_element(monkeypatch, max_index):
+    calls = []
+    true_realization = superalgebra.realization
+
+    def counted(elt):
+        calls.append(elt)
+        return true_realization(elt)
+
+    monkeypatch.setattr(superalgebra, "realization", counted)
+    assert realization_bracket_check(max_index, 2 * max_index + 2).passed
+    assert len(calls) == len(set(calls)) == 4 * (2 * max_index + 1)
+
+
+@pytest.mark.parametrize("z_img, th_img, msg", [
+    (SuperPoly({10: 1}), SuperPoly(), "L-index 9 outside window 8"),
+    (SuperPoly({}, {-9: 1}), SuperPoly(), "H-index -9 outside window 8"),
+    (SuperPoly(), SuperPoly({-8: 1}), "Q-index -9 outside window 8"),
+    (SuperPoly(), SuperPoly({}, {9: 1}), "J-index 9 outside window 8")])
+def test_identify_names_the_family_outside_the_window(z_img, th_img, msg):
+    with pytest.raises(WindowTooSmall, match=msg):
+        superalgebra._identify(z_img, th_img, 8)
