@@ -24,13 +24,13 @@ maps to (1 - q^{a+ms} y^s), and factors driven to negative exponents are
 flipped via (1 - q^{-r} w) = -q^{-r} w (1 - q^r w^{-1}), which contributes an
 exact monomial, so no series is resummed.
 
-Both the character and its flow are one product of binomial factors
-(_quotient_factors): those of (u, j, k), then those of the generic label
-(2, 1/2, 1/2) with their side flipped; _flowed builds both, the character
-being the flow with m = 0.  Every intermediate coefficient is an integer
-Laurent polynomial in y, so _product multiplies the factors out on integer
-rows, starting from the row of 1, and builds one RatFunc per output term; the
-q^0 factors form the one rational constant, applied once at the end.
+Both the character and its flow come from one walk, _quotient_factors.  It
+returns the factors of (u, j, k), then those of the generic label (2, 1/2,
+1/2) with their side flipped, and the whole exact prefactor sign * q^qpref *
+y^ypref.  Every intermediate coefficient is an integer Laurent polynomial in
+y, so _product multiplies the factors out on integer rows, starting from the
+row of 1, and builds one RatFunc per output term; the q^0 factors form the
+one rational constant, applied once at the end.
 """
 
 from __future__ import annotations
@@ -205,63 +205,48 @@ def character(label: ModuleLabel, q_order: Fraction,
 
 # -- spectral flow --------------------------------------------------------------
 
-def _flowed_factors(u: int, j: Fraction, k: Fraction, m: int, qmax: Fraction):
-    """Factors of P_{j,k}^{(u)}(q, q^m y) with q-exponent below qmax, flips
-    applied.
-
-    Returns (factors, sign, q_shift, y_shift): the flipped-monomial prefactor
-    is sign * q^{q_shift} y^{y_shift}.
-    """
-    sign = 1
-    q_shift = Fraction(0)
-    y_shift = 0
-    factors = []
-    # a shifted exponent a + m * yexp with |yexp| <= 1 is below qmax only if
-    # a < qmax + |m|; every flipped factor has a < |m|
-    for a, yexp, side in _p_factors(u, j, k, qmax + abs(m)):
-        a += m * yexp
-        if a < 0:
-            # (1 - q^a y^s) = -q^a y^s (1 - q^{-a} y^{-s})
-            sign = -sign
-            q_shift += side * a
-            y_shift += side * yexp
-            a, yexp = -a, -yexp
-        if a < qmax:
-            factors.append((a, yexp, side))
-    return factors, sign, q_shift, y_shift
-
-
 def _quotient_factors(u: int, j: Fraction, k: Fraction, m: int,
-                      qmax: Fraction):
-    """Factors of P_{j,k}^{(u)} / P_{1/2,1/2}^{(2)} at y -> q^m y: those of
-    (u, j, k), then those of _GENERIC_DENOM with their side flipped.
+                      qmax: Fraction, normalized: bool):
+    """Factors of P_{j,k}^{(u)} / P_{1/2,1/2}^{(2)} at y -> q^m y with
+    q-exponent below qmax: those of (u, j, k), then those of _GENERIC_DENOM
+    with their side flipped, flips applied.
 
-    Returns (factors, sign, q_shift, y_shift) as _flowed_factors does, for
-    the quotient; m = 0 gives the character's factors and the prefactor 1.
+    Returns (factors, sign, qpref, ypref): the character (m = 0) or its flow
+    by m is sign * q^qpref * y^ypref * prod (1 - q^a y^s)^side.
     """
-    num, sg_n, qs_n, ys_n = _flowed_factors(u, j, k, m, qmax)
-    den, sg_d, qs_d, ys_d = _flowed_factors(*_GENERIC_DENOM, m, qmax)
-    factors = num + [(a, yexp, -side) for a, yexp, side in den]
-    # the denominator's sign inverts itself
-    return factors, sg_n * sg_d, qs_n - qs_d, ys_n - ys_d
+    cc = central_charge(u)
+    ypref = Fraction(j - k + 1, 1) / u
+    if normalized:
+        ypref += cc / 6
+    # the q-prefactor, the y-prefactor hit by y -> q^m y, the flow factor
+    qpref = Fraction(j * k, 1) / u + m * ypref + cc * m * m / 6
+    ypref += Fraction(cc * m, 3)
+    sign = 1
+    factors = []
+    for lab, flip in (((u, j, k), 1), (_GENERIC_DENOM, -1)):
+        # a shifted exponent a + m * yexp with |yexp| <= 1 is below qmax only
+        # if a < qmax + |m|; every flipped factor has a < |m|
+        for a, yexp, side in _p_factors(*lab, qmax + abs(m)):
+            side *= flip
+            a += m * yexp
+            if a < 0:
+                # (1 - q^a y^s) = -q^a y^s (1 - q^{-a} y^{-s})
+                sign = -sign
+                qpref += side * a
+                ypref += side * yexp
+                a, yexp = -a, -yexp
+            if a < qmax:
+                factors.append((a, yexp, side))
+    return factors, sign, qpref, ypref
 
 
 def _flowed(label: ModuleLabel, m: int, q_order: Fraction,
             normalized: bool) -> QYSeries:
     """q^{c m^2/6} y^{c m/3} * chi(q, q^m y), exact to q^q_order, from the
     product factors at y -> q^m y; m = 0 gives the character itself."""
-    u, j, k = label.u, label.j, label.k
-    cc = central_charge(u)
-    factors, sign, q_shift, y_shift = _quotient_factors(u, j, k, m, q_order)
-    ser = _product(factors, q_order, 2 * u)
-    ypref = Fraction(j - k + 1, 1) / u
-    if normalized:
-        ypref += cc / 6
-    qpref = (Fraction(j * k, 1) / u           # original q-prefactor
-             + m * ypref                      # y-prefactor hit by y -> q^m y
-             + cc * m * m / 6                 # transform factor
-             + q_shift)                       # flip monomials
-    ser = ser.shift(qpref, ypref + Fraction(cc * m, 3) + y_shift)
+    factors, sign, qpref, ypref = _quotient_factors(
+        label.u, label.j, label.k, m, q_order, normalized)
+    ser = _product(factors, q_order, 2 * label.u).shift(qpref, ypref)
     return ser.scale(-1) if sign < 0 else ser
 
 

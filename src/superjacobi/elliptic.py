@@ -279,17 +279,36 @@ def _lattice_distance(t: complex, tau: complex) -> float:
 
 
 _MAX_TAIL_TERMS = 10 ** 6
+_MAX_TERM_LOG = 708.0   # ln(max float) = 709.78, less a complex quotient's 2
 
 
 def _tail_terms(q_abs: float, tol: float) -> int:
     if q_abs >= 1:
         raise ValueError("|q| must be < 1")
-    n = max(int(math.log(tol) / math.log(q_abs)) + 8, 8)
+    n = max(int(math.log(tol) / math.log(q_abs)) + 8, 8) if q_abs else 8
     if n > _MAX_TAIL_TERMS:
         raise ValueError(f"tail guard: {n} partial-fraction terms needed at "
                          f"Im tau = {-math.log(q_abs) / (2 * math.pi):.3g}, "
                          f"more than {_MAX_TAIL_TERMS}")
     return n
+
+
+def _partial_fraction_setup(p: LatticePoint, tol: float, extra: int,
+                            power: int) -> tuple[complex, complex, int]:
+    """(q, x, N) for the partial-fraction sums, behind the pole, tail and
+    overflow guards.  q comes from tau - round(Re tau), which is exact; the
+    overflow guard fires when the largest term, |q^-N x|^power, would leave
+    the float range."""
+    tau = p.tau - round(p.tau.real)
+    if _lattice_distance(p.t, tau) < 1e-8:
+        raise PolePoint("t is within 1e-8 of a lattice point")
+    q = cmath.exp(2j * cmath.pi * tau)
+    N = _tail_terms(abs(q), tol) + extra
+    log_largest = 2 * math.pi * (N * tau.imag + max(0.0, -p.t.imag))
+    if power * log_largest > _MAX_TERM_LOG:
+        raise ValueError(f"overflow guard: {N} partial-fraction terms at "
+                         f"Im tau = {tau.imag:.3g} leave the float range")
+    return q, cmath.exp(2j * cmath.pi * p.t), N
 
 
 def eval_zetabar(p: LatticePoint, tol: float = 1e-15) -> complex:
@@ -298,17 +317,15 @@ def eval_zetabar(p: LatticePoint, tol: float = 1e-15) -> complex:
     Pairs the n and -n terms; the geometric tail bound at |q| fixes the
     cutoff so the truncation error is below tol (relative, away from poles).
     """
-    if _lattice_distance(p.t, p.tau) < 1e-8:
-        raise PolePoint("t is within 1e-8 of a lattice point")
-    q = cmath.exp(2j * cmath.pi * p.tau)
-    x = cmath.exp(2j * cmath.pi * p.t)
+    q, x, N = _partial_fraction_setup(p, tol, 0, 1)
     total = -0.5 - 1.0 / (x - 1.0)
-    N = _tail_terms(abs(q), tol)
     for n in range(1, N + 1):
         qn = q ** n
         total -= 1.0 / (qn * x - 1.0) - 1.0 / (qn - 1.0)
         qm = q ** (-n)
         total -= 1.0 / (qm * x - 1.0) - 1.0 / (qm - 1.0)
+    if not cmath.isfinite(total):
+        raise ValueError("overflow guard: the sum is not finite")
     return total
 
 
@@ -318,15 +335,13 @@ def eval_wp(p: LatticePoint, tol: float = 1e-15) -> complex:
     Each partial fraction -1/(q^n x - 1) contributes q^n x/(q^n x - 1)^2
     under x d/dx, and wp = (2 pi i)^2 (x d/dx) xi.
     """
-    if _lattice_distance(p.t, p.tau) < 1e-8:
-        raise PolePoint("t is within 1e-8 of a lattice point")
-    q = cmath.exp(2j * cmath.pi * p.tau)
-    x = cmath.exp(2j * cmath.pi * p.t)
+    q, x, N = _partial_fraction_setup(p, tol, 4, 2)
     total = x / (x - 1.0) ** 2
-    N = _tail_terms(abs(q), tol) + 4
     for n in range(1, N + 1):
         for qn in (q ** n, q ** (-n)):
             total += qn * x / (qn * x - 1.0) ** 2
+    if not cmath.isfinite(total):
+        raise ValueError("overflow guard: the sum is not finite")
     return (2j * cmath.pi) ** 2 * total
 
 

@@ -162,7 +162,7 @@ def eval_character_value(label: ModuleLabel, p: ModularPoint,
     for i, (af, sf, side) in enumerate(factors):
         f = 1.0 - cmath.exp(tq * af) * cmath.exp(ty * sf)
         if abs(f) < 1e-12:
-            a, yexp, _ = _quotient_factors(u, j, k, 0, q_order)[0][i]
+            a, yexp, _ = _quotient_factors(u, j, k, 0, q_order, True)[0][i]
             raise PoleProximity(f"factor (1 - q^{a} y^{yexp}) within pole guard")
         val = val * f if side > 0 else val / f
     return val
@@ -173,15 +173,14 @@ def _float_factors(u: int, j: Fraction, k: Fraction, q_order: Fraction):
     """The prefactor exponents and product factors of eval_character_value
     with float exponents, built once per (u, j, k, q_order).
 
-    Returns (jk/u, (j-k+1)/u + c/6, factors), each factor
-    (float(a), float(yexp), side) for a factor (a, yexp, side) of
-    _quotient_factors, in its order.
+    Returns (qpref, ypref, factors) from the m = 0, normalized walk of
+    _quotient_factors: its exact prefactor q^{jk/u} y^{(j-k+1)/u + c/6} as
+    floats, and each factor (float(a), float(yexp), side) in its order.
     """
     if q_order < 1:
         raise ValueError("q_order must be >= 1")
-    factors, _, _, _ = _quotient_factors(u, j, k, 0, q_order)
-    return (float(Fraction(j * k, 1) / u),
-            float(Fraction(j - k + 1, 1) / u + central_charge(u) / 6),
+    factors, _, qpref, ypref = _quotient_factors(u, j, k, 0, q_order, True)
+    return (float(qpref), float(ypref),
             tuple((float(a), float(yexp), side) for a, yexp, side in factors))
 
 

@@ -1,11 +1,10 @@
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from superjacobi.characters import (_GENERIC_DENOM, ModuleLabel,
-                                    _flowed_factors, _p_factors, _product,
+                                    _p_factors, _product, _quotient_factors,
                                     central_charge, character,
                                     find_flow_matches, p_product,
                                     spectral_flow_transform, spectrum)
@@ -236,12 +235,34 @@ def test_flow_matches_inversion_route(m):
 
 
 def test_flowed_factors_without_flow_are_the_product_factors():
-    labels = [(lab.u, lab.j, lab.k) for u in range(2, 7) for lab in spectrum(u)]
-    for u, j, k in labels + [_GENERIC_DENOM]:
-        for qmax in (F(1, 2), F(3), F(17, 2)):
-            factors, sign, q_shift, y_shift = _flowed_factors(u, j, k, 0, qmax)
-            assert Counter(factors) == Counter(_p_factors(u, j, k, qmax))
-            assert (sign, q_shift, y_shift) == (1, 0, 0)
+    # the one walk at m = 0: the label's factors in _p_factors order, then
+    # the generic denominator's with their side flipped, and the bare prefactor
+    for u in range(2, 9):
+        cc = central_charge(u)
+        for lab in spectrum(u):
+            j, k = lab.j, lab.k
+            for qmax in (F(1, 2), F(3), F(17, 2)):
+                want = list(_p_factors(u, j, k, qmax)) + [
+                    (a, s, -side)
+                    for a, s, side in _p_factors(*_GENERIC_DENOM, qmax)]
+                for normalized in (False, True):
+                    factors, sign, qpref, ypref = _quotient_factors(
+                        u, j, k, 0, qmax, normalized)
+                    assert factors == want
+                    assert sign == 1
+                    assert qpref == F(j * k) / u
+                    assert ypref == F(j - k + 1) / u + (cc / 6 if normalized
+                                                        else 0)
+
+
+def test_float_factors_prefactor_is_the_walks():
+    from superjacobi.jacobi import _float_factors
+    for u in range(2, 7):
+        for lab in spectrum(u):
+            _, _, qpref, ypref = _quotient_factors(u, lab.j, lab.k, 0, F(5),
+                                                   True)
+            qf, yf, _ = _float_factors(u, lab.j, lab.k, F(5))
+            assert (qf, yf) == (float(qpref), float(ypref))
 
 
 # -- truncation claims: the result at order T is a prefix of the one at 2T ----

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -222,3 +223,48 @@ def test_zetabar_table_tail_guard_exit2():
     assert code == 2
     assert out == ""
     assert err.startswith("error: tail guard: ") and "Im tau = 1e-09" in err
+
+
+def _run_in_process(*args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("what", ["zetabar", "wp"])
+def test_zetabar_table_large_im_tau_is_finite_or_guarded(what):
+    # each point prints finite values or stops at the overflow guard
+    for tau_im in ("1", "4", "4.35", "4.36", "9.5", "10", "14.2", "15", "120"):
+        for t_im in ("-0.4", "0.1", "0.4"):
+            code, out, err = _run_in_process(
+                "zetabar-table", "--what", what, "--points", "1",
+                "--tau-im", tau_im, "--t-im", t_im)
+            if code == 0:
+                values = out.splitlines()[1].split(",")[4:]
+                assert all(math.isfinite(float(v)) for v in values)
+                assert err == ""
+            else:
+                assert (code, out) == (2, "")
+                assert err.startswith("error: overflow guard: ")
+                assert f"Im tau = {float(tau_im):.3g}" in err
+                assert err.count("\n") == 1
+
+
+def test_zetabar_table_overflow_guard_exit2():
+    code, out, err = run_cli("zetabar-table", "--what", "wp", "--points", "1",
+                             "--tau-im", "9.5")
+    assert (code, out) == (2, "")
+    assert err == ("error: overflow guard: 12 partial-fraction terms at "
+                   "Im tau = 9.5 leave the float range\n")
+
+
+def test_zetabar_table_large_tau_re_keeps_the_values():
+    def values(tau_re):
+        code, out, _ = _run_in_process("zetabar-table", "--what", "wp",
+                                       "--tau-re", tau_re)
+        assert code == 0
+        return [line.split(",")[4:] for line in out.splitlines()[1:]]
+
+    assert values("1e12") == values("0")
+    assert values("1e16") == values("0")

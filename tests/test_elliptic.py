@@ -169,6 +169,45 @@ def test_small_im_tau_still_evaluates():
         assert cmath.isfinite(fn(LatticePoint(0.2 + 0.1j, 1e-4j)))
 
 
+def test_overflow_guard_names_term_count_and_im_tau():
+    # the tail count never falls below 8 (12 for wp), so |q|^-N leaves the
+    # float range at moderate Im tau: the guard stops before it does
+    with pytest.raises(ValueError, match=r"overflow guard: 13 partial-fraction "
+                       r"terms at Im tau = 4.4 leave the float range"):
+        eval_wp(LatticePoint(0.2 + 0.1j, 4.4j))
+    with pytest.raises(ValueError, match=r"overflow guard: 8 .*Im tau = 14.2 "):
+        eval_zetabar(LatticePoint(0.2 + 0.1j, 14.2j))
+    # |q| underflows to 0 here; the count is its limit, 8
+    assert _tail_terms(0.0, 1e-15) == 8
+    for fn in (eval_zetabar, eval_wp):
+        with pytest.raises(ValueError, match="overflow guard: .*Im tau = 120"):
+            fn(LatticePoint(0.2 + 0.1j, 120j))
+
+
+@pytest.mark.parametrize("fn", [eval_zetabar, eval_wp])
+def test_large_im_tau_is_finite_or_guarded(fn):
+    finite = 0
+    for tau_im in (1, 4, 4.35, 4.36, 9.5, 10, 14.2, 15, 120):
+        for t_im in (-0.4, 0.1, 0.4):
+            try:
+                v = fn(LatticePoint(complex(0.2, t_im), complex(0, tau_im)))
+            except ValueError as exc:
+                assert str(exc).startswith("overflow guard: ")
+            else:
+                assert cmath.isfinite(v)
+                finite += 1
+    assert finite >= 6     # Im tau = 1 and 4 evaluate
+
+
+def test_integer_shift_of_tau_keeps_the_value():
+    # q is formed from tau - round(Re tau); 0.25 + n is exact in floats
+    for fn in (eval_zetabar, eval_wp):
+        for t in (0.2 + 0.1j, 0.45 - 0.3j):
+            base = fn(LatticePoint(t, 0.25 + 1.1j))
+            for n in (1, -3, 2 ** 40, 10 ** 15):
+                assert fn(LatticePoint(t, complex(0.25 + n, 1.1))) == base
+
+
 def test_two_evaluation_routes_agree_near_zero():
     for t in (0.05, 0.1, 0.03 + 0.06j, -0.08 + 0.02j):
         p = LatticePoint(t, 1j)

@@ -156,7 +156,7 @@ def _eval_character_value_per_call(label, p, q_order):
         return cmath.exp(2j * cmath.pi * p.alpha * float(s))
 
     val = qp(F(j * k, 1) / u) * yp(F(j - k + 1, 1) / u + central_charge(u) / 6)
-    factors, _, _, _ = _quotient_factors(u, j, k, 0, F(q_order))
+    factors, _, _, _ = _quotient_factors(u, j, k, 0, F(q_order), True)
     for a, yexp, side in factors:
         f = 1.0 - qp(a) * yp(yexp)
         if abs(f) < 1e-12:
