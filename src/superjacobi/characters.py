@@ -284,48 +284,39 @@ class FlowMatch:
 
 def _monomial_ratio(a: QYSeries, b: QYSeries):
     """If a == const * q^dq * y^dy * b for a single rational const, return
-    (const, dq, dy); else None.  Compares the visible windows."""
+    (const, dq, dy); else None.  Compares the visible windows, from the
+    leading terms, whose lowest y-terms give const and y^s0."""
     if a.is_zero() or b.is_zero():
         return None
     aa, bb = QYSeries._unify_grid_only(a, b)
-    d = aa.qden
     ea, eb = min(aa.terms), min(bb.terms)
     dq = ea - eb
-    window = min(aa.trunc, bb.trunc + dq)
     ca, cb = aa.terms[ea], bb.terms[eb]
-    # leading coefficients must agree up to const * y^s0 for one (const, s0)
-    if ca.pole != cb.pole:
-        return None
-    s0 = ca.num_min_exp() - cb.num_min_exp()
-    cb0 = cb.mul_monomial(s0)
-    sa = sorted(ca.num.items())
-    sb = sorted(cb0.num.items())
-    if [e for e, _ in sa] != [e for e, _ in sb]:
-        return None
-    const = sa[0][1] / sb[0][1]
-    for e in range(min(ea, eb + dq), window):
+    na, nb = ca.num_min_exp(), cb.num_min_exp()
+    s0, const = na - nb, ca.num[na] / cb.num[nb]
+    for e in range(ea, min(aa.trunc, bb.trunc + dq)):
         x = aa.terms.get(e, RatFunc.zero())
         y = bb.terms.get(e - dq, RatFunc.zero()).mul_monomial(s0).scale(const)
         if x != y:
             return None
-    return const, Fraction(dq, d), aa.ypref - bb.ypref + s0
+    return const, Fraction(dq, aa.qden), aa.ypref - bb.ypref + s0
 
 
 def find_flow_matches(u: int, m: int, q_order: Fraction) -> list[FlowMatch]:
     """Match the m-flow of every normalized level-u character against the
-    normalized spectrum, up to a single monomial constant."""
+    normalized spectrum, up to a single monomial constant.  The match must be
+    unique on the visible window, else ValueError (the CLI exits 2)."""
     labels = spectrum(u)
     chars = {lab: character(lab, q_order, normalized=True) for lab in labels}
     out = []
     for lab in labels:
         flowed = spectral_flow_transform(chars[lab], m)
-        hit = None
-        for cand in labels:
-            r = _monomial_ratio(flowed, chars[cand].series)
-            if r is not None:
-                hit = FlowMatch(lab, m, cand, r[0], r[1], r[2])
-                break
-        if hit is None:
-            raise ValueError(f"no spectral-flow match for {lab} at m={m}")
-        out.append(hit)
+        hits = [FlowMatch(lab, m, cand, *r) for cand in labels
+                if (r := _monomial_ratio(flowed, chars[cand].series))]
+        if len(hits) != 1:
+            raise ValueError(
+                f"{len(hits)} labels match the spectral flow of "
+                f"({lab.j}, {lab.k}) at u={u}, m={m} to q^{q_order}; "
+                f"a match must be unique")
+        out.append(hits[0])
     return out

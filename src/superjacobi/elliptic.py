@@ -140,16 +140,15 @@ def _expand_inverse_direction(r: RatFunc, order: int) -> dict[int, Fraction]:
     """Coefficients of the expansion of r(x) in descending powers of x.
 
     Returns {e: c} meaning  r = sum c_e x^{-e}  for e < order (e may be
-    negative when r grows at infinity).  Uses the series engine on v = 1/x.
-    """
-    exps = [abs(s) for s in r.num] + [abs(s) for s in r.den]
-    pad = 3 * (max(exps, default=0) + 1)
-    num = QYSeries(1, Fraction(0),
-                   {-s: RatFunc.const(c) for s, c in r.num.items()}, order + pad)
-    den = QYSeries(1, Fraction(0),
-                   {-s: RatFunc.const(c) for s, c in r.den.items()}, order + pad)
-    piece = num * den.invert()
-    return {e: c.const_value() for e, c in piece.terms.items() if e < order}
+    negative when r grows at infinity), from r = N/(x-1)^p and
+    (x-1)^-p = sum_{t>=0} C(p+t-1, t) x^{-p-t}."""
+    p, out = r.pole, {}
+    for s, c in r.num.items():
+        b = 1  # C(p + t - 1, t)
+        for t in range(order - p + s):
+            out[p + t - s] = out.get(p + t - s, 0) + c * b
+            b = b * (p + t) // (t + 1)
+    return {e: c for e, c in out.items() if c}
 
 
 def xi_shift_check(q_order: int, offset: Fraction = Fraction(1)) -> CheckReport:
@@ -230,8 +229,6 @@ def xi_t_expansion(t_order: int, q_order: int) -> ZPiSeries:
                 put(r, j, Fraction(2 * m ** r, factorial(r)))
     zterms = {}
     for (r, p), row in terms.items():
-        if r > t_order:
-            continue
         qs = QYSeries(1, Fraction(0),
                       {j: RatFunc.const(c) for j, c in row.items()}, q_order)
         if not qs.is_zero():
@@ -278,6 +275,8 @@ def _lattice_distance(t: complex, tau: complex) -> float:
     return abs(da * tau + db)
 
 
+_TOL = 1e-15            # relative truncation error of the partial sums
+_SLACK = 8              # terms summed past the geometric tail estimate
 _MAX_TAIL_TERMS = 10 ** 6
 _MAX_TERM_LOG = 708.0   # ln(max float) = 709.78, less a complex quotient's 2
 
@@ -285,7 +284,8 @@ _MAX_TERM_LOG = 708.0   # ln(max float) = 709.78, less a complex quotient's 2
 def _tail_terms(q_abs: float, tol: float) -> int:
     if q_abs >= 1:
         raise ValueError("|q| must be < 1")
-    n = max(int(math.log(tol) / math.log(q_abs)) + 8, 8) if q_abs else 8
+    n = (max(int(math.log(tol) / math.log(q_abs)) + _SLACK, _SLACK)
+         if q_abs else _SLACK)
     if n > _MAX_TAIL_TERMS:
         raise ValueError(f"tail guard: {n} partial-fraction terms needed at "
                          f"Im tau = {-math.log(q_abs) / (2 * math.pi):.3g}, "
@@ -293,17 +293,19 @@ def _tail_terms(q_abs: float, tol: float) -> int:
     return n
 
 
-def _partial_fraction_setup(p: LatticePoint, tol: float, extra: int,
+def _partial_fraction_setup(p: LatticePoint, extra: int,
                             power: int) -> tuple[complex, complex, int]:
     """(q, x, N) for the partial-fraction sums, behind the pole, tail and
     overflow guards.  q comes from tau - round(Re tau), which is exact; the
     overflow guard fires when the largest term, |q^-N x|^power, would leave
-    the float range."""
+    the float range.  The +-n terms decay like |q|^(n - k) with
+    k = |Im t| / Im tau, so N grows with ceil(k) once k outruns _SLACK."""
     tau = p.tau - round(p.tau.real)
     if _lattice_distance(p.t, tau) < 1e-8:
         raise PolePoint("t is within 1e-8 of a lattice point")
     q = cmath.exp(2j * cmath.pi * tau)
-    N = _tail_terms(abs(q), tol) + extra
+    n0 = _tail_terms(abs(q), _TOL)
+    N = max(n0 + extra, n0 - _SLACK + math.ceil(abs(p.t.imag) / tau.imag))
     log_largest = 2 * math.pi * (N * tau.imag + max(0.0, -p.t.imag))
     if power * log_largest > _MAX_TERM_LOG:
         raise ValueError(f"overflow guard: {N} partial-fraction terms at "
@@ -311,13 +313,13 @@ def _partial_fraction_setup(p: LatticePoint, tol: float, extra: int,
     return q, cmath.exp(2j * cmath.pi * p.t), N
 
 
-def eval_zetabar(p: LatticePoint, tol: float = 1e-15) -> complex:
+def eval_zetabar(p: LatticePoint) -> complex:
     """zeta-bar(t, tau) by partial sums of the partial-fraction form.
 
-    Pairs the n and -n terms; the geometric tail bound at |q| fixes the
-    cutoff so the truncation error is below tol (relative, away from poles).
+    Pairs the n and -n terms; the tail bound at |q| and |Im t| fixes the
+    cutoff so the truncation error is below _TOL (relative, away from poles).
     """
-    q, x, N = _partial_fraction_setup(p, tol, 0, 1)
+    q, x, N = _partial_fraction_setup(p, 0, 1)
     total = -0.5 - 1.0 / (x - 1.0)
     for n in range(1, N + 1):
         qn = q ** n
@@ -329,13 +331,13 @@ def eval_zetabar(p: LatticePoint, tol: float = 1e-15) -> complex:
     return total
 
 
-def eval_wp(p: LatticePoint, tol: float = 1e-15) -> complex:
+def eval_wp(p: LatticePoint) -> complex:
     """wp(t, tau) = 2 pi i * d/dt zeta-bar, differentiated termwise.
 
     Each partial fraction -1/(q^n x - 1) contributes q^n x/(q^n x - 1)^2
     under x d/dx, and wp = (2 pi i)^2 (x d/dx) xi.
     """
-    q, x, N = _partial_fraction_setup(p, tol, 4, 2)
+    q, x, N = _partial_fraction_setup(p, 4, 2)
     total = x / (x - 1.0) ** 2
     for n in range(1, N + 1):
         for qn in (q ** n, q ** (-n)):

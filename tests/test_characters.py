@@ -411,3 +411,24 @@ def test_flow_inverse_composition():
         assert (m2.target.j, m2.target.k) == src
         assert m1.const * m2.const == 1
         assert m1.q_shift + m2.q_shift == 0
+
+
+@pytest.mark.parametrize("u", range(2, 9))
+def test_low_order_flow_is_unique_or_refused(u):
+    # a short window can fit several targets; the call must then refuse
+    # rather than keep the first.  The order-9 match is unique, and a match
+    # on a longer window is also one on this window, so it is the match at
+    # every higher order too.
+    refused = 0
+    for m in (1, -1, 2, -2, 3):
+        want = [mt.to_dict() for mt in find_flow_matches(u, m, F(9))]
+        for order in range(1, 5):
+            try:
+                got = find_flow_matches(u, m, F(order))
+            except ValueError as exc:
+                assert f"at u={u}, m={m} to q^{order}; " in str(exc)
+                assert "a match must be unique" in str(exc)
+                refused += 1
+            else:
+                assert [mt.to_dict() for mt in got] == want, (m, order)
+    assert refused or u == 2

@@ -161,6 +161,13 @@ def test_zetabar_table_csv():
     assert len(lines) == 4
 
 
+def test_ambiguous_flow_exit2():
+    # at q^1 two labels fit the visible window of the flow of (0, 2)
+    code, out, err = run_cli("flow", "--u", "3", "--m", "1", "--order", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 2 labels match the spectral flow of (0, 2)")
+
+
 def test_realization_check_empty_sweep_exit2():
     code, out, err = run_cli("realization-check", "--max", "-1",
                              "--window", "0")

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from superjacobi.elliptic import (LatticePoint, _tail_terms, eval_wp,
+from superjacobi.elliptic import (LatticePoint, _expand_inverse_direction,
+                                  _tail_terms, eval_wp,
                                   eval_zetabar, eval_zetabar_zseries,
                                   wp_pde_check, wp_pde_sides, wp_series,
                                   xi_series, xi_shift_check, xi_t_expansion,
@@ -13,7 +14,7 @@ from superjacobi.elliptic import (LatticePoint, _tail_terms, eval_wp,
 from superjacobi.errors import PolePoint
 from superjacobi.numtheory import eisenstein_e, eisenstein_ghat
 from superjacobi.ratfunc import RatFunc
-from superjacobi.series import ZPiSeries
+from superjacobi.series import QYSeries, ZPiSeries
 
 F = Fraction
 
@@ -246,3 +247,53 @@ def test_xi_series_matches_repeated_sums(T):
 def test_checks_reject_nonpositive_q_order(check, order):
     with pytest.raises(ValueError, match="q_order must be >= 1"):
         check(order)
+
+
+def _expand_by_series_inversion(r, order):
+    """The descending-power expansion of r(x) by the series engine in v = 1/x:
+    N(1/v) times the inverse of (1/v - 1)^p, padded so that the inversion
+    keeps every coefficient below order."""
+    exps = [abs(s) for s in r.num] + [abs(s) for s in r.den]
+    pad = 3 * (max(exps, default=0) + 1)
+    num = QYSeries(1, F(0), {-s: RatFunc.const(c) for s, c in r.num.items()},
+                   order + pad)
+    den = QYSeries(1, F(0), {-s: RatFunc.const(c) for s, c in r.den.items()},
+                   order + pad)
+    piece = num * den.invert()
+    assert piece.trunc >= order
+    return {e: c.const_value() for e, c in piece.terms.items() if e < order}
+
+
+def test_inverse_direction_matches_series_inversion():
+    # xi-shift only expands a simple pole; poles up to order 4 are drawn here
+    rng = random.Random(19)
+    poles = set()
+    for _ in range(80):
+        num = {s: F(rng.randint(-9, 9), rng.randint(1, 4))
+               for s in rng.sample(range(-5, 6), rng.randint(1, 4))}
+        p = rng.randint(0, 4)
+        r = RatFunc(num, {e: F(math.comb(p, e) * (-1) ** (p - e))
+                          for e in range(p + 1)})
+        poles.add(r.pole)
+        for order in range(1, 13):
+            assert (_expand_inverse_direction(r, order)
+                    == _expand_by_series_inversion(r, order))
+    assert poles == set(range(5))
+
+
+@pytest.mark.parametrize("fn", [eval_zetabar, eval_wp])
+def test_quasi_periodicity_over_many_periods_of_im_t(fn):
+    # t = t0 + k tau puts |Im t| up to 20 periods away; the +-n terms decay
+    # like |q|^(n - k), so the cutoff must grow with k
+    t0 = 0.2 + 0.1j
+    for tau in (1j, 0.3 + 1.1j, 2j, 0.5j, 4j):
+        base = fn(LatticePoint(t0, tau))
+        for k in [k for k in range(-20, 21) if k]:
+            ref = base + k if fn is eval_zetabar else base
+            try:
+                v = fn(LatticePoint(t0 + k * tau, tau))
+            except ValueError as exc:
+                assert tau != 1j
+                assert str(exc).startswith("overflow guard: ")
+            else:
+                assert abs(v - ref) <= 1e-12 * max(1, abs(ref)), (tau, k)

@@ -5,6 +5,7 @@ Every ``ramanujan``, ``wp-pde``, ``eisenstein``, ``spectrum``, ``char``,
 ``realization-check`` grid point of ``perfbench/grid.py`` runs through
 ``cli.main`` in this process; its exit status and the SHA-256 of its stdout
 must equal those in ``perfbench/reference.json``.  Both files are only read.
+The README's numeric table command is pinned here by its own digest.
 """
 
 import contextlib
@@ -47,3 +48,13 @@ def test_output_matches_reference(key):
     ref = REFERENCE[key]
     assert code == ref["exit"]
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == ref["sha256"]
+
+
+def test_readme_numeric_table_is_byte_identical():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["zetabar-table", "--what", "wp", "--points", "5",
+                         "--tau-im", "1.1"])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "462b6c76650371a037a2158269ccba4b2dddb2d6a1d6ce38f347c6f778f7d6cd")
