@@ -30,11 +30,14 @@ EXIT_USAGE = 2
 
 def _emit(payload, out_path: str | None, as_json: bool = True) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n" if as_json else payload
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out_path}: {exc.strerror}") from None
 
 
 def _report(rep, out_path: str | None) -> int:
@@ -413,13 +416,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
         return EXIT_USAGE if exc.code not in (0,) else 0
-    if getattr(args, "self_test", False):
-        fn = SELF_TESTS[args.command]
-        ok = fn()
-        _emit({"selfTest": args.command, "passed": ok},
-              getattr(args, "out", None))
-        return EXIT_OK if ok else EXIT_MATH_FAIL
     try:
+        if getattr(args, "self_test", False):
+            ok = SELF_TESTS[args.command]()
+            _emit({"selfTest": args.command, "passed": ok},
+                  getattr(args, "out", None))
+            return EXIT_OK if ok else EXIT_MATH_FAIL
         return args.fn(args)
     except (SuperjacobiError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -26,7 +26,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .errors import PolePoint
 from .numtheory import bernoulli, divisors, eisenstein_ghat
@@ -151,88 +151,82 @@ def _expand_inverse_direction(r: RatFunc, order: int) -> dict[int, Fraction]:
     return {e: c for e, c in out.items() if c}
 
 
+def _add_to_row(rows: dict[int, dict], e: int, s: int, c) -> None:
+    """Add c at (e, s) of a map e -> {s: coefficient}, dropping a sum of 0."""
+    row = rows.setdefault(e, {})
+    v = row[s] + c if s in row else c
+    if v:
+        row[s] = v
+    else:
+        row.pop(s, None)
+
+
 def xi_shift_check(q_order: int, offset: Fraction = Fraction(1)) -> CheckReport:
     """Verify xi(qx, q) = xi(x, q) + offset from the truncated data.
 
-    The substitution converts the q^0 pole term into a q-series via
-    -1/(qx - 1) = sum_{m>=0} q^m x^m.  Orders 1 <= j <= (T-1)//2 are compared
-    exactly as Laurent polynomials; the q^0 coefficient is compared after
-    expanding the rational target in descending powers of x through x^{-(T-1)}.
+    Forms the difference xi(qx) - xi(x) - offset as one map q^e -> {x^s: c}
+    and reports its nonzero entries.  The substitution turns the q^0 pole
+    term into a q-series via -1/(qx - 1) = sum_{m>=0} q^m x^m.  The map
+    covers q^e for 1 <= e <= (T-1)//2 as Laurent polynomials, and q^0 after
+    expanding the rational target in descending powers of x through
+    x^{-(T-1)}; terms of xi(qx) outside that window are not built.
     A correct run passes only for offset = 1.
     """
     if q_order < 1:
         raise ValueError("q_order must be >= 1")
     xi = xi_series(q_order)
-    T = q_order
-    computed: dict[int, dict[int, Fraction]] = {}
-
-    def put(e: int, s: int, c: Fraction):
-        if e < T and c:
-            row = computed.setdefault(e, {})
-            row[s] = row.get(s, Fraction(0)) + c
-            if not row[s]:
-                del row[s]
-
-    # source q^0: -1/2 - 1/(qx-1) = -1/2 + sum_{m>=0} q^m x^m
-    put(0, 0, Fraction(-1, 2))
-    for m in range(0, T):
-        put(m, m, Fraction(1))
-    # sources q^j, Laurent-polynomial coefficients
+    T, half = q_order, (q_order - 1) // 2
+    diff: dict[int, dict[int, Fraction]] = {}
+    # xi(qx), source q^0: -1/2 - 1/(qx-1) = -1/2 + sum_{m>=0} q^m x^m
+    _add_to_row(diff, 0, 0, Fraction(-1, 2))
+    for m in range(half + 1):
+        _add_to_row(diff, m, m, 1)
+    # sources q^j: c x^s gives c q^(j+s) x^s in xi(qx), and -c q^j x^s
     for j in range(1, T):
         for s, c in xi.terms[j].num.items():
-            put(j + s, s, c)
-
-    failures: list[tuple[int, int]] = []
-    half = (T - 1) // 2
-    for e in range(1, half + 1):
-        target = dict(xi.terms[e].num)
-        got = computed.get(e, {})
-        for s in set(target) | set(got):
-            if target.get(s, Fraction(0)) != got.get(s, Fraction(0)):
-                failures.append((e, s))
-    # q^0: compare in the x^{-1} direction through x^{-(T-1)}
+            if j + s <= half:
+                _add_to_row(diff, j + s, s, c)
+            if j <= half:
+                _add_to_row(diff, j, s, -c)
+    # q^0: minus the descending expansion of xi's q^0 term + offset
     target0 = xi.terms[0] + RatFunc.const(offset)
-    exp0 = _expand_inverse_direction(target0, T)
-    got0 = computed.get(0, {})
-    for r in range(0, T):
-        want = exp0.get(r, Fraction(0))
-        have = got0.get(-r, Fraction(0))
-        if want != have:
-            failures.append((0, -r))
+    for r, c in _expand_inverse_direction(target0, T).items():
+        _add_to_row(diff, 0, -r, -c)
+    failures = [(e, s) for e in (*range(1, half + 1), 0)
+                for s in sorted(diff.get(e, ()), reverse=True)]
     return CheckReport("xi-shift", {"qOrder": q_order, "comparedThrough": half,
                                     "offset": str(offset)}, failures)
 
 
 def xi_t_expansion(t_order: int, q_order: int) -> ZPiSeries:
-    """Expand xi(e^{2 pi i t}, q) in powers of t, pi-hat graded.
+    """Expand xi_series(q_order) at x = e^{2 pi i t} in powers of t, pi-hat
+    graded.
 
-    The q^0 pole term expands through the Bernoulli generating function
-    (1/(e^w - 1) = w^-1 sum B_n w^n / n!); each x^m - x^{-m} contributes
-    2 (m w)^r / r! over odd r, with w = pi-hat t.
+    Each coefficient N(x)/(x-1)^p of xi_series, p <= 1, is expanded at
+    x = e^w with w = pi-hat t: N(e^w) = sum_r (sum_s c_s s^r) w^r / r!, and
+    for p = 1 it is multiplied by 1/(e^w - 1) = w^-1 sum_n B_n w^n / n!.
+    The power sums run on integers over one common denominator.
     """
-    terms: dict[tuple[int, int], dict[int, Fraction]] = {}
-
-    def put(r: int, j: int, c: Fraction):
-        if c:
-            row = terms.setdefault((r, r), {})
-            row[j] = row.get(j, Fraction(0)) + c
-
-    # q^0 coefficient: -1/2 - 1/(e^w - 1) = -w^-1 - sum_{n>=1} B_n w^{n-1}/n! - 1/2
-    put(-1, 0, Fraction(-1))
-    for n in range(1, t_order + 2):
-        put(n - 1, 0, -bernoulli(n) / factorial(n))
-    put(0, 0, Fraction(-1, 2))
-    # q^j coefficients
-    for j in range(1, q_order):
-        for m in divisors(j):
-            for r in range(1, t_order + 1, 2):
-                put(r, j, Fraction(2 * m ** r, factorial(r)))
-    zterms = {}
-    for (r, p), row in terms.items():
-        qs = QYSeries(1, Fraction(0),
-                      {j: RatFunc.const(c) for j, c in row.items()}, q_order)
-        if not qs.is_zero():
-            zterms[(r, p)] = qs
+    xi = xi_series(q_order)
+    bern = [bernoulli(n) / factorial(n) for n in range(t_order + 2)]
+    rows: dict[int, dict[int, Fraction]] = {}
+    for j, coeff in xi.terms.items():
+        p = coeff.pole
+        den = lcm(*(c.denominator for c in coeff.num.values()))
+        nums = [(s, c.numerator * (den // c.denominator))
+                for s, c in coeff.num.items()]
+        # N(e^w) through w^(t_order + p)
+        ser = [Fraction(sum(n * s ** r for s, n in nums), den * factorial(r))
+               for r in range(t_order + p + 1)]
+        if p:
+            ser = [sum(ser[i] * bern[k - i] for i in range(k + 1))
+                   for k in range(t_order + 2)]
+        for r, c in enumerate(ser, start=-p):
+            _add_to_row(rows, r, j, c)
+    zterms = {(r, r): QYSeries(1, Fraction(0),
+                               {j: RatFunc.const(c) for j, c in row.items()},
+                               q_order)
+              for r, row in rows.items()}
     return ZPiSeries(zterms, t_order + 1, q_order)
 
 
@@ -240,7 +234,7 @@ def xi_zetabar_check(t_order: int, q_order: int) -> CheckReport:
     """Coefficientwise equality of the t-expansion of xi with zeta-bar.
 
     This re-derives every Eisenstein q-expansion with 2k - 1 <= t_order from
-    the partial-fraction form.
+    the partial-fraction coefficients of xi_series, which xi_shift_check reads.
     """
     if t_order < 2:
         raise ValueError("t_order must be >= 2")

@@ -254,14 +254,16 @@ class RatFunc:
     def eval(self, y: complex) -> complex:
         """Evaluate at a complex point; Horner on numerator and denominator.
 
-        Raises ValueError when the denominator's modulus is below 1e-12, so
-        the series layer can translate it into its pole guard.
+        Raises ValueError at y = 0 when N has a negative power, or when the
+        denominator's modulus is below 1e-12, for the series' pole guard.
         """
         nv = _val(self.num) if self.num else 0
         nmax = _deg(self.num) if self.num else 0
         acc = 0j
         for e in range(nmax, nv - 1, -1):
             acc = acc * y + complex(self.num.get(e, _ZERO))
+        if nv < 0 and not y:
+            raise ValueError("denominator within pole guard")
         if nv:
             acc *= y ** nv
         den = self.den

@@ -144,8 +144,6 @@ class QYSeries:
                 if e >= trunc:
                     break
                 p = ca * cb
-                if p.is_zero():
-                    continue
                 s = terms.get(e)
                 terms[e] = p if s is None else s + p
         return QYSeries(a.qden, a.ypref + b.ypref, terms, trunc)
@@ -266,6 +264,8 @@ class QYSeries:
                 raise PoleProximity(str(exc)) from None
             acc += cval * qpow(Fraction(e, self.qden))
         if self.ypref:
+            if self.ypref < 0 and not y:
+                raise PoleProximity("y = 0 is a pole of the y-prefactor")
             acc *= y ** float(self.ypref)
         if not (isfinite(acc.real) and isfinite(acc.imag)):
             raise PoleProximity("evaluation overflowed")

@@ -153,6 +153,19 @@ def test_out_file(tmp_path):
     assert json.loads(path.read_text())["passed"] is True
 
 
+@pytest.mark.parametrize("flags", [[], ["--self-test"]],
+                         ids=["report", "self-test"])
+def test_out_to_unwritable_path_exit2(tmp_path, flags):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli("bracket", "L", "2", "L", "-1", *flags,
+                             "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(path) in err
+    assert "Traceback" not in err
+    assert not path.parent.exists()
+
+
 def test_zetabar_table_csv():
     code, out, _ = run_cli("zetabar-table", "--points", "3")
     assert code == 0

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from superjacobi import elliptic
 from superjacobi.elliptic import (LatticePoint, _expand_inverse_direction,
                                   _tail_terms, eval_wp,
                                   eval_zetabar, eval_zetabar_zseries,
@@ -12,7 +13,8 @@ from superjacobi.elliptic import (LatticePoint, _expand_inverse_direction,
                                   xi_series, xi_shift_check, xi_t_expansion,
                                   xi_zetabar_check, zetabar_series)
 from superjacobi.errors import PolePoint
-from superjacobi.numtheory import eisenstein_e, eisenstein_ghat
+from superjacobi.numtheory import (bernoulli, divisors, eisenstein_e,
+                                   eisenstein_ghat)
 from superjacobi.ratfunc import RatFunc
 from superjacobi.series import QYSeries, ZPiSeries
 
@@ -236,6 +238,68 @@ def test_xi_series_matches_repeated_sums(T):
     assert xi.trunc == T
     assert (xi.qden, xi.ypref) == (1, 0)
     assert xi.terms == _xi_series_by_repeated_sums(T)
+
+
+def _xi_t_expansion_by_divisors(t_order, q_order):
+    """The t-expansion of xi written out by hand: the q^0 pole term through
+    the Bernoulli series of 1/(e^w - 1), and 2 (m w)^r / r! over odd r for
+    each divisor m of j at q^j."""
+    terms = {}
+
+    def put(r, j, c):
+        if c:
+            row = terms.setdefault((r, r), {})
+            row[j] = row.get(j, F(0)) + c
+
+    put(-1, 0, F(-1))
+    for n in range(1, t_order + 2):
+        put(n - 1, 0, -bernoulli(n) / math.factorial(n))
+    put(0, 0, F(-1, 2))
+    for j in range(1, q_order):
+        for m in divisors(j):
+            for r in range(1, t_order + 1, 2):
+                put(r, j, F(2 * m ** r, math.factorial(r)))
+    zterms = {}
+    for key, row in terms.items():
+        qs = QYSeries(1, F(0), {j: RatFunc.const(c) for j, c in row.items()},
+                      q_order)
+        if not qs.is_zero():
+            zterms[key] = qs
+    return ZPiSeries(zterms, t_order + 1, q_order)
+
+
+def test_xi_t_expansion_matches_divisor_route():
+    for t_order in range(2, 12):
+        for q_order in range(1, 40):
+            got = xi_t_expansion(t_order, q_order)
+            want = _xi_t_expansion_by_divisors(t_order, q_order)
+            assert (got.ztrunc, got.qtrunc) == (want.ztrunc, want.qtrunc)
+            assert got.terms.keys() == want.terms.keys()
+            for key, coeff in got.terms.items():
+                assert coeff.trunc == want.terms[key].trunc == q_order
+                assert coeff.terms == want.terms[key].terms
+
+
+def _corrupted_xi_series(q_exp, extra):
+    """xi_series with the RatFunc extra added to its q^q_exp coefficient."""
+    def corrupted(q_order):
+        xi = xi_series(q_order)
+        xi.terms[q_exp] = xi.terms[q_exp] + extra
+        return xi
+    return corrupted
+
+
+@pytest.mark.parametrize("q_exp, extra", [
+    (6, RatFunc({3: F(1), -3: F(-1)})),
+    (1, RatFunc({2: F(1), -2: F(-1)})),
+    (5, RatFunc({1: F(1), -1: F(1)})),
+    (0, RatFunc.const(F(1, 6))),
+], ids=["x3-x^-3@q6", "x2-x^-2@q1", "x+x^-1@q5", "1/6@q0"])
+def test_both_xi_checks_read_xi_series(monkeypatch, q_exp, extra):
+    # each check must fail when the xi it certifies is wrong
+    monkeypatch.setattr(elliptic, "xi_series", _corrupted_xi_series(q_exp, extra))
+    assert not xi_shift_check(30).passed
+    assert not xi_zetabar_check(8, 30).passed
 
 
 @pytest.mark.parametrize("order", [0, -1])

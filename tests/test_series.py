@@ -1,3 +1,4 @@
+import cmath
 from fractions import Fraction
 
 import pytest
@@ -237,6 +238,18 @@ def test_eval_pole():
     a = qs({0: r}, 3)
     with pytest.raises(PoleProximity):
         a.eval_numeric(0.1, 1.0)
+
+
+@pytest.mark.parametrize("series", [
+    qs({0: RatFunc({-1: F(1), 0: F(2)})}, 3),          # 1/y + 2
+    QYSeries(1, F(-1, 2), {0: RatFunc.one()}, 3),      # y^(-1/2)
+], ids=["negative-y-power", "negative-y-prefactor"])
+def test_eval_at_y_zero_is_a_pole(series):
+    with pytest.raises(PoleProximity):
+        series.eval_numeric(0.1, 0)
+    with pytest.raises(PoleProximity):
+        series.eval_numeric(0.1, 0j)
+    assert cmath.isfinite(series.eval_numeric(0.1, 0.5))
 
 
 def test_eval_homomorphism(rng):
