@@ -30,6 +30,13 @@ w0 = eval_wp(LatticePoint(t, tau))
 w1 = eval_wp(LatticePoint(t + tau, tau))
 print("wp(t+tau) - wp(t) =", abs(w1 - w0))
 
+# the sums run at the reduced point in q^n, so a large Im tau, where they
+# converge fastest, evaluates as well
+tau = 10j
+w0 = eval_wp(LatticePoint(t, tau))
+w1 = eval_wp(LatticePoint(t + tau, tau))
+print("wp(t+tau) - wp(t) at Im tau = 10:", abs(w1 - w0))
+
 # near t = 0 the z-series route (Eisenstein coefficients at pi -> 2*pi*i)
 # agrees with the partial fraction sum
 p = LatticePoint(0.06 + 0.03j, 1j)

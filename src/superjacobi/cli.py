@@ -262,10 +262,14 @@ def _st_xi_zetabar() -> bool:
 
 def _st_zetabar_table() -> bool:
     from . import elliptic
-    p = elliptic.LatticePoint(0.21 + 0.08j, 1j)
-    z0 = elliptic.eval_zetabar(p)
-    z1 = elliptic.eval_zetabar(elliptic.LatticePoint(p.t + p.tau, p.tau))
-    return abs(z1 - z0 - 1) < 1e-9
+    t, tau = 0.21 + 0.08j, 1j
+    z0 = elliptic.eval_zetabar(elliptic.LatticePoint(t, tau))
+    z1 = elliptic.eval_zetabar(elliptic.LatticePoint(t + tau, tau))
+    z5 = elliptic.eval_zetabar(elliptic.LatticePoint(t + 5 * tau, tau))
+    w0 = elliptic.eval_wp(elliptic.LatticePoint(t, tau))
+    w1 = elliptic.eval_wp(elliptic.LatticePoint(t + tau, tau))
+    return (abs(z1 - z0 - 1) < 1e-9 and abs(z5 - z0 - 5) < 1e-9
+            and abs(w1 - w0) < 1e-8)
 
 
 def _st_jacobi_test() -> bool:

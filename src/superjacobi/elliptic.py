@@ -18,6 +18,9 @@ whose q^0 coefficient is -1/2 - 1/(x-1) and whose q^j coefficient (j >= 1)
 is sum_{m | j} (x^m - x^{-m}).  This is the sign under which xi equals
 zeta-bar at x = e^{2 pi i t} and satisfies xi(qx, q) = xi(x, q) + 1; the
 opposite overall sign satisfies neither.
+
+The numerical evaluators sum these partial fractions at the reduced point,
+in q^n, up to a count set by a proved tail bound (see _reduced).
 """
 
 from __future__ import annotations
@@ -269,75 +272,69 @@ def _lattice_distance(t: complex, tau: complex) -> float:
     return abs(da * tau + db)
 
 
-_TOL = 1e-15            # relative truncation error of the partial sums
-_SLACK = 8              # terms summed past the geometric tail estimate
+_TAIL_TOL = 1e-16       # proved bound on the omitted terms of the sum over n
 _MAX_TAIL_TERMS = 10 ** 6
-_MAX_TERM_LOG = 708.0   # ln(max float) = 709.78, less a complex quotient's 2
 
 
-def _tail_terms(q_abs: float, tol: float) -> int:
-    if q_abs >= 1:
-        raise ValueError("|q| must be < 1")
-    n = (max(int(math.log(tol) / math.log(q_abs)) + _SLACK, _SLACK)
-         if q_abs else _SLACK)
-    if n > _MAX_TAIL_TERMS:
-        raise ValueError(f"tail guard: {n} partial-fraction terms needed at "
-                         f"Im tau = {-math.log(q_abs) / (2 * math.pi):.3g}, "
-                         f"more than {_MAX_TAIL_TERMS}")
-    return n
+def _reduced(p: LatticePoint) -> tuple:
+    """(flip, k, x, q, q x, q/x, N) at the reduced point, for the sums over n.
 
-
-def _partial_fraction_setup(p: LatticePoint, extra: int,
-                            power: int) -> tuple[complex, complex, int]:
-    """(q, x, N) for the partial-fraction sums, behind the pole, tail and
-    overflow guards.  q comes from tau - round(Re tau), which is exact; the
-    overflow guard fires when the largest term, |q^-N x|^power, would leave
-    the float range.  The +-n terms decay like |q|^(n - k) with
-    k = |Im t| / Im tau, so N grows with ceil(k) once k outruns _SLACK."""
+    tau - round(Re tau) is exact; t moves by k = round(Im t / Im tau) periods,
+    then by round(Re t), and to -t if flip (zeta-bar is odd, wp even).  Then
+    0 <= Im t <= Im tau / 2, so |q| <= a = |q/x| <= |q|^(1/2) and each
+    omitted w = q^n x^+-1 has |w| <= |q|^(n-1) a.  Two w per n, a geometric
+    sum and |1 - w|^-2 <= 4 for |w| <= 1/2 bound the terms n > N by
+    8 |q|^N a / (1 - |q|) when that is <= 1.  N is the least count that puts
+    this bound at or below _TAIL_TOL.
+    """
     tau = p.tau - round(p.tau.real)
     if _lattice_distance(p.t, tau) < 1e-8:
         raise PolePoint("t is within 1e-8 of a lattice point")
-    q = cmath.exp(2j * cmath.pi * tau)
-    n0 = _tail_terms(abs(q), _TOL)
-    N = max(n0 + extra, n0 - _SLACK + math.ceil(abs(p.t.imag) / tau.imag))
-    log_largest = 2 * math.pi * (N * tau.imag + max(0.0, -p.t.imag))
-    if power * log_largest > _MAX_TERM_LOG:
-        raise ValueError(f"overflow guard: {N} partial-fraction terms at "
-                         f"Im tau = {tau.imag:.3g} leave the float range")
-    return q, cmath.exp(2j * cmath.pi * p.t), N
+    b = tau.imag
+    k = round(p.t.imag / b)
+    t = p.t - k * tau
+    t -= round(t.real)
+    flip = t.imag < 0
+    if flip:
+        t = -t
+    n = (math.log(8 / (_TAIL_TOL * -math.expm1(-2 * math.pi * b)))
+         / (2 * math.pi) - (b - t.imag)) / b
+    if n > _MAX_TAIL_TERMS:
+        raise ValueError(f"tail guard: {n:.4g} partial-fraction terms needed "
+                         f"at Im tau = {b:.3g}, more than {_MAX_TAIL_TERMS}")
+    e = [cmath.exp(2j * cmath.pi * s) for s in (t, tau, tau + t, tau - t)]
+    return (flip, k, *e, max(0, math.ceil(n)))
 
 
 def eval_zetabar(p: LatticePoint) -> complex:
     """zeta-bar(t, tau) by partial sums of the partial-fraction form.
 
-    Pairs the n and -n terms; the tail bound at |q| and |Im t| fixes the
-    cutoff so the truncation error is below _TOL (relative, away from poles).
+    The n and -n terms pair to q^n x/(1 - q^n x) - q^n x^-1/(1 - q^n x^-1),
+    n = 1..N at the reduced point (_reduced); the omitted pairs are at most
+    8 |q|^N |q/x| / (1 - |q|) <= 1e-16 in absolute value.
     """
-    q, x, N = _partial_fraction_setup(p, 0, 1)
-    total = -0.5 - 1.0 / (x - 1.0)
-    for n in range(1, N + 1):
-        qn = q ** n
-        total -= 1.0 / (qn * x - 1.0) - 1.0 / (qn - 1.0)
-        qm = q ** (-n)
-        total -= 1.0 / (qm * x - 1.0) - 1.0 / (qm - 1.0)
-    if not cmath.isfinite(total):
-        raise ValueError("overflow guard: the sum is not finite")
-    return total
+    flip, k, x, q, wx, wi, N = _reduced(p)
+    total = -0.5 + 1.0 / (1.0 - x)
+    for _ in range(N):
+        total += wx / (1.0 - wx) - wi / (1.0 - wi)
+        wx *= q
+        wi *= q
+    return (-total if flip else total) + k
 
 
 def eval_wp(p: LatticePoint) -> complex:
     """wp(t, tau) = 2 pi i * d/dt zeta-bar, differentiated termwise.
 
-    Each partial fraction -1/(q^n x - 1) contributes q^n x/(q^n x - 1)^2
-    under x d/dx, and wp = (2 pi i)^2 (x d/dx) xi.
+    x d/dx takes each partial fraction of xi to w/(1 - w)^2 over w = x and
+    q^n x^+-1, n = 1..N (_reduced); the omitted terms, hence the error in
+    wp / (2 pi i)^2, are at most 8 |q|^N |q/x| / (1 - |q|) <= 1e-16.
     """
-    q, x, N = _partial_fraction_setup(p, 4, 2)
-    total = x / (x - 1.0) ** 2
-    for n in range(1, N + 1):
-        for qn in (q ** n, q ** (-n)):
-            total += qn * x / (qn * x - 1.0) ** 2
-    if not cmath.isfinite(total):
-        raise ValueError("overflow guard: the sum is not finite")
+    _, _, x, q, wx, wi, N = _reduced(p)
+    total = x / (1.0 - x) ** 2
+    for _ in range(N):
+        total += wx / (1.0 - wx) ** 2 + wi / (1.0 - wi) ** 2
+        wx *= q
+        wi *= q
     return (2j * cmath.pi) ** 2 * total
 
 

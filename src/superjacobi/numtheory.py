@@ -8,41 +8,42 @@ Normalizations:
 so that the transcendentally normalized series is pi-hat^{2k} * ghat_{2k}
 with pi-hat standing for 2*pi*i.
 
-All functions are pure; the Bernoulli memo table is an lru_cache over an
-immutable tuple, safe to share between workers.
+All functions are pure.  The Bernoulli numbers are memoised in one module
+tuple that a call replaces by a longer one when it needs more entries; a
+reader only ever sees a whole tuple, so concurrent calls at worst repeat
+the growth.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, isqrt
 
 from .series import QYSeries
 from .ratfunc import RatFunc
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_upto(n: int) -> tuple[Fraction, ...]:
-    """B_0..B_n by exact long division of x by (e^x - 1).
-
-    (e^x - 1)/x has coefficients 1/(i+1)!; the reciprocal series c satisfies
-    c_0 = 1 and c_j = -sum_{i=1..j} c_{j-i}/(i+1)!, with B_j = j! c_j.
-    """
-    c = [Fraction(1)]
-    for j in range(1, n + 1):
-        s = Fraction(0)
-        for i in range(1, j + 1):
-            s += c[j - i] / factorial(i + 1)
-        c.append(-s)
-    return tuple(factorial(j) * c[j] for j in range(n + 1))
+_bernoulli_c: tuple[Fraction, ...] = (Fraction(1),)   # c_j = B_j / j!
 
 
 def bernoulli(n: int) -> Fraction:
-    """The Bernoulli number B_n (B_1 = -1/2 convention)."""
+    """The Bernoulli number B_n (B_1 = -1/2 convention).
+
+    B_j = j! c_j, where c is the reciprocal of (e^x - 1)/x, whose
+    coefficients are 1/(i+1)!: c_0 = 1 and c_j = -sum_{i=1..j} c_{j-i}/(i+1)!.
+    One table of c grows to the largest n asked for.
+    """
+    global _bernoulli_c
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _bernoulli_upto(n)[n]
+    c = _bernoulli_c
+    if n >= len(c):
+        c = list(c)
+        for j in range(len(c), n + 1):
+            c.append(-sum(c[j - i] / factorial(i + 1)
+                          for i in range(1, j + 1)))
+        c = _bernoulli_c = tuple(c)
+    return factorial(n) * c[n]
 
 
 def divisors(n: int) -> list[int]:

@@ -7,10 +7,10 @@ import pytest
 
 from superjacobi import elliptic
 from superjacobi.elliptic import (LatticePoint, _expand_inverse_direction,
-                                  _tail_terms, eval_wp,
-                                  eval_zetabar, eval_zetabar_zseries,
-                                  wp_pde_check, wp_pde_sides, wp_series,
-                                  xi_series, xi_shift_check, xi_t_expansion,
+                                  _reduced, eval_wp, eval_zetabar,
+                                  eval_zetabar_zseries, wp_pde_check,
+                                  wp_pde_sides, wp_series, xi_series,
+                                  xi_shift_check, xi_t_expansion,
                                   xi_zetabar_check, zetabar_series)
 from superjacobi.errors import PolePoint
 from superjacobi.numtheory import (bernoulli, divisors, eisenstein_e,
@@ -150,56 +150,98 @@ def test_numeric_pole_guard():
         eval_wp(LatticePoint(1.0 + 1j, 1j))  # t = 1 + tau is a lattice point
 
 
-def _q_abs(tau_im: float) -> float:
-    return math.exp(-2 * math.pi * tau_im)
+def _term_count(tau_im: float) -> int:
+    return _reduced(LatticePoint(0.2 + 0.1j, complex(0, tau_im)))[-1]
 
 
 def test_tail_guard_names_term_count_and_im_tau():
-    # the term count grows as 1/Im tau: 1e-9 would ask for 5.5e9 terms
+    # the term count grows as 1/Im tau: 1e-9 would ask for 9.2e9 terms
     for fn in (eval_zetabar, eval_wp):
-        with pytest.raises(ValueError, match=r"tail guard: 5497016983 "
+        with pytest.raises(ValueError, match=r"tail guard: 9\.2e\+09 "
                            r".*Im tau = 1e-09, more than 1000000"):
             fn(LatticePoint(0.2 + 0.1j, 1e-9j))
-    assert _tail_terms(_q_abs(6e-6), 1e-15) <= 10 ** 6
+    # the cap of 10^6 terms is reached at Im tau = 7.77e-6
+    assert _term_count(7.78e-6) <= 10 ** 6
     with pytest.raises(ValueError, match="tail guard"):
-        _tail_terms(_q_abs(5e-6), 1e-15)
+        _term_count(7.77e-6)
 
 
 def test_small_im_tau_still_evaluates():
-    # Im tau = 1e-4 takes about 55k terms, well under the guard
-    assert 50_000 < _tail_terms(_q_abs(1e-4), 1e-15) < 60_000
+    # Im tau = 1e-4 takes about 74k terms, well under the guard
+    assert 70_000 < _term_count(1e-4) < 80_000
     for fn in (eval_zetabar, eval_wp):
         assert cmath.isfinite(fn(LatticePoint(0.2 + 0.1j, 1e-4j)))
 
 
-def test_overflow_guard_names_term_count_and_im_tau():
-    # the tail count never falls below 8 (12 for wp), so |q|^-N leaves the
-    # float range at moderate Im tau: the guard stops before it does
-    with pytest.raises(ValueError, match=r"overflow guard: 13 partial-fraction "
-                       r"terms at Im tau = 4.4 leave the float range"):
-        eval_wp(LatticePoint(0.2 + 0.1j, 4.4j))
-    with pytest.raises(ValueError, match=r"overflow guard: 8 .*Im tau = 14.2 "):
-        eval_zetabar(LatticePoint(0.2 + 0.1j, 14.2j))
-    # |q| underflows to 0 here; the count is its limit, 8
-    assert _tail_terms(0.0, 1e-15) == 8
-    for fn in (eval_zetabar, eval_wp):
-        with pytest.raises(ValueError, match="overflow guard: .*Im tau = 120"):
-            fn(LatticePoint(0.2 + 0.1j, 120j))
+def _tail_bound(q: complex, q_over_x: complex, N: int) -> float:
+    """The bound the evaluators state on the omitted terms n > N:
+    8 |q|^N a / (1 - |q|) with a = |q/x| at the reduced point."""
+    return 8 * abs(q) ** N * abs(q_over_x) / (1 - abs(q))
+
+
+def test_large_im_tau_is_finite_and_at_the_q0_term():
+    # the sum runs in q^n, so no term leaves the float range; what is left
+    # of the terms n >= 1 at Im tau >= 4.4 is inside the stated bound
+    t = 0.2 + 0.1j
+    x = cmath.exp(2j * cmath.pi * t)
+    q0 = {eval_zetabar: -0.5 + 1 / (1 - x),
+          eval_wp: (2j * cmath.pi) ** 2 * (x / (1 - x) ** 2)}
+    scale = {eval_zetabar: 1, eval_wp: 4 * math.pi ** 2}
+    for fn, tau_ims in ((eval_wp, (4.4, 120)), (eval_zetabar, (14.2, 120))):
+        for tau_im in tau_ims:
+            p = LatticePoint(t, complex(0, tau_im))
+            v = fn(p)
+            assert cmath.isfinite(v)
+            _, _, _, q, _, q_over_x, _ = _reduced(p)
+            bound = scale[fn] * _tail_bound(q, q_over_x, 0)
+            assert abs(v - q0[fn]) <= bound + 1e-15 * abs(q0[fn]), tau_im
+            if tau_im == 120:   # |q/x| = e^(-2 pi 119.9) underflows
+                assert v == q0[fn]
 
 
 @pytest.mark.parametrize("fn", [eval_zetabar, eval_wp])
 def test_large_im_tau_is_finite_or_guarded(fn):
-    finite = 0
+    # every point evaluates: no Im tau here is below the tail guard
     for tau_im in (1, 4, 4.35, 4.36, 9.5, 10, 14.2, 15, 120):
         for t_im in (-0.4, 0.1, 0.4):
-            try:
-                v = fn(LatticePoint(complex(0.2, t_im), complex(0, tau_im)))
-            except ValueError as exc:
-                assert str(exc).startswith("overflow guard: ")
-            else:
-                assert cmath.isfinite(v)
-                finite += 1
-    assert finite >= 6     # Im tau = 1 and 4 evaluate
+            v = fn(LatticePoint(complex(0.2, t_im), complex(0, tau_im)))
+            assert cmath.isfinite(v), (tau_im, t_im)
+
+
+@pytest.mark.parametrize("fn", [eval_zetabar, eval_wp])
+def test_tail_bound_is_sound(fn, monkeypatch):
+    # |value(N) - value(2N)| is a part of the omitted terms, so it stays
+    # within the stated bound at N; N runs over small forced counts, where
+    # the bound is not tiny, and the count the evaluator chooses
+    scale = 1 if fn is eval_zetabar else 4 * math.pi ** 2
+    reduced = elliptic._reduced
+
+    def cut_at(p, N):
+        monkeypatch.setattr(elliptic, "_reduced",
+                            lambda p: (*reduced(p)[:-1], N))
+        v = fn(p)
+        monkeypatch.setattr(elliptic, "_reduced", reduced)
+        return v
+
+    checked = 0
+    for tau_re in (0, 0.37):
+        for tau_im in (0.3, 1, 4.5, 10, 50):
+            tau = complex(tau_re, tau_im)
+            for t0 in (0.2 + 0.1j, -0.35 + 0.4 * tau_im * 1j, 0.05 - 0.02j):
+                for k in (-20, -7, -1, 0, 1, 3, 20):
+                    p = LatticePoint(t0 + k * tau, tau)
+                    *_, q, _, q_over_x, chosen = reduced(p)
+                    assert _tail_bound(q, q_over_x, chosen) <= 1e-16
+                    for N in sorted({0, 1, 2, 3, 5, chosen}):
+                        bound = _tail_bound(q, q_over_x, N)
+                        if bound > 1:
+                            continue
+                        v, v2 = cut_at(p, N), cut_at(p, 2 * N)
+                        rounding = 1e-14 * max(scale, abs(v))
+                        assert abs(v - v2) <= scale * bound + rounding, \
+                            (tau, t0, k, N)
+                        checked += 1
+    assert checked > 600
 
 
 def test_integer_shift_of_tau_keeps_the_value():
@@ -209,6 +251,11 @@ def test_integer_shift_of_tau_keeps_the_value():
             base = fn(LatticePoint(t, 0.25 + 1.1j))
             for n in (1, -3, 2 ** 40, 10 ** 15):
                 assert fn(LatticePoint(t, complex(0.25 + n, 1.1))) == base
+        # and t is reduced by round(Re t); 0.25 + n is exact in floats
+        t, tau = 0.25 + 0.1j, 0.25 + 1.1j
+        base = fn(LatticePoint(t, tau))
+        for n in (1, -3, 2 ** 40, 10 ** 15):
+            assert fn(LatticePoint(t + n, tau)) == base, n
 
 
 def test_two_evaluation_routes_agree_near_zero():
@@ -347,17 +394,12 @@ def test_inverse_direction_matches_series_inversion():
 
 @pytest.mark.parametrize("fn", [eval_zetabar, eval_wp])
 def test_quasi_periodicity_over_many_periods_of_im_t(fn):
-    # t = t0 + k tau puts |Im t| up to 20 periods away; the +-n terms decay
-    # like |q|^(n - k), so the cutoff must grow with k
+    # t = t0 + k tau puts |Im t| up to 20 periods away; the evaluators move
+    # it back by k periods, and zeta-bar adds k
     t0 = 0.2 + 0.1j
-    for tau in (1j, 0.3 + 1.1j, 2j, 0.5j, 4j):
+    for tau in (1j, 0.3 + 1.1j, 2j, 0.5j, 4j, 0.37 + 10j, 20j, 50j):
         base = fn(LatticePoint(t0, tau))
         for k in [k for k in range(-20, 21) if k]:
             ref = base + k if fn is eval_zetabar else base
-            try:
-                v = fn(LatticePoint(t0 + k * tau, tau))
-            except ValueError as exc:
-                assert tau != 1j
-                assert str(exc).startswith("overflow guard: ")
-            else:
-                assert abs(v - ref) <= 1e-12 * max(1, abs(ref)), (tau, k)
+            v = fn(LatticePoint(t0 + k * tau, tau))
+            assert abs(v - ref) <= 1e-12 * max(1, abs(ref)), (tau, k)

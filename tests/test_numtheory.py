@@ -27,8 +27,9 @@ def test_bernoulli_values():
 
 
 def test_bernoulli_against_recurrence_oracle():
-    oracle = bernoulli_recurrence_oracle(30)
-    for n in range(31):
+    # one jump to B_60 grows the table, then every entry is read from it
+    oracle = bernoulli_recurrence_oracle(60)
+    for n in (60, *range(61)):
         assert bernoulli(n) == oracle[n]
 
 

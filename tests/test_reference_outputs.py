@@ -57,4 +57,4 @@ def test_readme_numeric_table_is_byte_identical():
                          "--tau-im", "1.1"])
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
-        "462b6c76650371a037a2158269ccba4b2dddb2d6a1d6ce38f347c6f778f7d6cd")
+        "327b70787be6ecfc76c5521ace0309b6e0501cdcb44ba67ab998926fc527bc28")
