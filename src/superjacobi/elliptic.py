@@ -260,16 +260,10 @@ class LatticePoint:
     tau: complex
 
     def __post_init__(self):
+        if not (cmath.isfinite(self.t) and cmath.isfinite(self.tau)):
+            raise ValueError(f"t = {self.t} and tau = {self.tau} must be finite")
         if self.tau.imag <= 0:
             raise ValueError("Im(tau) must be positive")
-
-
-def _lattice_distance(t: complex, tau: complex) -> float:
-    a = t.imag / tau.imag
-    b = t.real - a * tau.real
-    da = a - round(a)
-    db = b - round(b)
-    return abs(da * tau + db)
 
 
 _TAIL_TOL = 1e-16       # proved bound on the omitted terms of the sum over n
@@ -286,22 +280,33 @@ def _reduced(p: LatticePoint) -> tuple:
     sum and |1 - w|^-2 <= 4 for |w| <= 1/2 bound the terms n > N by
     8 |q|^N a / (1 - |q|) when that is <= 1.  N is the least count that puts
     this bound at or below _TAIL_TOL.
+
+    The tail guard runs first, on the count at Im t = Im tau / 2, the most
+    any t needs.  Past it the lattice points +-tau + n lie more than
+    Im tau / 2 from the reduced t, so there |t| is the distance to the
+    lattice that the pole guard reads.
     """
+    b = p.tau.imag
+    tol = _TAIL_TOL * -math.expm1(-2 * math.pi * b)     # 1e-16 (1 - |q|)
+    # tol is 0 only where Im tau underflows it, far below the guard
+    c = math.log(8 / tol) / (2 * math.pi) if tol else math.inf
+    if c / b - 0.5 > _MAX_TAIL_TERMS:
+        raise ValueError(f"tail guard: {c / b - 0.5:.4g} partial-fraction terms "
+                         f"needed at Im tau = {b:.3g}, more than {_MAX_TAIL_TERMS}")
     tau = p.tau - round(p.tau.real)
-    if _lattice_distance(p.t, tau) < 1e-8:
+    try:
+        k = round(p.t.imag / b)
+        t = p.t - k * tau
+        t -= round(t.real)
+    except OverflowError:
+        raise ValueError(f"t = {p.t} is too many periods from 0 to reduce "
+                         f"at tau = {p.tau}") from None
+    if abs(t) < 1e-8:
         raise PolePoint("t is within 1e-8 of a lattice point")
-    b = tau.imag
-    k = round(p.t.imag / b)
-    t = p.t - k * tau
-    t -= round(t.real)
     flip = t.imag < 0
     if flip:
         t = -t
-    n = (math.log(8 / (_TAIL_TOL * -math.expm1(-2 * math.pi * b)))
-         / (2 * math.pi) - (b - t.imag)) / b
-    if n > _MAX_TAIL_TERMS:
-        raise ValueError(f"tail guard: {n:.4g} partial-fraction terms needed "
-                         f"at Im tau = {b:.3g}, more than {_MAX_TAIL_TERMS}")
+    n = (c - (b - t.imag)) / b
     e = [cmath.exp(2j * cmath.pi * s) for s in (t, tau, tau + t, tau - t)]
     return (flip, k, *e, max(0, math.ceil(n)))
 
@@ -341,14 +346,16 @@ def eval_wp(p: LatticePoint) -> complex:
 def eval_zetabar_zseries(p: LatticePoint, z_order: int, q_order: int) -> complex:
     """Independent route: evaluate the z-series of zeta-bar at pi-hat = 2 pi i.
 
-    Only accurate for |t| small relative to the lattice; used to cross-check
-    the partial-fraction evaluation near t = 0.
+    Each y-free q-series coefficient is summed as c_e e^(2 pi i tau e) in
+    ascending e.  Only accurate for |t| small relative to the lattice; used
+    to cross-check the partial-fraction evaluation near t = 0.
     """
     zb = zetabar_series(z_order, q_order)
-    q = cmath.exp(2j * cmath.pi * p.tau)
     pihat = 2j * cmath.pi
     total = 0j
     for (zexp, piexp), coeff in zb.terms.items():
-        val = coeff.eval_numeric(q, 1.0, tau=p.tau)
+        val = 0j
+        for e, c in sorted(coeff.terms.items()):
+            val += complex(c.const_value()) * cmath.exp(pihat * p.tau * e)
         total += val * (p.t ** zexp) * (pihat ** piexp)
     return total

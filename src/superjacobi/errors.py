@@ -14,7 +14,8 @@ class NotAUnit(SuperjacobiError):
 
 
 class PoleProximity(SuperjacobiError):
-    """A coefficient denominator evaluated with modulus below the pole guard."""
+    """On the product route, a character factor (1 - q^a y^b) evaluated with
+    modulus below the 1e-12 pole guard."""
 
 
 class PolePoint(SuperjacobiError):

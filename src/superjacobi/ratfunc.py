@@ -26,7 +26,6 @@ from math import comb
 Poly = dict[int, Fraction]
 
 _ZERO = Fraction(0)
-_POLE_EPS = 1e-12
 
 
 def _trim(p: Poly) -> Poly:
@@ -249,30 +248,7 @@ class RatFunc:
     def __hash__(self):
         return hash((tuple(sorted(self.num.items())), self.pole))
 
-    # -- evaluation and display --------------------------------------------
-
-    def eval(self, y: complex) -> complex:
-        """Evaluate at a complex point; Horner on numerator and denominator.
-
-        Raises ValueError at y = 0 when N has a negative power, or when the
-        denominator's modulus is below 1e-12, for the series' pole guard.
-        """
-        nv = _val(self.num) if self.num else 0
-        nmax = _deg(self.num) if self.num else 0
-        acc = 0j
-        for e in range(nmax, nv - 1, -1):
-            acc = acc * y + complex(self.num.get(e, _ZERO))
-        if nv < 0 and not y:
-            raise ValueError("denominator within pole guard")
-        if nv:
-            acc *= y ** nv
-        den = self.den
-        dacc = 0j
-        for e in range(self.pole, -1, -1):
-            dacc = dacc * y + complex(den[e])
-        if abs(dacc) < _POLE_EPS:
-            raise ValueError("denominator within pole guard")
-        return acc / dacc
+    # -- display -----------------------------------------------------------
 
     def _poly_str(self, p: Poly, var: str) -> str:
         if not p:

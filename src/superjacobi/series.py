@@ -19,12 +19,10 @@ All values are immutable by convention; operations return new objects.
 
 from __future__ import annotations
 
-import cmath
-import json
 from fractions import Fraction
-from math import isfinite, lcm
+from math import lcm
 
-from .errors import IncompatiblePrefactor, NotAUnit, PoleProximity
+from .errors import IncompatiblePrefactor, NotAUnit
 from .ratfunc import RatFunc
 
 
@@ -56,11 +54,6 @@ class QYSeries:
     @classmethod
     def one(cls, trunc: int, qden: int = 1) -> "QYSeries":
         return cls(qden, Fraction(0), {0: RatFunc.one()}, trunc)
-
-    @classmethod
-    def const(cls, c, trunc: int, qden: int = 1) -> "QYSeries":
-        r = RatFunc.const(c) if not isinstance(c, RatFunc) else c
-        return cls(qden, Fraction(0), {0: r}, trunc)
 
     # -- basic structure ---------------------------------------------------
 
@@ -210,15 +203,6 @@ class QYSeries:
                          for e, c in self.terms.items()},
                         self.trunc)
 
-    def y_log_deriv(self) -> "QYSeries":
-        """y d/dy, including the action on the global y-prefactor."""
-        terms = {}
-        for e, c in self.terms.items():
-            t = c.scale(self.ypref) + c.y_log_deriv()
-            if not t.is_zero():
-                terms[e] = t
-        return QYSeries(self.qden, self.ypref, terms, self.trunc)
-
     # -- comparison ---------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -239,38 +223,6 @@ class QYSeries:
         tb = {e: c for e, c in b.terms.items() if e < t}
         return ta == tb
 
-    # -- numerics ------------------------------------------------------------
-
-    def eval_numeric(self, q: complex, y: complex,
-                     tau: complex | None = None) -> complex:
-        """The truncated sum at complex (q, y), |q| < 1, with no tail bound.
-
-        Fractional powers of q use exp(2*pi*i * tau * r) when tau is
-        supplied, else the principal branch; those of y (the y-prefactor)
-        use the principal branch.
-        """
-        def qpow(r: Fraction) -> complex:
-            if r == 0:
-                return 1.0 + 0j
-            if tau is not None:
-                return cmath.exp(2j * cmath.pi * tau * float(r))
-            return q ** float(r)
-
-        acc = 0j
-        for e in sorted(self.terms):
-            try:
-                cval = self.terms[e].eval(y)
-            except ValueError as exc:
-                raise PoleProximity(str(exc)) from None
-            acc += cval * qpow(Fraction(e, self.qden))
-        if self.ypref:
-            if self.ypref < 0 and not y:
-                raise PoleProximity("y = 0 is a pole of the y-prefactor")
-            acc *= y ** float(self.ypref)
-        if not (isfinite(acc.real) and isfinite(acc.imag)):
-            raise PoleProximity("evaluation overflowed")
-        return acc
-
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -284,19 +236,12 @@ class QYSeries:
                 "truncation": self.trunc,
                 "terms": items}
 
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kw)
-
     @classmethod
     def from_dict(cls, d: dict) -> "QYSeries":
         terms = {int(t["qExp"]): RatFunc.from_pairs(t["num"], t["den"])
                  for t in d["terms"]}
         return cls(int(d["qDenom"]), Fraction(d["yPrefactor"]), terms,
                    int(d["truncation"]))
-
-    @classmethod
-    def from_json(cls, s: str) -> "QYSeries":
-        return cls.from_dict(json.loads(s))
 
     def __repr__(self):
         bits = []

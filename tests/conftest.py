@@ -1,3 +1,4 @@
+import cmath
 import random
 from fractions import Fraction
 from math import comb
@@ -34,6 +35,20 @@ def rand_unit(rng: random.Random, trunc=10, qden=1) -> QYSeries:
     one = {0: RatFunc.const(rng.choice([1, -1, 2, Fraction(1, 2)]))}
     one.update(s.terms)
     return QYSeries(qden, Fraction(0), one, trunc)
+
+
+def eval_series(s: QYSeries, q: complex, y: complex,
+                tau: complex | None = None) -> complex:
+    """The truncated sum of N_e(y)/(y-1)^p q^(e/qden) y^ypref at complex
+    (q, y), with no tail bound and no pole guard; q^r is exp(2 pi i tau r)
+    when tau is given, else the principal power."""
+    total = 0j
+    for e, c in s.terms.items():
+        r = e / s.qden
+        qr = cmath.exp(2j * cmath.pi * tau * r) if tau is not None else q ** r
+        num = sum(complex(v) * y ** k for k, v in c.num.items())
+        total += num / (y - 1) ** c.pole * qr
+    return total * y ** float(s.ypref)
 
 
 @pytest.fixture

@@ -27,7 +27,7 @@ from superjacobi.numtheory import eisenstein_e, eisenstein_ghat
 from superjacobi.ratfunc import RatFunc
 from superjacobi.series import QYSeries
 
-from conftest import rand_series, rand_unit
+from conftest import eval_series, rand_series, rand_unit
 from test_characters import log_exp_oracle
 
 F = Fraction
@@ -293,8 +293,8 @@ def test_criterion_10_series_property_suites():
     for _ in range(100):
         f = QYSeries(1, F(0), rand_series(rng, trunc=4, nterms=4).terms, 18)
         g = QYSeries(1, F(0), rand_series(rng, trunc=4, nterms=4).terms, 18)
-        lhs = (f * g).eval_numeric(q, y)
-        rhs = f.eval_numeric(q, y) * g.eval_numeric(q, y)
+        lhs = eval_series(f * g, q, y)
+        rhs = eval_series(f, q, y) * eval_series(g, q, y)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
         cases += 1
     for _ in range(100):

