@@ -281,9 +281,13 @@ def _reduced(p: LatticePoint) -> tuple:
     8 |q|^N a / (1 - |q|) when that is <= 1.  N is the least count that puts
     this bound at or below _TAIL_TOL.
 
-    The tail guard runs first, on the count at Im t = Im tau / 2, the most
-    any t needs.  Past it the lattice points +-tau + n lie more than
-    Im tau / 2 from the reduced t, so there |t| is the distance to the
+    The tail guard runs first, on the count at Im t = Im tau / 2.  The
+    reduction is refused from 2^50 periods on: below that k is exact, and
+    the rounding of Im t / Im tau and of k Im tau moves the reduced Im t at
+    most 3 Im tau / 16 past the strip; the tail bound needs only Im t >= 0,
+    and there N exceeds the guarded count by
+    at most one, and the lattice points +-tau + n stay more than Im tau / 4
+    (> 1e-8 past the guard) from the reduced t: |t| is the distance to the
     lattice that the pole guard reads.
     """
     b = p.tau.imag
@@ -293,14 +297,14 @@ def _reduced(p: LatticePoint) -> tuple:
     if c / b - 0.5 > _MAX_TAIL_TERMS:
         raise ValueError(f"tail guard: {c / b - 0.5:.4g} partial-fraction terms "
                          f"needed at Im tau = {b:.3g}, more than {_MAX_TAIL_TERMS}")
-    tau = p.tau - round(p.tau.real)
-    try:
-        k = round(p.t.imag / b)
-        t = p.t - k * tau
-        t -= round(t.real)
-    except OverflowError:
+    a = p.t.imag / b
+    if not abs(a) < 2 ** 50:
         raise ValueError(f"t = {p.t} is too many periods from 0 to reduce "
-                         f"at tau = {p.tau}") from None
+                         f"at tau = {p.tau}")
+    tau = p.tau - round(p.tau.real)
+    k = round(a)
+    t = p.t - k * tau
+    t -= round(t.real)
     if abs(t) < 1e-8:
         raise PolePoint("t is within 1e-8 of a lattice point")
     flip = t.imag < 0

@@ -251,10 +251,13 @@ def test_zetabar_table_tail_guard_exit2():
 @pytest.mark.parametrize("args, cause", [
     (("--points", "1", "--t-im", "1e308", "--tau-im", "0.5"),
      "too many periods from 0 to reduce"),
+    # Im t = 2^100: k 49 rounds to 2^100 (1 - 2^-53), 2^47 short of Im t
+    (("--points", "1", "--t-im", "1.2676506002282294e30", "--tau-im", "49"),
+     "too many periods from 0 to reduce"),
     (("--points", "2", "--t-re", "1e308", "--step", "1e308"),
      "must be finite")])
 def test_zetabar_table_overflowing_point_exit2(args, cause):
-    # every flag is finite, but the period count or t itself overflows
+    # every flag is finite, but t is too many periods out or overflows
     code, out, err = run_cli("zetabar-table", *args)
     assert code == 2
     assert out == ""

@@ -166,6 +166,23 @@ def test_tail_guard_names_term_count_and_im_tau():
         _term_count(7.77e-6)
 
 
+def test_reduction_stays_near_the_strip_below_2_50_periods():
+    # rounding moves the reduced Im t at most 3 Im tau / 16 past the strip,
+    # so N is at most one over its count at Im t = Im tau / 2
+    for tau in (49j, 0.2 + 0.5j, 7.78e-6j):
+        b = tau.imag
+        n_half = _reduced(LatticePoint(complex(0.3, b / 2), tau))[-1]
+        for m in (2 ** 50 - 2, 3 * 2 ** 48 + 1, 2 ** 40 + 7):
+            for t_im in (math.nextafter(m * b, 0), (m + 0.49) * b,
+                         -(m + 0.5) * b):
+                _, _, x, _, _, _, N = _reduced(LatticePoint(0.3 + t_im * 1j, tau))
+                assert -math.log(abs(x)) / (2 * math.pi) <= 11 / 16 * b
+                assert N <= n_half + 1
+    # at Im t = 2^100, Im tau = 49 the reduced Im t would be 2^47
+    with pytest.raises(ValueError, match="too many periods"):
+        _reduced(LatticePoint(2.0 ** 100 * 1j, 49j))
+
+
 def test_small_im_tau_still_evaluates():
     # Im tau = 1e-4 takes about 74k terms, well under the guard
     assert 70_000 < _term_count(1e-4) < 80_000
