@@ -193,8 +193,9 @@ def character(label: ModuleLabel, q_order: Fraction,
               normalized: bool = False) -> CharacterSeries:
     """The graded superdimension of L_u(j, k), exact to q^q_order.
 
-    Grid is 1/(2u); the leading q-exponent is jk/u and the y-prefactor is
-    (j - k + 1)/u, plus c(u)/6 when normalized.
+    The leading q-exponent is jk/u and the y-prefactor is (j - k + 1)/u,
+    plus c(u)/6 when normalized.  The grid is 1/(2u), refined when jk/u is
+    off it, as for some generic labels.
     """
     q_order = Fraction(q_order)
     if q_order < 1:
@@ -260,7 +261,7 @@ def spectral_flow_transform(c: CharacterSeries, m: int,
     if not c.normalized:
         raise ValueError("spectral flow is defined on normalized characters")
     if q_order is None:
-        q_order = Fraction(c.series.trunc, 2 * c.label.u)
+        q_order = Fraction(c.series.trunc, c.series.qden)
     return _flowed(c.label, m, Fraction(q_order), True)
 
 

@@ -76,22 +76,15 @@ def cmd_ramanujan(args) -> int:
     from . import ramanujan
     if args.max_k < 1:
         raise ValueError("max_k must be >= 1")
-    checks = []
-    ok = True
-    for idt in ramanujan.ramanujan_triple(args.order):
-        d = idt.to_dict()
-        checks.append(d)
-        ok = ok and d["holds"]
-    family = ramanujan.extract_ode_families(
-        range(1, args.max_k + 1), max(args.max_k + 3, 6), args.order)
-    for idt in family:
-        d = idt.to_dict()
-        d["source"] = "wp-pde"
-        d["zExponent"] = idt.source_z_exponent
-        checks.append(d)
-        ok = ok and d["holds"]
+    checks = [idt.to_dict() for idt in ramanujan.ramanujan_triple(args.order)]
+    # z_order = max_k + 2 is the least order that gives k = max_k; the q-order
+    # is exclusive, so both halves are checked through q^order
+    for idt in ramanujan.extract_ode_families(
+            range(1, args.max_k + 1), args.max_k + 2, args.order + 1):
+        checks.append({**idt.to_dict(), "source": "wp-pde",
+                       "zExponent": idt.source_z_exponent})
     _emit({"checks": checks}, args.out)
-    return EXIT_OK if ok else EXIT_MATH_FAIL
+    return EXIT_OK if all(d["holds"] for d in checks) else EXIT_MATH_FAIL
 
 
 def cmd_char(args) -> int:
@@ -171,9 +164,9 @@ def cmd_jacobi_test(args) -> int:
     rep = jacobi.span_invariance_test(args.u, g, q_order=Fraction(args.order),
                                       tol=args.tol, seed=args.seed)
     d = rep.to_dict()
-    d["withinTolerance"] = rep.residual < args.tol
+    ok = d["withinTolerance"] = rep.residual < args.tol
     _emit(d, args.out)
-    return EXIT_OK if rep.residual < args.tol else EXIT_MATH_FAIL
+    return EXIT_OK if ok else EXIT_MATH_FAIL
 
 
 def _basis_elts(tokens: list[str]) -> list[superalgebra.BasisElt]:
@@ -292,39 +285,22 @@ def _st_realization() -> bool:
     return superalgebra.realization_bracket_check(2, 6).passed
 
 
-SELF_TESTS = {
-    "ramanujan": _st_ramanujan,
-    "char": _st_characters,
-    "spectrum": _st_characters,
-    "flow": _st_flow,
-    "eisenstein": _st_eisenstein,
-    "wp-pde": _st_wp_pde,
-    "xi-shift": _st_xi_shift,
-    "xi-zetabar": _st_xi_zetabar,
-    "zetabar-table": _st_zetabar_table,
-    "jacobi-test": _st_jacobi_test,
-    "bracket": _st_bracket,
-    "jacobi-identity": _st_bracket,
-    "realization-check": _st_realization,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="superjacobi",
         description="Exact q-series identities, characters, and the W(1|1) algebra")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, fn, self_test):
         p.add_argument("--out", default=None, help="write the report here")
         p.add_argument("--self-test", action="store_true",
                        help="run the module's invariant mini-suite")
+        p.set_defaults(fn=fn, self_test_fn=self_test)
 
     p = sub.add_parser("ramanujan", help="verify the Eisenstein ODEs")
     p.add_argument("--order", type=int, default=50)
     p.add_argument("--max-k", type=int, default=3)
-    common(p)
-    p.set_defaults(fn=cmd_ramanujan)
+    common(p, cmd_ramanujan, _st_ramanujan)
 
     p = sub.add_parser("char", help="expand a module character")
     p.add_argument("--u", type=int, required=True)
@@ -333,44 +309,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=10)
     p.add_argument("--normalized", action="store_true")
     p.add_argument("--generic", action="store_true")
-    common(p)
-    p.set_defaults(fn=cmd_char)
+    common(p, cmd_char, _st_characters)
 
     p = sub.add_parser("spectrum", help="list the level-u module labels")
     p.add_argument("--u", type=int, required=True)
-    common(p)
-    p.set_defaults(fn=cmd_spectrum)
+    common(p, cmd_spectrum, _st_characters)
 
     p = sub.add_parser("flow", help="spectral-flow matches of the spectrum")
     p.add_argument("--u", type=int, required=True)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--order", type=int, default=9)
-    common(p)
-    p.set_defaults(fn=cmd_flow)
+    common(p, cmd_flow, _st_flow)
 
     p = sub.add_parser("eisenstein", help="E_2k or ghat_2k expansion")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--order", type=int, default=12)
     p.add_argument("--ghat", action="store_true")
-    common(p)
-    p.set_defaults(fn=cmd_eisenstein)
+    common(p, cmd_eisenstein, _st_eisenstein)
 
     p = sub.add_parser("wp-pde", help="coefficientwise wp PDE check")
     p.add_argument("--z-order", type=int, default=6)
     p.add_argument("--order", type=int, default=40)
-    common(p)
-    p.set_defaults(fn=cmd_wp_pde)
+    common(p, cmd_wp_pde, _st_wp_pde)
 
     p = sub.add_parser("xi-shift", help="xi(qx) = xi(x) + 1 check")
     p.add_argument("--order", type=int, default=40)
-    common(p)
-    p.set_defaults(fn=cmd_xi_shift)
+    common(p, cmd_xi_shift, _st_xi_shift)
 
     p = sub.add_parser("xi-zetabar", help="xi/zeta-bar t-expansion consistency")
     p.add_argument("--t-order", type=int, default=8)
     p.add_argument("--order", type=int, default=30)
-    common(p)
-    p.set_defaults(fn=cmd_xi_zetabar)
+    common(p, cmd_xi_zetabar, _st_xi_zetabar)
 
     p = sub.add_parser("zetabar-table", help="numeric table (CSV)")
     p.add_argument("--what", choices=["zetabar", "wp"], default="zetabar")
@@ -380,8 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-im", type=_finite, default=0.1)
     p.add_argument("--step", type=_finite, default=0.05)
     p.add_argument("--points", type=int, default=5)
-    common(p)
-    p.set_defaults(fn=cmd_zetabar_table)
+    common(p, cmd_zetabar_table, _st_zetabar_table)
 
     p = sub.add_parser("jacobi-test", help="span-invariance mixing fit")
     p.add_argument("--u", type=int, required=True)
@@ -389,27 +357,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=14)
     p.add_argument("--tol", type=_tolerance, default=1e-6)
     p.add_argument("--seed", type=int, default=7)
-    common(p)
-    p.set_defaults(fn=cmd_jacobi_test)
+    common(p, cmd_jacobi_test, _st_jacobi_test)
 
     p = sub.add_parser("bracket", help="bracket of two basis elements")
     p.add_argument("elements", nargs="+", metavar="FAMILY [INDEX]",
                    help="two basis elements; FAMILY is one of L J H Q C, "
                         "INDEX an int (default 0, none for C)")
-    common(p)
-    p.set_defaults(fn=cmd_bracket)
+    common(p, cmd_bracket, _st_bracket)
 
     p = sub.add_parser("jacobi-identity", help="graded Jacobi identity sweep")
     p.add_argument("--max", type=int, default=6)
-    common(p)
-    p.set_defaults(fn=cmd_jacobi_identity)
+    common(p, cmd_jacobi_identity, _st_bracket)
 
     p = sub.add_parser("realization-check",
                        help="vector-field realization vs the bracket table")
     p.add_argument("--max", type=int, default=5)
     p.add_argument("--window", type=int, default=12)
-    common(p)
-    p.set_defaults(fn=cmd_realization_check)
+    common(p, cmd_realization_check, _st_realization)
     return ap
 
 
@@ -421,10 +385,9 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors already; normalize other codes
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
-        if getattr(args, "self_test", False):
-            ok = SELF_TESTS[args.command]()
-            _emit({"selfTest": args.command, "passed": ok},
-                  getattr(args, "out", None))
+        if args.self_test:
+            ok = args.self_test_fn()
+            _emit({"selfTest": args.command, "passed": ok}, args.out)
             return EXIT_OK if ok else EXIT_MATH_FAIL
         return args.fn(args)
     except (SuperjacobiError, ValueError) as exc:

@@ -351,9 +351,16 @@ def eval_zetabar_zseries(p: LatticePoint, z_order: int, q_order: int) -> complex
     """Independent route: evaluate the z-series of zeta-bar at pi-hat = 2 pi i.
 
     Each y-free q-series coefficient is summed as c_e e^(2 pi i tau e) in
-    ascending e.  Only accurate for |t| small relative to the lattice; used
-    to cross-check the partial-fraction evaluation near t = 0.
+    ascending e.  Used to cross-check the partial-fraction evaluation near
+    t = 0, so only t in the disc |t| < min(1, Im tau)/2 is accepted: every
+    nonzero lattice point m tau + n has modulus at least min(1, Im tau).
     """
+    if abs(p.t) < 1e-8:
+        raise PolePoint("t is within 1e-8 of 0")
+    radius = min(1.0, p.tau.imag) / 2
+    if not abs(p.t) < radius:
+        raise ValueError(f"|t| = {abs(p.t):.4g} is outside the disc "
+                         f"|t| < min(1, Im tau)/2 = {radius:.4g}")
     zb = zetabar_series(z_order, q_order)
     pihat = 2j * cmath.pi
     total = 0j

@@ -393,7 +393,7 @@ def _commutator_images(d1: SuperDerivation, d2: SuperDerivation) -> tuple[SuperP
     return SuperPoly(zev, zod), SuperPoly(tev, tod)
 
 
-def _identify(z_img: SuperPoly, th_img: SuperPoly, window: int) -> dict:
+def _identify(z_img: SuperPoly, th_img: SuperPoly) -> dict:
     """Write a derivation given by generator images at scale 6 on _six's keys.
 
     z-image even part  sum -c z^{n+1}  -> c L_n;   odd part  c z^n theta -> c H_n
@@ -404,15 +404,10 @@ def _identify(z_img: SuperPoly, th_img: SuperPoly, window: int) -> dict:
     for code, img, shift, six in ((_L, z_img.ev, 1, -6), (_H, z_img.od, 0, 6),
                                   (_Q, th_img.ev, 1, -6)):
         for e, c in img.items():
-            if abs(e - shift) > window:
-                raise WindowTooSmall(f"{'LJHQ'[code]}-index {e - shift} "
-                                     f"outside window {window}")
             out[code, e - shift] = six * c
     # theta-image odd part collects -J_n and the theta-d_theta part of L_n:
     # coefficient of z^e theta is -(e+1) c^L_e - c^J_e
     for e in set(th_img.od) | {e - 1 for e in z_img.ev}:
-        if abs(e) > window:
-            raise WindowTooSmall(f"J-index {e} outside window {window}")
         val = -6 * th_img.od.get(e, 0) - out.get((_L, e), 0) * (e + 1)
         if val:
             out[_J, e] = val
@@ -442,6 +437,8 @@ def realization_bracket_check(max_index: int, window: int) -> RealizationReport:
 
     Relations with m + n != 0 must match exactly; for m + n = 0 the
     difference is the central term, reported with its cocycle coefficient.
+    A window below 2*max_index + 2 is refused; each commutator [X_m, Y_n]
+    lands at index m + n, |m + n| <= 2*max_index, inside any accepted window.
     """
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
@@ -455,7 +452,7 @@ def realization_bracket_check(max_index: int, window: int) -> RealizationReport:
         for fb, row_b in zip(FAMILIES, rows):
             for a, ka, da in row_a:
                 for b, kb, db in row_b:
-                    got = _identify(*_commutator_images(da, db), window)
+                    got = _identify(*_commutator_images(da, db))
                     want = dict(_six(ka, kb))
                     cpart = want.pop(_CK, 0)
                     if got != want:

@@ -305,6 +305,16 @@ def test_flow_rejects_off_grid_order():
         spectral_flow_transform(ch, 1, F(20, 7))
 
 
+def test_flow_default_order_is_read_on_the_characters_grid():
+    # q^{1/9} refines the grid to 1/18: the character stops at q^{28/9}, off
+    # the 1/6 grid the flow is built on
+    ch = character(ModuleLabel(3, F(1, 3), 1, generic=True), F(3),
+                   normalized=True)
+    assert (ch.series.qden, ch.series.trunc) == (18, 56)
+    with pytest.raises(ValueError, match="q_order not on the grid"):
+        spectral_flow_transform(ch, 0)
+
+
 def test_character_leading_u3():
     ch = character(ModuleLabel(3, 1, 1), F(4))
     e0, c0 = ch.series.leading()

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -21,6 +22,21 @@ def test_ramanujan_pass_exit0():
     assert code == 0
     payload = json.loads(out)
     assert all(c["holds"] for c in payload["checks"])
+
+
+def test_ramanujan_checks_the_wp_pde_family_through_q_order(monkeypatch):
+    from superjacobi import ramanujan
+    calls = []
+
+    def recorded(ks, z_order, q_order):
+        calls.append((list(ks), z_order, q_order))
+        return []
+
+    monkeypatch.setattr(ramanujan, "extract_ode_families", recorded)
+    code, _, _ = _run_in_process("ramanujan", "--order", "5", "--max-k", "1")
+    assert code == 0
+    # z_order = max_k + 2; the q-order is exclusive, so q^5 is checked
+    assert calls == [([1], 3, 6)]
 
 
 def test_char_example_encoding():
@@ -133,7 +149,9 @@ SELF_TEST_ARGV = [
 
 
 def test_self_tests_cover_every_subcommand():
-    assert [a.split()[0] for a in SELF_TEST_ARGV] == list(cli.SELF_TESTS)
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert [a.split()[0] for a in SELF_TEST_ARGV] == list(sub.choices)
 
 
 @pytest.mark.parametrize("argv", SELF_TEST_ARGV)

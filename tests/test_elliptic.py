@@ -148,6 +148,8 @@ def test_numeric_pole_guard():
         eval_zetabar(LatticePoint(1e-9 + 0j, 1j))
     with pytest.raises(PolePoint):
         eval_wp(LatticePoint(1.0 + 1j, 1j))  # t = 1 + tau is a lattice point
+    with pytest.raises(PolePoint, match="within 1e-8 of 0"):
+        eval_zetabar_zseries(LatticePoint(0j, 1j), 8, 30)
 
 
 def _term_count(tau_im: float) -> int:
@@ -281,6 +283,14 @@ def test_two_evaluation_routes_agree_near_zero():
         a = eval_zetabar(p)
         b = eval_zetabar_zseries(p, 8, 30)
         assert abs(a - b) < 1e-8
+
+
+@pytest.mark.parametrize("t, tau", [
+    (1 + 0j, 1j),       # a lattice point, where eval_zetabar has a pole
+    (0.2j, 0.3j)])      # |t| > 0.15, where the z-series is off by 2e-3
+def test_zseries_route_refuses_t_outside_its_disc(t, tau):
+    with pytest.raises(ValueError, match=r"outside the disc \|t\| < min"):
+        eval_zetabar_zseries(LatticePoint(t, tau), 8, 30)
 
 
 def _xi_series_by_repeated_sums(q_order):

@@ -5,7 +5,8 @@ Every ``ramanujan``, ``wp-pde``, ``eisenstein``, ``spectrum``, ``char``,
 ``realization-check`` grid point of ``perfbench/grid.py`` runs through
 ``cli.main`` in this process; its exit status and the SHA-256 of its stdout
 must equal those in ``perfbench/reference.json``.  Both files are only read.
-The README's numeric table command is pinned here by its own digest.
+Every README command is a grid point, and the README's numeric table
+command is pinned here by its own digest.
 """
 
 import contextlib
@@ -13,6 +14,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -48,6 +50,14 @@ def test_output_matches_reference(key):
     ref = REFERENCE[key]
     assert code == ref["exit"]
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == ref["sha256"]
+
+
+def test_readme_commands_are_grid_points():
+    # the benchmark's reference table pins the stdout of every README command
+    commands = re.findall(r"^superjacobi (.+)$",
+                          (PERFBENCH.parent / "README.md").read_text(), re.M)
+    assert len(commands) == 13
+    assert set(commands) <= set(_grid().all_points())
 
 
 def test_readme_numeric_table_is_byte_identical():

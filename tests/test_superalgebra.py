@@ -528,13 +528,3 @@ def test_realization_runs_once_per_box_element(monkeypatch, max_index):
     monkeypatch.setattr(superalgebra, "realization", counted)
     assert realization_bracket_check(max_index, 2 * max_index + 2).passed
     assert len(calls) == len(set(calls)) == 4 * (2 * max_index + 1)
-
-
-@pytest.mark.parametrize("z_img, th_img, msg", [
-    (SuperPoly({10: 1}), SuperPoly(), "L-index 9 outside window 8"),
-    (SuperPoly({}, {-9: 1}), SuperPoly(), "H-index -9 outside window 8"),
-    (SuperPoly(), SuperPoly({-8: 1}), "Q-index -9 outside window 8"),
-    (SuperPoly(), SuperPoly({}, {9: 1}), "J-index 9 outside window 8")])
-def test_identify_names_the_family_outside_the_window(z_img, th_img, msg):
-    with pytest.raises(WindowTooSmall, match=msg):
-        superalgebra._identify(z_img, th_img, 8)
