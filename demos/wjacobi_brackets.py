@@ -22,7 +22,7 @@ print("naive map fails at (2,-2); missing central term:", bad.scale(-1))
 
 # the realization on C[z, 1/z] (x) /\[theta] matches the table; the central
 # extension shows up exactly as the kernel on the m + n = 0 relations
-rep = realization_bracket_check(4, 10)
+rep = realization_bracket_check(4)
 print("vector-field realization matches:", rep.passed)
 vals = {(p, m): c for p, m, n, c in rep.central_kernel}
 print("cocycle samples: [L,J] m=2 ->", vals.get(("LJ", 2)),

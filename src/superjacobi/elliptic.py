@@ -110,10 +110,10 @@ def wp_pde_check(z_order: int, q_order: int) -> CheckReport:
 
     The provable z-window after truncation propagation is 2*z_order - 2
     (exclusive), i.e. the identity is certified for the z^{2k-2} components
-    with k <= z_order - 2.
+    with k <= z_order - 1.
     """
-    if z_order < 3:
-        raise ValueError("z_order must be >= 3 for a nonempty window")
+    if z_order < 2:
+        raise ValueError("z_order must be >= 2 for a nonempty window")
     if q_order < 1:
         raise ValueError("q_order must be >= 1")
     lhs, rhs = wp_pde_sides(z_order, q_order)

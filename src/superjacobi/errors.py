@@ -44,7 +44,3 @@ class OutOfRange(SuperjacobiError):
 
 class IllConditioned(SuperjacobiError):
     """Sample matrix condition estimate exceeds the allowed bound."""
-
-
-class WindowTooSmall(SuperjacobiError):
-    """Degree window too small to identify a derivation unambiguously."""

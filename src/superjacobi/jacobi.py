@@ -119,6 +119,9 @@ class ModularPoint:
     alpha: complex
 
     def __post_init__(self):
+        if not (cmath.isfinite(self.tau) and cmath.isfinite(self.alpha)):
+            raise ValueError(f"tau = {self.tau} and alpha = {self.alpha} "
+                             "must be finite")
         if self.tau.imag <= 0:
             raise ValueError("Im(tau) must be positive")
 
@@ -336,7 +339,6 @@ def _fit(u, g, pts, q_order, cc, family, cosets):
 
 
 def span_invariance_test(u: int, g: JacobiGroupElement,
-                         samples: list[ModularPoint] | None = None,
                          q_order: Fraction = Fraction(14),
                          tol: float = 1e-6,
                          seed: int = 7,
@@ -356,12 +358,9 @@ def span_invariance_test(u: int, g: JacobiGroupElement,
     family = family or eval_character_value
     dim = len(spectrum(u)) * len(cosets)
     count = max(3 * dim, 9)
-    if samples is None:
-        samples = sample_points(2 * count, seed, tau_box)
-    if len(samples) < 2 * count:
-        raise ValueError(f"need at least {2 * count} samples")
+    samples = sample_points(2 * count, seed, tau_box)
     cc = central_charge(u)
-    first, second = samples[:count], samples[count:2 * count]
+    first, second = samples[:count], samples[count:]
     M1, r1, c1 = _fit(u, g, first, q_order, cc, family, cosets)
     M2, r2, c2 = _fit(u, g, second, q_order, cc, family, cosets)
     disc = float(np.max(np.abs(M1 - M2)))
@@ -372,20 +371,20 @@ def span_invariance_test(u: int, g: JacobiGroupElement,
         matrix_discrepancy=disc,
         condition=max(c1, c2),
         samples={"count": 2 * count, "seed": seed,
-                 "tau": _tau_extent(samples[:2 * count]),
+                 "tau": _tau_extent(samples),
                  "qOrder": str(q_order), "tolerance": tol},
     )
 
 
 def coset_span_test(u: int, g: JacobiGroupElement,
                     q_order: Fraction = Fraction(14), tol: float = 1e-6,
-                    seed: int = 7, family=jacobi_normalized) -> MixingReport:
-    """The probe on the three-sector span {f, f|T, f|S} (dimension
-    3 u(u-1)/2), one sector per coset of Gamma^0(2) in SL2(Z), with tau
-    sampled in TAU_BOX."""
+                    seed: int = 7) -> MixingReport:
+    """The probe on the three-sector span {phi, phi|T, phi|S} of
+    jacobi_normalized (dimension 3 u(u-1)/2), one sector per coset of
+    Gamma^0(2) in SL2(Z), with tau sampled in TAU_BOX."""
     return span_invariance_test(u, g, q_order=q_order, tol=tol, seed=seed,
-                                family=family, cosets=GAMMA0_2_COSETS,
-                                tau_box=TAU_BOX)
+                                family=jacobi_normalized,
+                                cosets=GAMMA0_2_COSETS, tau_box=TAU_BOX)
 
 
 def multiplier_cocycle_defect(g: JacobiGroupElement, h: JacobiGroupElement,

@@ -67,9 +67,11 @@ def extract_ode_family(k: int, z_order: int, q_order: int) -> OdeIdentity:
     """Identity from the z^{2k-2} coefficient of the wp PDE.
 
     lhs is the pure d_tau part, (2k-1) q d/dq ghat_{2k}; rhs collects the
-    transport and right-hand-side terms.  Exact for every k in the provable
-    window; k = 1, 2, 3 reproduce the classical E2, E4, E6 identities up to
-    the ghat normalizations (k = 3 uses E8 = E4^2 implicitly through ghat_8).
+    transport and right-hand-side terms.  Exact for every k in the window the
+    PDE's parts carry, 2k - 2 below their z-truncation 2*z_order - 2, that
+    is 1 <= k <= z_order - 1; any other k raises OutOfRange.  k = 1, 2, 3
+    reproduce the classical E2, E4, E6 identities up to the ghat
+    normalizations (k = 3 uses E8 = E4^2 implicitly through ghat_8).
     """
     return extract_ode_families([k], z_order, q_order)[0]
 
@@ -80,9 +82,6 @@ def extract_ode_families(ks, z_order: int, q_order: int) -> list[OdeIdentity]:
     right-hand side (:func:`~superjacobi.elliptic._pde_parts`).
     """
     ks = list(ks)
-    for k in ks:
-        if not 1 <= k <= z_order - 2:
-            raise OutOfRange(f"need 1 <= k <= z_order - 2, got k={k}, z_order={z_order}")
     if not ks:
         return []
     tau, transport, rhs_full = _pde_parts(z_order, q_order)
@@ -91,8 +90,9 @@ def extract_ode_families(ks, z_order: int, q_order: int) -> list[OdeIdentity]:
     for k in ks:
         zexp = 2 * k - 2
         pexp = 2 * k + 1
-        if zexp >= window:
-            raise OutOfRange(f"z-exponent {zexp} outside provable window {window}")
+        if k < 1 or zexp >= window:
+            raise OutOfRange(f"k={k}: z-exponent {zexp} outside the provable "
+                             f"window [0, {window}) at z_order={z_order}")
         rhs = rhs_full.coeff(zexp, pexp) - transport.coeff(zexp, pexp)
         out.append(OdeIdentity(k, tau.coeff(zexp, pexp), rhs, zexp))
     return out

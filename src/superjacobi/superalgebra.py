@@ -25,7 +25,7 @@ The vector-field realization on C[z, 1/z] (x) /\\[theta] uses
 
 (H_n as printed elsewhere with theta d_theta would duplicate -J_n and have
 even parity; theta d_z is forced by parity and by the [H, Q] relation, and
-realizationBracketCheck confirms the whole table with it.)
+realization_bracket_check confirms the whole table with it.)
 
 Every structure constant lies in Z/6, so the table is written once at scale
 6, on keys (family code, index) with int coefficients: the central 1/6 and 1/3
@@ -39,8 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .errors import WindowTooSmall
 
 
 EVEN, ODD = 0, 1
@@ -432,18 +430,15 @@ class RealizationReport:
                     for (pair, m, n, c) in self.central_kernel]}
 
 
-def realization_bracket_check(max_index: int, window: int) -> RealizationReport:
-    """Compare vector-field commutators with the abstract table (C -> 0).
+def realization_bracket_check(max_index: int) -> RealizationReport:
+    """Compare vector-field commutators with the abstract table (C -> 0),
+    for every pair of basis elements with indices in [-max_index, max_index].
 
     Relations with m + n != 0 must match exactly; for m + n = 0 the
     difference is the central term, reported with its cocycle coefficient.
-    A window below 2*max_index + 2 is refused; each commutator [X_m, Y_n]
-    lands at index m + n, |m + n| <= 2*max_index, inside any accepted window.
     """
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
-    if window < 2 * max_index + 2:
-        raise WindowTooSmall("need window >= 2*max_index + 2")
     idx = range(-max_index, max_index + 1)
     elts = [[BasisElt(f, n) for n in idx] for f in FAMILIES]
     rows = [[(e, _key(e), realization(e)) for e in row] for row in elts]

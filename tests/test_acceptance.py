@@ -114,7 +114,7 @@ def test_criterion_6_superalgebra():
     naive_ok = (not naive.passed and (2, -2) in failing and
                 failing[(2, -2)] == superalgebra.SuperLinComb.of(
                     (F(-1, 2), superalgebra.C)))
-    real = superalgebra.realization_bracket_check(5, 12)
+    real = superalgebra.realization_bracket_check(5)
     cocycle = {(pair, m): c for pair, m, n, c in real.central_kernel}
     cocycle_ok = all(
         cocycle.get(("LJ", m), F(0)) == F(m * m + m, 6)

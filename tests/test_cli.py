@@ -35,8 +35,8 @@ def test_ramanujan_checks_the_wp_pde_family_through_q_order(monkeypatch):
     monkeypatch.setattr(ramanujan, "extract_ode_families", recorded)
     code, _, _ = _run_in_process("ramanujan", "--order", "5", "--max-k", "1")
     assert code == 0
-    # z_order = max_k + 2; the q-order is exclusive, so q^5 is checked
-    assert calls == [([1], 3, 6)]
+    # z_order = max_k + 1; the q-order is exclusive, so q^5 is checked
+    assert calls == [([1], 2, 6)]
 
 
 def test_char_example_encoding():
@@ -197,6 +197,13 @@ def test_ambiguous_flow_exit2():
     code, out, err = run_cli("flow", "--u", "3", "--m", "1", "--order", "1")
     assert (code, out) == (2, "")
     assert err.startswith("error: 2 labels match the spectral flow of (0, 2)")
+
+
+def test_realization_check_ignores_window():
+    code, out, _ = run_cli("realization-check", "--max", "2", "--window", "3")
+    assert code == 0
+    assert (code, out) == run_cli("realization-check", "--max", "2",
+                                  "--window", "16")[:2]
 
 
 def test_realization_check_empty_sweep_exit2():

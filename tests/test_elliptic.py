@@ -53,10 +53,16 @@ def test_wp_pde_passes():
 
 
 def test_wp_pde_higher_orders():
-    for K, window in [(7, 12), (8, 14)]:
+    for K, window in [(2, 2), (7, 12), (8, 14)]:
         rep = wp_pde_check(K, 30)
         assert rep.passed
         assert rep.orders["zWindow"] == window
+
+
+@pytest.mark.parametrize("z_order", [1, 0])
+def test_wp_pde_rejects_an_empty_window(z_order):
+    with pytest.raises(ValueError, match="z_order must be >= 2"):
+        wp_pde_check(z_order, 10)
 
 
 def test_wp_pde_z0_is_e2_identity():

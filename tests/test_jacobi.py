@@ -8,9 +8,9 @@ import pytest
 from superjacobi.characters import (ModuleLabel, _quotient_factors,
                                     central_charge, character, spectrum)
 from superjacobi.errors import PoleProximity, TailBoundExceeded
-from superjacobi.jacobi import (IDENTITY, TAU_BOX, JacobiGroupElement,
-                                ModularPoint, S_ELEMENT, T_SHEAR,
-                                act_on_point, compose,
+from superjacobi.jacobi import (GAMMA0_2_COSETS, IDENTITY, TAU_BOX,
+                                JacobiGroupElement, ModularPoint, S_ELEMENT,
+                                T_SHEAR, act_on_point, compose,
                                 coset_span_test, eval_character_value,
                                 eval_normalized_character, inverse,
                                 jacobi_normalized, multiplier,
@@ -252,11 +252,20 @@ def test_span_test_rejects_nonpositive_order(q_order):
 
 
 def test_ill_conditioned_samples_rejected():
+    # at u = 5 the ten characters are nearly dependent on the default samples
+    # at tau = i (condition 5.9e10)
     from superjacobi.errors import IllConditioned
-    p = ModularPoint(1j, 0.2 + 0.1j)
-    dup = [p] * 18
-    with pytest.raises(IllConditioned):
-        span_invariance_test(3, S_ELEMENT, samples=dup, q_order=F(10))
+    with pytest.raises(IllConditioned, match=r"condition .* > 1e8"):
+        span_invariance_test(5, S_ELEMENT)
+
+
+@pytest.mark.parametrize("tau, alpha", [
+    (complex(0, math.inf), 0.2), (complex(math.nan, 1), 0.2),
+    (1j, complex(math.nan, 0)), (1j, complex(0, math.inf))],
+    ids=["tau-inf", "tau-nan", "alpha-nan", "alpha-inf"])
+def test_modular_point_rejects_non_finite(tau, alpha):
+    with pytest.raises(ValueError, match="must be finite"):
+        ModularPoint(tau, alpha)
 
 
 def test_lattice_mixing_matches_formal_flow():
@@ -339,7 +348,9 @@ def test_coset_span_shape(u):
 def test_coset_span_of_chi_does_not_close(u):
     """Negative control: without the q^{-1/8} y^{-1/2} normalisation the
     three-sector span does not close once tau is sampled."""
-    worst = max(coset_span_test(u, g, family=eval_character_value).residual
+    worst = max(span_invariance_test(u, g, family=eval_character_value,
+                                     cosets=GAMMA0_2_COSETS,
+                                     tau_box=TAU_BOX).residual
                 for g in (X10, X01, S_ELEMENT, T_SHEAR))
     assert worst > 1e-2
 

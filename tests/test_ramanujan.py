@@ -53,7 +53,7 @@ def test_extract_matches_direct_transport_product(z_order, q_order):
     wp = wp_series(z_order, q_order)
     transport = zetabar_series(z_order, q_order) * wp.z_deriv()
     tau_part = wp.q_log_deriv().pi_shift(1)
-    ks = list(range(1, z_order - 1))
+    ks = list(range(1, z_order))
     assert 2 * ks[-1] - 2 < min(lhs_full.ztrunc, rhs_full.ztrunc)
     for k, batch in zip(ks, extract_ode_families(ks, z_order, q_order)):
         idt = extract_ode_family(k, z_order, q_order)
@@ -84,8 +84,23 @@ def test_truncation_prefix_property():
 
 
 def test_extract_out_of_range():
-    with pytest.raises(OutOfRange):
-        extract_ode_family(5, 6, 10)
+    with pytest.raises(OutOfRange, match=r"window \[0, 10\) at z_order=6"):
+        extract_ode_family(6, 6, 10)
+    with pytest.raises(OutOfRange, match="k=0"):
+        extract_ode_family(0, 6, 10)
+
+
+@pytest.mark.parametrize("z_order", range(2, 9))
+def test_extract_window_is_the_propagated_truncation(z_order):
+    # k = z_order - 1 is the last member the PDE at z_order proves: it is the
+    # identity read at z_order + 1, and k = z_order lies outside the window
+    top = extract_ode_family(z_order - 1, z_order, 12)
+    ref = extract_ode_family(z_order - 1, z_order + 1, 12)
+    for got, want in ((top.lhs, ref.lhs), (top.rhs, ref.rhs)):
+        assert got.terms == want.terms and got.trunc == want.trunc
+    assert top.holds()
+    with pytest.raises(OutOfRange, match=f"window \\[0, {2 * z_order - 2}\\)"):
+        extract_ode_family(z_order, z_order, 12)
 
 
 def test_normalization_consistency():
