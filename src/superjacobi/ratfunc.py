@@ -279,10 +279,3 @@ class RatFunc:
         num = [[e, f"{c.numerator}/{c.denominator}"] for e, c in sorted(self.num.items())]
         den = [[e, f"{c.numerator}/{c.denominator}"] for e, c in sorted(self.den.items())]
         return num, den
-
-    @classmethod
-    def from_pairs(cls, num: list, den: list) -> "RatFunc":
-        """Inverse of to_pairs; ValueError on a denominator outside the ring."""
-        n = {int(e): Fraction(s) for e, s in num}
-        d = {int(e): Fraction(s) for e, s in den}
-        return cls(n, d)

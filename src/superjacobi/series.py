@@ -236,13 +236,6 @@ class QYSeries:
                 "truncation": self.trunc,
                 "terms": items}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "QYSeries":
-        terms = {int(t["qExp"]): RatFunc.from_pairs(t["num"], t["den"])
-                 for t in d["terms"]}
-        return cls(int(d["qDenom"]), Fraction(d["yPrefactor"]), terms,
-                   int(d["truncation"]))
-
     def __repr__(self):
         bits = []
         for e in sorted(self.terms)[:8]:

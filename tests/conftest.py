@@ -9,6 +9,20 @@ from superjacobi.ratfunc import RatFunc
 from superjacobi.series import QYSeries
 
 
+def ratfunc_from_pairs(num: list, den: list) -> RatFunc:
+    """The inverse of ``RatFunc.to_pairs``."""
+    return RatFunc({int(e): Fraction(s) for e, s in num},
+                   {int(e): Fraction(s) for e, s in den})
+
+
+def series_from_dict(d: dict) -> QYSeries:
+    """The inverse of ``QYSeries.to_dict``."""
+    terms = {int(t["qExp"]): ratfunc_from_pairs(t["num"], t["den"])
+             for t in d["terms"]}
+    return QYSeries(int(d["qDenom"]), Fraction(d["yPrefactor"]), terms,
+                    int(d["truncation"]))
+
+
 def rand_ratfunc(rng: random.Random, ymin=-2, ymax=3, rational=False) -> RatFunc:
     num = {e: Fraction(rng.randint(-4, 4)) for e in range(ymin, ymax)}
     r = RatFunc(num)

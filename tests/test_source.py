@@ -26,7 +26,7 @@ def test_modules_compile_without_warnings():
 
 
 EXACT_MODULES = ("ratfunc", "series", "numtheory", "characters", "ramanujan",
-                 "superalgebra")
+                 "superalgebra", "certificate")
 
 
 @pytest.mark.parametrize("module", EXACT_MODULES)
@@ -115,6 +115,7 @@ SERIES = BASE | {"ratfunc", "series"}
 ELLIPTIC = SERIES | {"numtheory", "elliptic"}
 CHARACTERS = SERIES | {"characters"}
 SUPERALGEBRA = BASE | {"superalgebra"}
+CERTIFIED = SUPERALGEBRA | {"certificate"}
 
 
 @pytest.mark.parametrize("argv, modules", [
@@ -129,8 +130,8 @@ SUPERALGEBRA = BASE | {"superalgebra"}
     ("zetabar-table --points 1", ELLIPTIC),
     ("jacobi-test --u 2 --gen x10 --order 6", CHARACTERS | {"jacobi"}),
     ("bracket L 2 L -1", SUPERALGEBRA),
-    ("jacobi-identity --max 1", SUPERALGEBRA),
-    ("realization-check --max 1 --window 4", SUPERALGEBRA),
+    ("jacobi-identity --max 1", CERTIFIED),
+    ("realization-check --max 1 --window 4", CERTIFIED),
 ])
 def test_job_loads_only_its_modules(argv, modules):
     assert loaded_after(RUN_JOB, *argv.split()) == modules

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from superjacobi import superalgebra
+from superjacobi import certificate, superalgebra
+from superjacobi.certificate import Flat, IndexPoly, Undecided
 from superjacobi.superalgebra import (C, EVEN, FAMILIES, H, J, L, Q, BasisElt,
                                       SuperDerivation, SuperLinComb, SuperPoly,
                                       _commutator_images, _key, _SixView,
@@ -420,6 +422,7 @@ def test_sweep_matches_fraction_reference(monkeypatch, corrupt, max_index):
         table = superalgebra._table
         monkeypatch.setattr(superalgebra, "_table",
                             lambda a, b: corrupt(table, a, b))
+    assert certificate.jacobi_holds() == (corrupt is None)
     rep = super_jacobi_check(max_index)
     checked, violations = _fraction_sweep(max_index)
     assert rep.checked == checked == (4 * (2 * max_index + 1) + 1) ** 3
@@ -490,6 +493,9 @@ def test_realization_check_matches_object_reference(monkeypatch, corrupt,
     elif corrupt == "h_theta_dtheta":
         monkeypatch.setattr(superalgebra, "realization",
                             _h_theta_dtheta(superalgebra.realization))
+    box = range(-max_index, max_index + 1)
+    certified = certificate.realization_kernel(box) is not None
+    assert certified == (corrupt == "true")
     rep = realization_bracket_check(max_index)
     checked, mismatches, central = _object_realization_check(max_index)
     assert rep.passed == (corrupt == "true")
@@ -514,6 +520,9 @@ def test_realization_check_does_not_call_bracket(monkeypatch, realize):
 
 @pytest.mark.parametrize("max_index", [1, 3, 5])
 def test_realization_runs_once_per_box_element(monkeypatch, max_index):
+    # the certificate realizes each family once per index of each of its two
+    # strata, whatever the box; a corrupted table falls back to the
+    # enumeration, which realizes each box element once
     calls = []
     true_realization = superalgebra.realization
 
@@ -523,4 +532,133 @@ def test_realization_runs_once_per_box_element(monkeypatch, max_index):
 
     monkeypatch.setattr(superalgebra, "realization", counted)
     assert realization_bracket_check(max_index).passed
-    assert len(calls) == len(set(calls)) == 4 * (2 * max_index + 1)
+    assert len(calls) == 2 * 2 * len(FAMILIES)
+    assert not any(type(e.index) is int for e in calls)
+    calls.clear()
+    table = superalgebra._table
+    monkeypatch.setattr(superalgebra, "_table",
+                        lambda a, b: _jq_sign(table, a, b))
+    assert not realization_bracket_check(max_index).passed
+    boxed = [e for e in calls if type(e.index) is int]
+    assert len(calls) - len(boxed) == 2 * 2 * len(FAMILIES)
+    assert len(boxed) == len(set(boxed)) == 4 * (2 * max_index + 1)
+
+
+# -- the all-index certificate ----------------------------------------------------
+
+@pytest.mark.parametrize("max_index", range(1, 7))
+def test_certificate_agrees_with_enumeration(monkeypatch, max_index):
+    assert certificate.jacobi_holds()
+    sweep = super_jacobi_check(max_index)
+    real = realization_bracket_check(max_index)
+    monkeypatch.setattr(certificate, "jacobi_holds", lambda: False)
+    monkeypatch.setattr(certificate, "realization_kernel", lambda box: None)
+    assert sweep == super_jacobi_check(max_index)
+    assert real == realization_bracket_check(max_index)
+    assert sweep.passed and real.passed
+
+
+def _bump(table, a, b):
+    # [L_m, L_n] gains m(m^2-1)(m^2-4)(m^2-9) L_{m+n}: zero for |m| <= 3 only
+    v = table(a, b)
+    if (a[0], b[0]) != (superalgebra._L, superalgebra._L):
+        return v
+    m, key = a[1], (superalgebra._L, a[1] + b[1])
+    out = dict(v)
+    out[key] = out.get(key, 0) + m * (m * m - 1) * (m * m - 4) * (m * m - 9)
+    return tuple((k, c) for k, c in out.items() if c)
+
+
+def _special_at_2(table, a, b):
+    # a special case at m == 2 that changes nothing: the certificate must
+    # still refuse the test, and the enumeration passes
+    return table(a, b) if a[1] == 2 else table(a, b)
+
+
+def test_corruption_outside_the_box_is_not_certified(monkeypatch):
+    table = superalgebra._table
+    monkeypatch.setattr(superalgebra, "_table", lambda a, b: _bump(table, a, b))
+    assert not certificate.jacobi_holds()
+    assert certificate.realization_kernel(range(-1, 2)) is None
+    assert super_jacobi_check(3).passed
+    assert realization_bracket_check(3).passed
+    assert not super_jacobi_check(4).passed
+    assert not realization_bracket_check(4).passed
+
+
+def test_special_case_at_2_is_not_certified(monkeypatch):
+    table = superalgebra._table
+    monkeypatch.setattr(superalgebra, "_table",
+                        lambda a, b: _special_at_2(table, a, b))
+    assert not certificate.jacobi_holds()
+    assert certificate.realization_kernel(range(-1, 2)) is None
+    sweep, real = super_jacobi_check(2), realization_bracket_check(2)
+    monkeypatch.setattr(superalgebra, "_table", table)
+    assert sweep == super_jacobi_check(2) and sweep.passed
+    assert real == realization_bracket_check(2) and real.passed
+
+
+def test_index_poly_contract():
+    flat = Flat(certificate.JACOBI_FLATS[0], certificate.JACOBI_FORMS)
+    m, n, p = flat.indices
+    assert isinstance(m, IndexPoly)
+    # ring operations with ints; a constant result is an int
+    assert (m + n) * (m - n) - m * m + n * n == 0
+    assert type(m + 1 - m) is int and hash(m + 1 - m) == hash(1)
+    assert 3 - m + m == 3 and (2 * m) * (2 * m) == 4 * m * m
+    assert {m + n: 1}[n + m] == 1
+    assert bool(m - n) and not m - m
+    assert (m * n)(2, 3) == 6 and (m + n * p - 1)(1, 2, 3) == 6
+    # == is decided on zero, a nonzero constant and the arrangement's forms
+    assert m == m and m != m + 1
+    assert m != -n and m + n != -p and (2 * m != -2 * n)
+    for undecided in (lambda: m == 2, lambda: m == n, lambda: m * m == -n):
+        with pytest.raises(Undecided):
+            undecided()
+    # no ordering, division or conversion to int
+    for refused in (lambda: m < n, lambda: m // 2, lambda: int(m),
+                    lambda: m / 2, lambda: m % 2, lambda: range(m),
+                    lambda: F(m), lambda: abs(m)):
+        with pytest.raises(TypeError):
+            refused()
+
+
+def test_index_poly_decides_on_the_flat():
+    # on m + n = 0 the index test m == -n holds identically, and n + p
+    # becomes p - m, a form of that flat
+    flat = Flat(certificate.JACOBI_FLATS[1], certificate.JACOBI_FORMS)
+    m, n, p = flat.indices
+    assert m == -n and m + n == 0
+    assert n != -p and p != m and m + n + p != 0
+    with pytest.raises(Undecided):
+        p == 2 * m
+
+
+def _forms_at(point, forms):
+    return frozenset(i for i, f in enumerate(forms)
+                     if not sum(a * x for a, x in zip(f, point)))
+
+
+@pytest.mark.parametrize("flats, forms", [
+    (certificate.JACOBI_FLATS, certificate.JACOBI_FORMS),
+    (certificate.REALIZATION_FLATS, certificate.REALIZATION_FORMS),
+], ids=["jacobi", "realization"])
+def test_flats_cover_every_index_point(flats, forms):
+    # each flat is cut out by the forms that vanish on it, and every index
+    # point of a box lies on the one flat cut out by the forms that vanish
+    # at the point, as the image of an integer parameter point
+    dim = len(forms[0])
+    vanishing = []
+    for rows in flats:
+        k = len(rows[0])
+        image = {tuple(sum(c * t for c, t in zip(row, params)) for row in rows)
+                 for params in product(range(-3, 4), repeat=k)}
+        zeros = {_forms_at(pt, forms) for pt in image if any(pt) or k == 0}
+        generic = [z for z in zeros if all(z <= other for other in zeros)]
+        assert len(generic) == 1
+        vanishing.append((generic[0], image))
+    assert len({z for z, _ in vanishing}) == len(flats)
+    for point in product(range(-3, 4), repeat=dim):
+        z = _forms_at(point, forms)
+        owners = [image for zz, image in vanishing if zz == z]
+        assert len(owners) == 1 and point in owners[0], point
