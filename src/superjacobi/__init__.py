@@ -23,9 +23,9 @@ _EXPORTS = {
                  "wp_series", "xi_series", "xi_shift_check",
                  "xi_zetabar_check", "zetabar_series"),
     "ramanujan": ("OdeIdentity", "extract_ode_family", "ramanujan_triple"),
-    "characters": ("CharacterSeries", "ModuleLabel", "central_charge",
-                   "character", "find_flow_matches", "p_product",
-                   "spectral_flow_transform", "spectrum"),
+    "labels": ("ModuleLabel", "central_charge", "spectrum"),
+    "characters": ("CharacterSeries", "character", "find_flow_matches",
+                   "p_product", "spectral_flow_transform"),
     "jacobi": ("JacobiGroupElement", "MixingReport", "ModularPoint",
                "act_on_point", "compose", "coset_span_test",
                "eval_character_value", "eval_normalized_character",

@@ -97,8 +97,8 @@ def cmd_char(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    from . import characters
-    labels = characters.spectrum(args.u)
+    from .labels import spectrum
+    labels = spectrum(args.u)
     _emit({"u": args.u,
            "count": len(labels),
            "labels": [[int(l.j), int(l.k)] for l in labels]}, args.out)

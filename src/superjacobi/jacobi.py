@@ -48,9 +48,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .characters import (ModuleLabel, _quotient_factors, central_charge,
-                         spectrum)
 from .errors import IllConditioned, PoleProximity, TailBoundExceeded
+from .labels import ModuleLabel, _quotient_factors, central_charge, spectrum
 
 
 @dataclass(frozen=True)
@@ -315,7 +314,8 @@ def _sector_row(labels, p, q_order, cc, family, cosets) -> list[complex]:
     return row
 
 
-def _fit(u, g, pts, q_order, cc, family, cosets):
+def _sample_matrices(u, g, pts, q_order, cc, family, cosets):
+    """(V, W): row i of V is v(p_i), row i of W is mult(g, p_i) v(g . p_i)."""
     labels = spectrum(u)
     V = np.array([_sector_row(labels, p, q_order, cc, family, cosets)
                   for p in pts], dtype=complex)
@@ -326,12 +326,29 @@ def _fit(u, g, pts, q_order, cc, family, cosets):
                                               q_order, cc, family, cosets)]
 
     W = np.array([transformed_row(p) for p in pts], dtype=complex)
+    return V, W
+
+
+def _back_substitute(R, B):
+    """X with R X = B, for upper-triangular R with a nonzero diagonal: one
+    row operation per row of R, from the last up (Golub-Van Loan, Matrix
+    Computations, sec. 5.3)."""
+    X = np.empty_like(B)
+    for i in range(R.shape[0] - 1, -1, -1):
+        X[i] = (B[i] - R[i, i + 1:] @ X[i + 1:]) / R[i, i]
+    return X
+
+
+def _fit(V, W):
+    """The least-squares M with V M^T ~ W, its worst relative residual and
+    the condition number of V; IllConditioned when that exceeds 1e8, before
+    any solve."""
     cond = float(np.linalg.cond(V))
     if cond > 1e8:
         raise IllConditioned(f"sample matrix condition {cond:.3e} > 1e8")
-    # least squares by QR (orthogonal factorization): V M^T = W
+    # least squares: QR, then back substitution on R
     Qm, Rm = np.linalg.qr(V)
-    Mt = np.linalg.solve(Rm, Qm.conj().T @ W)
+    Mt = _back_substitute(Rm, Qm.conj().T @ W)
     pred = V @ Mt
     scale = float(np.max(np.abs(W)))
     residual = float(np.max(np.abs(pred - W))) / max(scale, 1e-300)
@@ -361,8 +378,10 @@ def span_invariance_test(u: int, g: JacobiGroupElement,
     samples = sample_points(2 * count, seed, tau_box)
     cc = central_charge(u)
     first, second = samples[:count], samples[count:]
-    M1, r1, c1 = _fit(u, g, first, q_order, cc, family, cosets)
-    M2, r2, c2 = _fit(u, g, second, q_order, cc, family, cosets)
+    M1, r1, c1 = _fit(*_sample_matrices(u, g, first, q_order, cc, family,
+                                        cosets))
+    M2, r2, c2 = _fit(*_sample_matrices(u, g, second, q_order, cc, family,
+                                        cosets))
     disc = float(np.max(np.abs(M1 - M2)))
     return MixingReport(
         element=g, u=u,

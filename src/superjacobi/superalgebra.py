@@ -475,7 +475,11 @@ def _realization_pair(ka, da: SuperDerivation, kb, db: SuperDerivation):
     """(commutator of da and db, table entry of ka and kb without C, its C
     coefficient), at scale 6 on _six's keys."""
     got = _identify(*_commutator_images(da, db))
-    want = dict(_six(ka, kb))
+    # as in _jacobiator: repeated keys add up and zero coefficients drop
+    want: dict = {}
+    for e, c in _six(ka, kb):
+        want[e] = want.get(e, 0) + c
+    want = {e: c for e, c in want.items() if c}
     return got, want, want.pop(_CK, 0)
 
 

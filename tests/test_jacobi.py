@@ -3,14 +3,18 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from superjacobi import jacobi
 from superjacobi.characters import (ModuleLabel, _quotient_factors,
                                     central_charge, character, spectrum)
-from superjacobi.errors import PoleProximity, TailBoundExceeded
+from superjacobi.errors import (IllConditioned, PoleProximity,
+                               TailBoundExceeded)
 from superjacobi.jacobi import (GAMMA0_2_COSETS, IDENTITY, TAU_BOX,
                                 JacobiGroupElement, ModularPoint, S_ELEMENT,
-                                T_SHEAR, act_on_point, compose,
+                                T_SHEAR, _fit, _sample_matrices,
+                                act_on_point, compose,
                                 coset_span_test, eval_character_value,
                                 eval_normalized_character, inverse,
                                 jacobi_normalized, multiplier,
@@ -254,9 +258,48 @@ def test_span_test_rejects_nonpositive_order(q_order):
 def test_ill_conditioned_samples_rejected():
     # at u = 5 the ten characters are nearly dependent on the default samples
     # at tau = i (condition 5.9e10)
-    from superjacobi.errors import IllConditioned
     with pytest.raises(IllConditioned, match=r"condition .* > 1e8"):
         span_invariance_test(5, S_ELEMENT)
+
+
+@pytest.mark.parametrize("u", [2, 3, 4])
+@pytest.mark.parametrize("g", [S_ELEMENT, T_SHEAR,
+                               JacobiGroupElement.lattice(1, 0),
+                               JacobiGroupElement.lattice(0, 1)],
+                         ids=["S", "T", "x10", "x01"])
+def test_back_substitution_matches_general_solve(u, g):
+    # the fit solves R X = Q^H W by back substitution; a general LU solve on
+    # the same Q and R gives the same M to rounding, also at u = 4 S, whose
+    # samples have condition 3.8e5
+    count = max(3 * len(spectrum(u)), 9)
+    V, W = _sample_matrices(u, g, sample_points(2 * count)[:count], F(14),
+                            central_charge(u), eval_character_value,
+                            (IDENTITY,))
+    M, _, _ = _fit(V, W)
+    Q, R = np.linalg.qr(V)
+    ref = np.linalg.solve(R, Q.conj().T @ W).T
+    assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("column", ["equal", "zero"])
+def test_singular_samples_never_reach_the_solve(monkeypatch, column):
+    # a family that gives two labels the same value, or one label the value
+    # 0, makes the sample matrix singular: the condition guard refuses it
+    def no_solve(R, B):
+        raise AssertionError("a singular sample matrix reached the solve")
+
+    monkeypatch.setattr(jacobi, "_back_substitute", no_solve)
+    first, second, _ = spectrum(3)
+
+    def family(lab, p, q_order):
+        if lab == second:
+            return (eval_character_value(first, p, q_order)
+                    if column == "equal" else 0j)
+        return eval_character_value(lab, p, q_order)
+
+    with pytest.raises(IllConditioned, match=r"condition .* > 1e8"):
+        span_invariance_test(3, JacobiGroupElement.lattice(1, 0),
+                             family=family)
 
 
 @pytest.mark.parametrize("tau, alpha", [

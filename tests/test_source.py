@@ -25,8 +25,8 @@ def test_modules_compile_without_warnings():
             compile(path.read_text(encoding="utf-8"), str(path), "exec")
 
 
-EXACT_MODULES = ("ratfunc", "series", "numtheory", "characters", "ramanujan",
-                 "superalgebra", "certificate")
+EXACT_MODULES = ("ratfunc", "series", "numtheory", "labels", "characters",
+                 "ramanujan", "superalgebra", "certificate")
 
 
 @pytest.mark.parametrize("module", EXACT_MODULES)
@@ -111,9 +111,10 @@ def test_import_loads_no_computation_module():
 
 
 BASE = {"cli", "errors"}
+LABELS = BASE | {"labels"}
 SERIES = BASE | {"ratfunc", "series"}
 ELLIPTIC = SERIES | {"numtheory", "elliptic"}
-CHARACTERS = SERIES | {"characters"}
+CHARACTERS = SERIES | {"labels", "characters"}
 SUPERALGEBRA = BASE | {"superalgebra"}
 CERTIFIED = SUPERALGEBRA | {"certificate"}
 
@@ -121,14 +122,14 @@ CERTIFIED = SUPERALGEBRA | {"certificate"}
 @pytest.mark.parametrize("argv, modules", [
     ("ramanujan --order 4 --max-k 1", ELLIPTIC | {"ramanujan"}),
     ("char --u 3 --j 1 --k 1 --order 4", CHARACTERS),
-    ("spectrum --u 3", CHARACTERS),
+    ("spectrum --u 3", LABELS),
     ("flow --u 3 --order 6", CHARACTERS),
     ("eisenstein --k 2 --order 4", SERIES | {"numtheory"}),
     ("wp-pde --z-order 4 --order 4", ELLIPTIC),
     ("xi-shift --order 4", ELLIPTIC),
     ("xi-zetabar --t-order 4 --order 4", ELLIPTIC),
     ("zetabar-table --points 1", ELLIPTIC),
-    ("jacobi-test --u 2 --gen x10 --order 6", CHARACTERS | {"jacobi"}),
+    ("jacobi-test --u 2 --gen x10 --order 6", LABELS | {"jacobi"}),
     ("bracket L 2 L -1", SUPERALGEBRA),
     ("jacobi-identity --max 1", CERTIFIED),
     ("realization-check --max 1 --window 4", CERTIFIED),

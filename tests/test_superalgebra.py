@@ -598,6 +598,46 @@ def test_special_case_at_2_is_not_certified(monkeypatch):
     assert real == realization_bracket_check(2) and real.passed
 
 
+def _zero_term(table, a, b):
+    # [L_m, L_n] gains the term 0 L_{m+n}
+    v = table(a, b)
+    if (a[0], b[0]) != (superalgebra._L, superalgebra._L):
+        return v
+    return v + (((superalgebra._L, a[1] + b[1]), 0),)
+
+
+def _split(extra):
+    # 6 [L_m, L_n] = 6m L_{m+n} + (extra - 6n) L_{m+n}, one key named twice:
+    # the true entry when extra is 0
+    def corrupt(table, a, b):
+        if (a[0], b[0]) != (superalgebra._L, superalgebra._L):
+            return table(a, b)
+        key = (superalgebra._L, a[1] + b[1])
+        return ((key, 6 * a[1]), (key, extra - 6 * b[1]))
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, holds",
+                         [(_zero_term, True), (_split(0), True),
+                          (_split(6), False)],
+                         ids=["zero_term", "split", "split_wrong_sum"])
+def test_realization_sums_repeated_keys(monkeypatch, corrupt, holds):
+    # a table entry is a sum: a zero term or a coefficient split over a
+    # repeated key changes nothing, on the certified and enumerated paths
+    true = realization_bracket_check(3)
+    table = superalgebra._table
+    monkeypatch.setattr(superalgebra, "_table",
+                        lambda a, b: corrupt(table, a, b))
+    kernel = certificate.realization_kernel(range(-3, 4))
+    assert (kernel is not None) == holds
+    rep = realization_bracket_check(3)
+    monkeypatch.setattr(certificate, "realization_kernel", lambda box: None)
+    assert rep == realization_bracket_check(3)
+    assert rep.passed == holds
+    if holds:
+        assert rep == true
+
+
 def test_index_poly_contract():
     flat = Flat(certificate.JACOBI_FLATS[0], certificate.JACOBI_FORMS)
     m, n, p = flat.indices
