@@ -14,12 +14,12 @@ print("sigma_1(1..6):", [divisor_sum(n, 1) for n in range(1, 7)])
 
 for k in (1, 2, 3):
     e = eisenstein_e(k, 6)
-    coeffs = [e.coeff(n).const_value() for n in range(6)]
+    coeffs = [e.coeff(n) for n in range(6)]
     print(f"E_{2*k} =", coeffs, "...")
 
 # ghat_{2k} = -B_{2k}/(2k)! E_{2k} carries the 2*pi*i powers formally
 g2 = eisenstein_ghat(1, 5)
-print("ghat_2 =", [g2.coeff(n).const_value() for n in range(5)], "...")
+print("ghat_2 =", [g2.coeff(n) for n in range(5)], "...")
 
 # The three classical identities hold with exact zero residual.
 for idt in ramanujan_triple(60):

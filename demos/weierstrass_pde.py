@@ -12,12 +12,12 @@ zb = zetabar_series(K, T)
 
 print("wp term structure (z-exponent, pi-exponent):")
 for (z, p) in sorted(wp.terms)[:5]:
-    lead = wp.terms[(z, p)].coeff(0).const_value()
+    lead = wp.terms[(z, p)].coeff(0)
     print(f"   z^{z} pi^{p}, q^0 coefficient {lead}")
 
 print("zeta-bar term structure:")
 for (z, p) in sorted(zb.terms)[:4]:
-    lead = zb.terms[(z, p)].coeff(0).const_value()
+    lead = zb.terms[(z, p)].coeff(0)
     print(f"   z^{z} pi^{p}, q^0 coefficient {lead}")
 
 # d/dz(-pi zeta-bar) = -wp, exactly, including the pi-grading
@@ -32,4 +32,4 @@ print(f"wp PDE exact (z window {rep.orders['zWindow']}, q^{T}):", rep.passed)
 lhs_side, rhs_side = wp_pde_sides(K, T)
 c = lhs_side.coeff(0, 3)
 print("z^0 pi^3 component, first coefficients:",
-      [c.coeff(n).const_value() for n in range(4)])
+      [c.coeff(n) for n in range(4)])

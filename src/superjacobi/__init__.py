@@ -17,7 +17,8 @@ __version__ = "0.1.0"
 # module -> the public names it defines
 _EXPORTS = {
     "ratfunc": ("RatFunc",),
-    "series": ("QYSeries", "ZPiSeries"),
+    "qseries": ("QSeries", "ZPiSeries"),
+    "series": ("QYSeries",),
     "numtheory": ("bernoulli", "divisor_sum", "eisenstein_e", "eisenstein_ghat"),
     "elliptic": ("LatticePoint", "eval_wp", "eval_zetabar", "wp_pde_check",
                  "wp_series", "xi_series", "xi_shift_check",

@@ -21,6 +21,10 @@ opposite overall sign satisfies neither.
 
 The numerical evaluators sum these partial fractions at the reduced point,
 in q^n, up to a count set by a proved tail bound (see _reduced).
+
+wp and zeta-bar have rational q-series coefficients (QSeries, on ints).  Only
+xi has coefficients in x, as a QYSeries: xi_series and xi_shift_check import
+the RatFunc engine themselves, so wp, zeta-bar and the evaluators never load it.
 """
 
 from __future__ import annotations
@@ -33,8 +37,10 @@ from math import factorial, lcm
 
 from .errors import PolePoint
 from .numtheory import bernoulli, divisors, eisenstein_ghat
-from .ratfunc import RatFunc
-from .series import QYSeries, ZPiSeries
+from .qseries import QSeries, ZPiSeries
+
+# xi's coefficients, shared by every term of every xi_series
+_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
 
 
 # -- formal series ------------------------------------------------------------
@@ -43,7 +49,7 @@ def wp_series(z_order: int, q_order: int) -> ZPiSeries:
     """wp to z-exponent 2*z_order - 2 inclusive; first unknown is 2*z_order."""
     if z_order < 1:
         raise ValueError("z_order must be >= 1")
-    terms = {(-2, 0): QYSeries.one(q_order)}
+    terms = {(-2, 0): QSeries.one(q_order)}
     for k in range(1, z_order + 1):
         g = eisenstein_ghat(k, q_order).scale(2 * k - 1)
         terms[(2 * k - 2, 2 * k)] = g
@@ -54,7 +60,7 @@ def zetabar_series(z_order: int, q_order: int) -> ZPiSeries:
     """zeta-bar to z-exponent 2*z_order - 1 inclusive."""
     if z_order < 1:
         raise ValueError("z_order must be >= 1")
-    terms = {(-1, -1): -QYSeries.one(q_order)}
+    terms = {(-1, -1): -QSeries.one(q_order)}
     for k in range(1, z_order + 1):
         terms[(2 * k - 1, 2 * k - 1)] = eisenstein_ghat(k, q_order)
     return ZPiSeries(terms, 2 * z_order + 1, q_order)
@@ -131,11 +137,13 @@ def xi_series(q_order: int) -> QYSeries:
     """xi(x, q) to q^q_order as a QYSeries on the integer grid whose
     coefficients are rational functions of x (the RatFunc variable):
     -1/2 - 1/(x-1) at q^0 and sum_{m | j} (x^m - x^{-m}) at q^j."""
-    x_minus_1 = RatFunc({1: Fraction(1), 0: Fraction(-1)})
+    from .ratfunc import RatFunc
+    from .series import QYSeries
+    x_minus_1 = RatFunc({1: _ONE, 0: _MINUS_ONE})
     terms = {0: RatFunc.const(Fraction(-1, 2)) - x_minus_1.inverse()}
     for j in range(1, q_order):
-        terms[j] = RatFunc({s: Fraction(c) for m in divisors(j)
-                            for s, c in ((m, 1), (-m, -1))})
+        terms[j] = RatFunc({s: c for m in divisors(j)
+                            for s, c in ((m, _ONE), (-m, _MINUS_ONE))})
     return QYSeries(1, Fraction(0), terms, q_order)
 
 
@@ -175,6 +183,7 @@ def xi_shift_check(q_order: int, offset: Fraction = Fraction(1)) -> CheckReport:
     x^{-(T-1)}; terms of xi(qx) outside that window are not built.
     A correct run passes only for offset = 1.
     """
+    from .ratfunc import RatFunc
     if q_order < 1:
         raise ValueError("q_order must be >= 1")
     xi = xi_series(q_order)
@@ -226,9 +235,7 @@ def xi_t_expansion(t_order: int, q_order: int) -> ZPiSeries:
                    for k in range(t_order + 2)]
         for r, c in enumerate(ser, start=-p):
             _add_to_row(rows, r, j, c)
-    zterms = {(r, r): QYSeries(1, Fraction(0),
-                               {j: RatFunc.const(c) for j, c in row.items()},
-                               q_order)
+    zterms = {(r, r): QSeries.from_fractions(row, q_order)
               for r, row in rows.items()}
     return ZPiSeries(zterms, t_order + 1, q_order)
 
@@ -350,7 +357,7 @@ def eval_wp(p: LatticePoint) -> complex:
 def eval_zetabar_zseries(p: LatticePoint, z_order: int, q_order: int) -> complex:
     """Independent route: evaluate the z-series of zeta-bar at pi-hat = 2 pi i.
 
-    Each y-free q-series coefficient is summed as c_e e^(2 pi i tau e) in
+    Each q-series coefficient is summed as c_e e^(2 pi i tau e) in
     ascending e.  Used to cross-check the partial-fraction evaluation near
     t = 0, so only t in the disc |t| < min(1, Im tau)/2 is accepted: every
     nonzero lattice point m tau + n has modulus at least min(1, Im tau).
@@ -366,7 +373,7 @@ def eval_zetabar_zseries(p: LatticePoint, z_order: int, q_order: int) -> complex
     total = 0j
     for (zexp, piexp), coeff in zb.terms.items():
         val = 0j
-        for e, c in sorted(coeff.terms.items()):
-            val += complex(c.const_value()) * cmath.exp(pihat * p.tau * e)
+        for e, n in sorted(coeff.nums.items()):
+            val += complex(Fraction(n, coeff.den)) * cmath.exp(pihat * p.tau * e)
         total += val * (p.t ** zexp) * (pihat ** piexp)
     return total

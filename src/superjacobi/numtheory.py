@@ -19,8 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, isqrt
 
-from .series import QYSeries
-from .ratfunc import RatFunc
+from .qseries import QSeries
 
 
 _bernoulli_c: tuple[Fraction, ...] = (Fraction(1),)   # c_j = B_j / j!
@@ -60,21 +59,21 @@ def divisor_sum(n: int, r: int) -> int:
     return sum(d ** r for d in divisors(n))
 
 
-def eisenstein_e(k: int, trunc: int) -> QYSeries:
-    """E_{2k} as a y-free QYSeries on the integer grid, exact to q^trunc."""
+def eisenstein_e(k: int, trunc: int) -> QSeries:
+    """E_{2k} as a QSeries, exact to q^trunc."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if trunc < 1:
         raise ValueError("q_order must be >= 1")
-    b = bernoulli(2 * k)
-    factor = Fraction(-4 * k) / b
-    terms = {0: RatFunc.one()}
+    factor = Fraction(-4 * k) / bernoulli(2 * k)
+    p, d = factor.numerator, factor.denominator
+    nums = {0: d}
     for n in range(1, trunc):
-        terms[n] = RatFunc.const(factor * divisor_sum(n, 2 * k - 1))
-    return QYSeries(1, Fraction(0), terms, trunc)
+        nums[n] = p * divisor_sum(n, 2 * k - 1)
+    return QSeries(nums, d, trunc)
 
 
-def eisenstein_ghat(k: int, trunc: int) -> QYSeries:
+def eisenstein_ghat(k: int, trunc: int) -> QSeries:
     """ghat_{2k} = -B_{2k}/(2k)! * E_{2k}; caller attaches pi-hat^{2k}."""
     e = eisenstein_e(k, trunc)          # validates k before B_{2k} is read
     return e.scale(-bernoulli(2 * k) / factorial(2 * k))

@@ -14,19 +14,19 @@ from math import factorial
 
 from .errors import OutOfRange
 from .numtheory import bernoulli, eisenstein_e
-from .series import QYSeries
+from .qseries import QSeries
 from .elliptic import _pde_parts
 
 
 @dataclass
 class OdeIdentity:
-    """lhs == rhs as exact q-series; both y-free with a shared truncation."""
+    """lhs == rhs as exact rational q-series with a shared truncation."""
     k: int
-    lhs: QYSeries
-    rhs: QYSeries
+    lhs: QSeries
+    rhs: QSeries
     source_z_exponent: int
 
-    def residual(self) -> QYSeries:
+    def residual(self) -> QSeries:
         return self.lhs - self.rhs
 
     def holds(self) -> bool:
@@ -34,7 +34,7 @@ class OdeIdentity:
 
     def first_failure_order(self):
         r = self.residual()
-        return None if r.is_zero() else min(r.terms)
+        return None if r.is_zero() else r.valuation()
 
     def to_dict(self) -> dict:
         d = {"k": self.k, "holds": self.holds()}
@@ -98,7 +98,7 @@ def extract_ode_families(ks, z_order: int, q_order: int) -> list[OdeIdentity]:
     return out
 
 
-def e_variable_form(identity: OdeIdentity) -> tuple[QYSeries, QYSeries]:
+def e_variable_form(identity: OdeIdentity) -> tuple[QSeries, QSeries]:
     """Rescale an extracted identity into E-variables.
 
     Divides both sides by (2k-1) * (-B_{2k}/(2k)!), turning the lhs into

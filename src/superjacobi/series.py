@@ -1,18 +1,11 @@
-"""Exact truncated Puiseux/Laurent series engines.
+"""Exact truncated Puiseux/Laurent series in q with coefficients in y.
 
-Two layers:
-
-* :class:`QYSeries` -- series in q on the exponent grid (1/qden)Z, with
-  coefficients in Q[y, 1/y, 1/(y-1)] (:class:`~superjacobi.ratfunc.RatFunc`)
-  and a single global fractional y-power prefactor.  Truncation is tracked
-  per series and propagated pessimistically; arithmetic never reads past it.
-  A product of two y-free series is convolved in Python ints over one common
-  denominator.
-
-* :class:`ZPiSeries` -- Laurent series in a formal variable z, graded by
-  powers of the formal symbol pi-hat (standing for 2*pi*i), with truncated
-  rational q-series coefficients.  No floating transcendental constant ever
-  enters an exact computation.
+:class:`QYSeries` is a series in q on the exponent grid (1/qden)Z, with
+coefficients in Q[y, 1/y, 1/(y-1)] (:class:`~superjacobi.ratfunc.RatFunc`)
+and a single global fractional y-power prefactor: the layer of the
+characters and of xi.  Truncation is tracked per series and propagated
+pessimistically; arithmetic never reads past it.  y-free series live in
+:mod:`superjacobi.qseries`, on ints; ``ZPiSeries`` is bound here from there.
 
 All values are immutable by convention; operations return new objects.
 """
@@ -23,6 +16,9 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import IncompatiblePrefactor, NotAUnit
+# ZPiSeries is not used here: it is bound so that series.ZPiSeries still
+# resolves
+from .qseries import ZPiSeries  # noqa: F401
 from .ratfunc import RatFunc
 
 
@@ -126,9 +122,6 @@ class QYSeries:
     def __mul__(self, other: "QYSeries") -> "QYSeries":
         a, b = self._unify_grid_only(self, other)
         trunc = min(a.trunc + b.valuation(), b.trunc + a.valuation())
-        if _y_free(a) and _y_free(b):
-            return QYSeries(a.qden, a.ypref + b.ypref,
-                            _mul_constants(a.terms, b.terms, trunc), trunc)
         terms: dict[int, RatFunc] = {}
         bitems = sorted(b.terms.items())
         for ea, ca in sorted(a.terms.items()):
@@ -246,37 +239,6 @@ class QYSeries:
         return f"QYSeries[{pref}{body}{more} + O(q^({Fraction(self.trunc, self.qden)}))]"
 
 
-# -- y-free products in Python ints ---------------------------------------------
-
-def _y_free(s: QYSeries) -> bool:
-    """True when every coefficient is a constant; stops at the first that is not."""
-    return all(c.is_const() for c in s.terms.values())
-
-
-def _integer_numerators(terms: dict[int, RatFunc]) -> tuple[dict[int, int], int]:
-    """Constant coefficients as integer numerators over one common denominator."""
-    vals = {e: c.const_value() for e, c in terms.items()}
-    den = lcm(*(v.denominator for v in vals.values()))
-    return {e: v.numerator * (den // v.denominator) for e, v in vals.items()}, den
-
-
-def _mul_constants(ta: dict[int, RatFunc], tb: dict[int, RatFunc],
-                   trunc: int) -> dict[int, RatFunc]:
-    """Truncated product of two y-free term maps, convolved in Python ints."""
-    na, da = _integer_numerators(ta)
-    nb, db = _integer_numerators(tb)
-    acc: dict[int, int] = {}
-    bitems = sorted(nb.items())
-    for ea, x in sorted(na.items()):
-        for eb, y in bitems:
-            e = ea + eb
-            if e >= trunc:
-                break
-            acc[e] = acc.get(e, 0) + x * y
-    den = da * db
-    return {e: RatFunc.const(Fraction(n, den)) for e, n in acc.items() if n}
-
-
 # -- binomial factors on RatFunc coefficients ----------------------------------
 # The RatFunc reference that the integer-row kernel characters._product
 # is tested against.
@@ -309,107 +271,3 @@ def div_binomial(s: QYSeries, a_scaled: int, yexp: int, sign: int = -1) -> QYSer
         if not c.is_zero():
             out[e] = c
     return QYSeries(s.qden, s.ypref, out, s.trunc)
-
-
-class ZPiSeries:
-    """Laurent series in z graded by powers of the formal symbol pi-hat.
-
-    ``terms`` maps (z_exp, pi_exp) to a y-free QYSeries on the integer grid.
-    ``ztrunc`` is the first unknown z-exponent; ``qtrunc`` the common q-order.
-    """
-
-    __slots__ = ("terms", "ztrunc", "qtrunc")
-
-    def __init__(self, terms: dict[tuple[int, int], QYSeries], ztrunc: int,
-                 qtrunc: int):
-        self.terms = {k: v for k, v in terms.items()
-                      if k[0] < ztrunc and not v.is_zero()}
-        self.ztrunc = ztrunc
-        self.qtrunc = qtrunc
-
-    def z_valuation(self) -> int:
-        return min((z for z, _ in self.terms), default=self.ztrunc)
-
-    def __add__(self, other: "ZPiSeries") -> "ZPiSeries":
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            cur = terms.get(k)
-            terms[k] = v if cur is None else cur + v
-        return ZPiSeries(terms, min(self.ztrunc, other.ztrunc),
-                         min(self.qtrunc, other.qtrunc))
-
-    def __neg__(self) -> "ZPiSeries":
-        return ZPiSeries({k: -v for k, v in self.terms.items()},
-                         self.ztrunc, self.qtrunc)
-
-    def __sub__(self, other: "ZPiSeries") -> "ZPiSeries":
-        return self + (-other)
-
-    def __mul__(self, other: "ZPiSeries") -> "ZPiSeries":
-        zt = min(self.ztrunc + other.z_valuation(),
-                 other.ztrunc + self.z_valuation())
-        terms: dict[tuple[int, int], QYSeries] = {}
-        for (za, pa), ca in self.terms.items():
-            for (zb, pb), cb in other.terms.items():
-                z = za + zb
-                if z >= zt:
-                    continue
-                key = (z, pa + pb)
-                p = ca * cb
-                cur = terms.get(key)
-                terms[key] = p if cur is None else cur + p
-        return ZPiSeries(terms, zt, min(self.qtrunc, other.qtrunc))
-
-    def scale(self, c) -> "ZPiSeries":
-        return ZPiSeries({k: v.scale(c) for k, v in self.terms.items()},
-                         self.ztrunc, self.qtrunc)
-
-    def pi_shift(self, n: int) -> "ZPiSeries":
-        """Multiply by pi-hat^n (pure grading shift)."""
-        return ZPiSeries({(z, p + n): v for (z, p), v in self.terms.items()},
-                         self.ztrunc, self.qtrunc)
-
-    def z_deriv(self) -> "ZPiSeries":
-        """d/dz: lowers the z-exponent by one, multiplies by the old exponent."""
-        terms = {}
-        for (z, p), v in self.terms.items():
-            if z == 0:
-                continue
-            terms[(z - 1, p)] = v.scale(z)
-        return ZPiSeries(terms, self.ztrunc - 1, self.qtrunc)
-
-    def q_log_deriv(self) -> "ZPiSeries":
-        return ZPiSeries({k: v.q_log_deriv() for k, v in self.terms.items()},
-                         self.ztrunc, self.qtrunc)
-
-    def coeff(self, zexp: int, piexp: int) -> QYSeries:
-        return self.terms.get((zexp, piexp), QYSeries.zero(self.qtrunc))
-
-    def diff_exponents(self, other: "ZPiSeries") -> list[tuple[int, int, int]]:
-        """Exponent triples (z, pi, q) where the two series provably differ.
-
-        Only z-exponents below both z-truncations and q-exponents below both
-        q-truncations are compared.
-        """
-        zt = min(self.ztrunc, other.ztrunc)
-        qt = min(self.qtrunc, other.qtrunc)
-        out = []
-        keys = set(self.terms) | set(other.terms)
-        for (z, p) in sorted(keys):
-            if z >= zt:
-                continue
-            a = self.terms.get((z, p))
-            b = other.terms.get((z, p))
-            za = a.terms if a is not None else {}
-            zb = b.terms if b is not None else {}
-            for e in sorted(set(za) | set(zb)):
-                if e >= qt:
-                    continue
-                if za.get(e) != zb.get(e):
-                    out.append((z, p, e))
-        return out
-
-    def __repr__(self):
-        keys = sorted(self.terms)[:6]
-        bits = [f"z^{z}*pi^{p}*[{self.terms[(z, p)]!r}]" for z, p in keys]
-        return "ZPiSeries[" + " + ".join(bits) + (" + ..." if len(self.terms) > 6 else "") + "]"

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from superjacobi.qseries import QSeries
 from superjacobi.ratfunc import RatFunc
 from superjacobi.series import QYSeries
 
@@ -21,6 +22,13 @@ def series_from_dict(d: dict) -> QYSeries:
              for t in d["terms"]}
     return QYSeries(int(d["qDenom"]), Fraction(d["yPrefactor"]), terms,
                     int(d["truncation"]))
+
+
+def qseries_of(s: QYSeries) -> QSeries:
+    """A y-free QYSeries on the integer grid as a QSeries."""
+    assert s.qden == 1 and s.ypref == 0
+    return QSeries.from_fractions({e: c.const_value() for e, c in s.terms.items()},
+                                  s.trunc)
 
 
 def rand_ratfunc(rng: random.Random, ymin=-2, ymax=3, rational=False) -> RatFunc:

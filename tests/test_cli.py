@@ -171,6 +171,21 @@ def test_out_file(tmp_path):
     assert json.loads(path.read_text())["passed"] is True
 
 
+def test_report_streams_the_bytes_of_json_dumps(capsys, tmp_path):
+    # eisenstein --order 400 encodes to more than one batch of chunks
+    argv = ["eisenstein", "--k", "2", "--order", "400", "--ghat"]
+    from superjacobi.numtheory import eisenstein_ghat
+    payload = eisenstein_ghat(2, 400).to_dict()
+    assert len(list(cli._ENCODER.iterencode(payload))) > cli._BATCH
+    want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == want
+    path = tmp_path / "report.json"
+    assert cli.main([*argv, "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_text() == want
+
+
 @pytest.mark.parametrize("flags", [[], ["--self-test"]],
                          ids=["report", "self-test"])
 def test_out_to_unwritable_path_exit2(tmp_path, flags):

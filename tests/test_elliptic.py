@@ -15,8 +15,9 @@ from superjacobi.elliptic import (LatticePoint, _expand_inverse_direction,
 from superjacobi.errors import PolePoint
 from superjacobi.numtheory import (bernoulli, divisors, eisenstein_e,
                                    eisenstein_ghat)
+from superjacobi.qseries import QSeries, ZPiSeries
 from superjacobi.ratfunc import RatFunc
-from superjacobi.series import QYSeries, ZPiSeries
+from superjacobi.series import QYSeries
 
 F = Fraction
 
@@ -26,12 +27,12 @@ def test_wp_structure():
     assert wp.coeff(0, 2).same_visible(eisenstein_ghat(1, 10))
     assert wp.coeff(2, 4).same_visible(eisenstein_ghat(2, 10).scale(3))
     assert wp.coeff(-1, 0).is_zero() and wp.coeff(1, 2).is_zero()
-    assert wp.coeff(-2, 0).terms == {0: RatFunc.one()}
+    assert wp.coeff(-2, 0) == QSeries.one(10)
 
 
 def test_zetabar_structure():
     zb = zetabar_series(4, 10)
-    assert zb.coeff(-1, -1).terms == {0: RatFunc.const(-1)}
+    assert zb.coeff(-1, -1) == -QSeries.one(10)
     assert zb.coeff(1, 1).same_visible(eisenstein_ghat(1, 10))
     assert zb.coeff(3, 3).same_visible(eisenstein_ghat(2, 10))
 
@@ -91,8 +92,7 @@ def test_wp_pde_sensitive_to_perturbation():
     wp = wp_series(K, T)
     zb = zetabar_series(K, T)
     lhs = wp.q_log_deriv().pi_shift(1) + zb * wp.z_deriv()
-    from superjacobi.series import QYSeries
-    bad_g4 = eisenstein_ghat(2, T) + QYSeries(1, F(0), {1: RatFunc.one()}, T)
+    bad_g4 = eisenstein_ghat(2, T) + QSeries({1: 1}, 1, T)
     g2z = ZPiSeries({(0, 2): eisenstein_ghat(1, T)}, 10 ** 9, T)
     g4z = ZPiSeries({(0, 4): bad_g4}, 10 ** 9, T)
     rhs = ((wp * wp).scale(2) - (g2z * wp).scale(6)
@@ -121,7 +121,7 @@ def test_xi_shift():
 def test_xi_t_leading_pole():
     t_exp = xi_t_expansion(4, 10)
     lead = t_exp.coeff(-1, -1)
-    assert lead.terms == {0: RatFunc.const(-1)}
+    assert lead == -QSeries.one(10)
 
 
 def test_xi_zetabar_t1_is_e2():
@@ -341,8 +341,7 @@ def _xi_t_expansion_by_divisors(t_order, q_order):
                 put(r, j, F(2 * m ** r, math.factorial(r)))
     zterms = {}
     for key, row in terms.items():
-        qs = QYSeries(1, F(0), {j: RatFunc.const(c) for j, c in row.items()},
-                      q_order)
+        qs = QSeries.from_fractions(row, q_order)
         if not qs.is_zero():
             zterms[key] = qs
     return ZPiSeries(zterms, t_order + 1, q_order)
@@ -356,8 +355,8 @@ def test_xi_t_expansion_matches_divisor_route():
             assert (got.ztrunc, got.qtrunc) == (want.ztrunc, want.qtrunc)
             assert got.terms.keys() == want.terms.keys()
             for key, coeff in got.terms.items():
-                assert coeff.trunc == want.terms[key].trunc == q_order
-                assert coeff.terms == want.terms[key].terms
+                assert coeff.trunc == q_order
+                assert coeff == want.terms[key]
 
 
 def _corrupted_xi_series(q_exp, extra):

@@ -19,9 +19,9 @@ def test_triple_exact():
 
 def test_e2_order_q_coefficient():
     idt = ramanujan_triple(5)[0]
-    assert idt.lhs.coeff(1).const_value() == -24
+    assert idt.lhs.coeff(1) == -24
     # RHS at q^1: (2*(-24) - 240)/12 = -24
-    assert idt.rhs.coeff(1).const_value() == F(-48 - 240, 12)
+    assert idt.rhs.coeff(1) == F(-48 - 240, 12)
 
 
 def test_negative_control_wrong_constant():
@@ -31,7 +31,7 @@ def test_negative_control_wrong_constant():
     wrong = (e2 * e2 - e4).scale(F(1, 6))
     resid = e2.q_log_deriv() - wrong
     assert not resid.is_zero()
-    assert min(resid.terms) == 1
+    assert resid.valuation() == 1
 
 
 def test_extract_family_exact():
@@ -61,8 +61,7 @@ def test_extract_matches_direct_transport_product(z_order, q_order):
         lhs = tau_part.coeff(zexp, pexp)
         rhs = rhs_full.coeff(zexp, pexp) - transport.coeff(zexp, pexp)
         for got in (idt, batch):
-            assert got.lhs.terms == lhs.terms and got.lhs.trunc == lhs.trunc
-            assert got.rhs.terms == rhs.terms and got.rhs.trunc == rhs.trunc
+            assert got.lhs == lhs and got.rhs == rhs
             assert got.holds(), f"k={k}"
 
 
@@ -97,7 +96,7 @@ def test_extract_window_is_the_propagated_truncation(z_order):
     top = extract_ode_family(z_order - 1, z_order, 12)
     ref = extract_ode_family(z_order - 1, z_order + 1, 12)
     for got, want in ((top.lhs, ref.lhs), (top.rhs, ref.rhs)):
-        assert got.terms == want.terms and got.trunc == want.trunc
+        assert got == want
     assert top.holds()
     with pytest.raises(OutOfRange, match=f"window \\[0, {2 * z_order - 2}\\)"):
         extract_ode_family(z_order, z_order, 12)

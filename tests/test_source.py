@@ -25,8 +25,8 @@ def test_modules_compile_without_warnings():
             compile(path.read_text(encoding="utf-8"), str(path), "exec")
 
 
-EXACT_MODULES = ("ratfunc", "series", "numtheory", "labels", "characters",
-                 "ramanujan", "superalgebra", "certificate")
+EXACT_MODULES = ("ratfunc", "series", "qseries", "numtheory", "labels",
+                 "characters", "ramanujan", "superalgebra", "certificate")
 
 
 @pytest.mark.parametrize("module", EXACT_MODULES)
@@ -77,6 +77,10 @@ def test_public_namespace_resolves():
         assert obj.__module__.startswith("superjacobi."), name
         assert getattr(sys.modules[obj.__module__], name) is obj, name
     assert set(superjacobi.__all__) <= set(dir(superjacobi))
+    # series binds ZPiSeries from qseries, its one definition
+    from superjacobi import qseries, series
+    assert superjacobi.ZPiSeries is series.ZPiSeries is qseries.ZPiSeries
+    assert superjacobi.QSeries is qseries.QSeries
     with pytest.raises(AttributeError, match="'no_such_name'"):
         superjacobi.no_such_name
 
@@ -112,9 +116,10 @@ def test_import_loads_no_computation_module():
 
 BASE = {"cli", "errors"}
 LABELS = BASE | {"labels"}
-SERIES = BASE | {"ratfunc", "series"}
-ELLIPTIC = SERIES | {"numtheory", "elliptic"}
-CHARACTERS = SERIES | {"labels", "characters"}
+Y_FREE = BASE | {"qseries", "numtheory"}
+ELLIPTIC = Y_FREE | {"elliptic"}
+XI = ELLIPTIC | {"ratfunc", "series"}
+CHARACTERS = BASE | {"ratfunc", "series", "qseries", "labels", "characters"}
 SUPERALGEBRA = BASE | {"superalgebra"}
 CERTIFIED = SUPERALGEBRA | {"certificate"}
 
@@ -124,10 +129,10 @@ CERTIFIED = SUPERALGEBRA | {"certificate"}
     ("char --u 3 --j 1 --k 1 --order 4", CHARACTERS),
     ("spectrum --u 3", LABELS),
     ("flow --u 3 --order 6", CHARACTERS),
-    ("eisenstein --k 2 --order 4", SERIES | {"numtheory"}),
+    ("eisenstein --k 2 --order 4", Y_FREE),
     ("wp-pde --z-order 4 --order 4", ELLIPTIC),
-    ("xi-shift --order 4", ELLIPTIC),
-    ("xi-zetabar --t-order 4 --order 4", ELLIPTIC),
+    ("xi-shift --order 4", XI),
+    ("xi-zetabar --t-order 4 --order 4", XI),
     ("zetabar-table --points 1", ELLIPTIC),
     ("jacobi-test --u 2 --gen x10 --order 6", LABELS | {"jacobi"}),
     ("bracket L 2 L -1", SUPERALGEBRA),
