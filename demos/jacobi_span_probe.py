@@ -22,6 +22,13 @@ from superjacobi.jacobi import (JacobiGroupElement, ModularPoint, S_ELEMENT,
                                 multiplier_cocycle_defect, sample_points,
                                 span_invariance_test)
 
+
+def below(x):
+    """x against the 1e-12 rounding bound, so rounding-level values print
+    the same whatever order the arithmetic ran in."""
+    return f"{'< 1e-12':>9s}" if x < 1e-12 else f"{x:9.3e}"
+
+
 # group law and action
 g = compose(JacobiGroupElement.lattice(1, 0), S_ELEMENT)
 print("(I,(1,0)) * (S,0) =", g.matrix, g.vector)
@@ -43,12 +50,12 @@ gens = [("(1,0)", JacobiGroupElement.lattice(1, 0)),
 for u in (2, 3):
     for name, g in gens:
         rep = span_invariance_test(u, g, q_order=Fraction(14))
-        print(f"   u={u} {name:6s} residual {rep.residual:9.3e}   "
-              f"matrix discrepancy {rep.matrix_discrepancy:9.3e}")
+        print(f"   u={u} {name:6s} residual {below(rep.residual)}   "
+              f"matrix discrepancy {below(rep.matrix_discrepancy)}")
 
 print("\nspan of phi, phi|T, phi|S, tau sampled in [-0.3, 0.3] + i[0.9, 1.3]:")
 for u in (2, 3):
     for name, g in gens:
         rep = coset_span_test(u, g, q_order=Fraction(14))
-        print(f"   u={u} {name:6s} residual {rep.residual:9.3e}   "
-              f"matrix discrepancy {rep.matrix_discrepancy:9.3e}")
+        print(f"   u={u} {name:6s} residual {below(rep.residual)}   "
+              f"matrix discrepancy {below(rep.matrix_discrepancy)}")

@@ -16,10 +16,10 @@ from fractions import Fraction
 from itertools import islice
 
 # Each subcommand imports the modules it runs, so a job loads no others.
-# numpy alone stays here, though only jacobi uses it: perfbench/run.py reads
-# its line from `python -X importtime -c "import superjacobi.cli"` as
-# cli.numpy_import_s, and deferring it waits until that read is optional
-# (ROADMAP item 1).
+# No other module in src/ uses numpy; it is imported here only because
+# perfbench/run.py reads its line from
+# `python -X importtime -c "import superjacobi.cli"` as cli.numpy_import_s,
+# and dropping it waits until that read is optional (ROADMAP item 1).
 import numpy  # noqa: F401
 
 from .errors import SuperjacobiError

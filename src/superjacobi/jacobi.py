@@ -18,10 +18,12 @@ for index cc/6.
 
 The span-invariance test is a numerical probe of whether a span of functions
 is preserved: it fits a constant mixing matrix M with
-M v(p) ~ multiplier * v(g . p) by an orthogonal-factorization least squares
-over deterministic samples (alpha on the segment from 0.1 + 0.3i to 0.4;
-tau pinned at i by default, or sampled in an opt-in box such as TAU_BOX =
-[-0.3, 0.3] + i[0.9, 1.3]) and reports the residual.
+M v(p) ~ multiplier * v(g . p) by least squares over deterministic samples
+(alpha on the segment from 0.1 + 0.3i to 0.4; tau pinned at i by default, or
+sampled in an opt-in box such as TAU_BOX = [-0.3, 0.3] + i[0.9, 1.3]) and
+reports the residual.  The fit runs in plain Python: Householder QR of the
+sample matrix, its condition number from the one-sided Jacobi singular values
+of R, and back substitution on R.
 
 On the normalized characters chi at tau = i the lattice generators pass at
 machine precision and S and the shear T do not close: for u = 2,
@@ -45,8 +47,6 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import IllConditioned, PoleProximity, TailBoundExceeded
 from .labels import ModuleLabel, _quotient_factors, central_charge, spectrum
@@ -315,44 +315,143 @@ def _sector_row(labels, p, q_order, cc, family, cosets) -> list[complex]:
 
 
 def _sample_matrices(u, g, pts, q_order, cc, family, cosets):
-    """(V, W): row i of V is v(p_i), row i of W is mult(g, p_i) v(g . p_i)."""
+    """(V, W) as lists of rows: row i of V is v(p_i), row i of W is
+    mult(g, p_i) v(g . p_i)."""
     labels = spectrum(u)
-    V = np.array([_sector_row(labels, p, q_order, cc, family, cosets)
-                  for p in pts], dtype=complex)
+    V = [_sector_row(labels, p, q_order, cc, family, cosets) for p in pts]
 
     def transformed_row(p):
         mult = multiplier(g, p, cc)
         return [mult * v for v in _sector_row(labels, act_on_point(g, p),
                                               q_order, cc, family, cosets)]
 
-    W = np.array([transformed_row(p) for p in pts], dtype=complex)
+    W = [transformed_row(p) for p in pts]
     return V, W
 
 
+def _abs2(z: complex) -> float:
+    return z.real * z.real + z.imag * z.imag
+
+
+def _householder(V, W):
+    """(R, B): the n x n upper-triangular factor R of V = QR and the first n
+    rows B of Q^H W, for V of m >= n rows (lists of rows).  Each Householder
+    reflection is applied to the trailing columns of V and to W as it is
+    formed, so Q is never built (Golub-Van Loan, Matrix Computations,
+    sec. 5.2)."""
+    n = len(V[0])
+    cols = [list(c) for c in zip(*V)]
+    rhs = [list(c) for c in zip(*W)]
+    for k in range(n):
+        x = cols[k]
+        norm = math.sqrt(sum(_abs2(z) for z in x[k:]))
+        if norm == 0.0:
+            continue
+        # reflect x[k:] onto alpha e_1, alpha = -norm x_k/|x_k|, so that
+        # x_k - alpha adds two numbers of the same phase
+        x0 = x[k]
+        r0 = abs(x0)
+        alpha = -norm * (x0 / r0) if r0 else complex(-norm)
+        v = x[k:]
+        v[0] = x0 - alpha
+        inv = 1.0 / (norm * (norm + r0))  # 2 / (v^H v)
+        x[k] = alpha
+        for c in cols[k + 1:] + rhs:
+            tail = c[k:]
+            s = inv * sum(vi.conjugate() * ci for vi, ci in zip(v, tail))
+            c[k:] = [ci - s * vi for ci, vi in zip(tail, v)]
+    R = [[cols[j][i] if j >= i else 0j for j in range(n)] for i in range(n)]
+    B = [[c[i] for c in rhs] for i in range(n)]
+    return R, B
+
+
+# One-sided Jacobi converges quadratically, in a few sweeps at these sizes;
+# the cap ends the loop on a nan column, whose rotations never settle.
+_JACOBI_SWEEPS = 60
+
+
+def _singular_values(A) -> list[float]:
+    """The singular values of A (a list of rows) by one-sided Jacobi: plane
+    rotations orthogonalize the columns until every pair has cosine at most
+    n eps, and the column norms are then the singular values (Hestenes 1958;
+    Demmel-Veselic, SIAM J. Matrix Anal. Appl. 13 (1992)).  Within a sweep
+    the squared norms are updated with each rotation and re-summed at the
+    start of the next."""
+    cols = [list(c) for c in zip(*A)]
+    n = len(cols)
+    tol = n * math.ulp(1.0)
+    for _ in range(_JACOBI_SWEEPS):
+        norms = [sum(_abs2(z) for z in c) for c in cols]
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                a, b = norms[p], norms[q]
+                gamma = sum(x.conjugate() * y
+                            for x, y in zip(cols[p], cols[q]))
+                g = abs(gamma)
+                if g <= tol * math.sqrt(a * b):
+                    continue
+                rotated = True
+                # rotate column p against e^{-i arg gamma} column q, with
+                # t = tan theta the smaller root of t^2 + 2 zeta t - 1 = 0
+                zeta = (b - a) / (2.0 * g)
+                t = math.copysign(1.0, zeta) / (abs(zeta)
+                                                 + math.hypot(1.0, zeta))
+                c = 1.0 / math.hypot(1.0, t)
+                s = c * t
+                phase = gamma.conjugate() / g
+                cp = cols[p]
+                cq = [phase * y for y in cols[q]]
+                cols[p] = [c * x - s * y for x, y in zip(cp, cq)]
+                cols[q] = [s * x + c * y for x, y in zip(cp, cq)]
+                # the rotated pair's Gram matrix is diag(a - t g, b + t g)
+                norms[p] = max(a - t * g, 0.0)
+                norms[q] = b + t * g
+        if not rotated:
+            return [math.sqrt(a) for a in norms]
+    raise IllConditioned(f"singular values did not converge in "
+                         f"{_JACOBI_SWEEPS} Jacobi sweeps")
+
+
 def _back_substitute(R, B):
-    """X with R X = B, for upper-triangular R with a nonzero diagonal: one
-    row operation per row of R, from the last up (Golub-Van Loan, Matrix
-    Computations, sec. 5.3)."""
-    X = np.empty_like(B)
-    for i in range(R.shape[0] - 1, -1, -1):
-        X[i] = (B[i] - R[i, i + 1:] @ X[i + 1:]) / R[i, i]
+    """X with R X = B, for upper-triangular R with a nonzero diagonal (lists
+    of rows): one row operation per row of R, from the last up (Golub-Van
+    Loan, Matrix Computations, sec. 5.3)."""
+    n = len(R)
+    X = [None] * n
+    for i in range(n - 1, -1, -1):
+        Ri, d = R[i], R[i][i]
+        X[i] = [(b - sum(Ri[l] * X[l][c] for l in range(i + 1, n))) / d
+                for c, b in enumerate(B[i])]
     return X
 
 
 def _fit(V, W):
     """The least-squares M with V M^T ~ W, its worst relative residual and
-    the condition number of V; IllConditioned when that exceeds 1e8, before
-    any solve."""
-    cond = float(np.linalg.cond(V))
-    if cond > 1e8:
+    the condition number of V; IllConditioned when that exceeds 1e8 or is
+    NaN, or when a sample value is not finite, before any solve.
+
+    Householder QR of V carries W along; the condition number is the ratio
+    of the extreme singular values of R (inf when the smallest is 0), and
+    back substitution on R gives M^T."""
+    for row in V + W:
+        for z in row:
+            if not cmath.isfinite(z):
+                raise IllConditioned(
+                    f"sample value {z} is not finite; the condition guard "
+                    "refuses it")
+    R, B = _householder(V, W)
+    sv = _singular_values(R)
+    lo, hi = min(sv), max(sv)
+    cond = math.inf if lo == 0.0 else hi / lo
+    if not cond <= 1e8:
         raise IllConditioned(f"sample matrix condition {cond:.3e} > 1e8")
-    # least squares: QR, then back substitution on R
-    Qm, Rm = np.linalg.qr(V)
-    Mt = _back_substitute(Rm, Qm.conj().T @ W)
-    pred = V @ Mt
-    scale = float(np.max(np.abs(W)))
-    residual = float(np.max(np.abs(pred - W))) / max(scale, 1e-300)
-    return Mt.T, residual, cond
+    Mt = _back_substitute(R, B)
+    M = [list(c) for c in zip(*Mt)]
+    scale = max(abs(z) for row in W for z in row)
+    worst = max(abs(sum(a * b for a, b in zip(v, m)) - w)
+                for v, wrow in zip(V, W) for m, w in zip(M, wrow))
+    return M, worst / max(scale, 1e-300), cond
 
 
 def span_invariance_test(u: int, g: JacobiGroupElement,
@@ -382,7 +481,7 @@ def span_invariance_test(u: int, g: JacobiGroupElement,
                                         cosets))
     M2, r2, c2 = _fit(*_sample_matrices(u, g, second, q_order, cc, family,
                                         cosets))
-    disc = float(np.max(np.abs(M1 - M2)))
+    disc = max(abs(a - b) for x, y in zip(M1, M2) for a, b in zip(x, y))
     return MixingReport(
         element=g, u=u,
         matrix=[list(row) for row in M1],

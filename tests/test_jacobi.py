@@ -262,23 +262,105 @@ def test_ill_conditioned_samples_rejected():
         span_invariance_test(5, S_ELEMENT)
 
 
+_FOUR_GENS = pytest.mark.parametrize(
+    "g", [S_ELEMENT, T_SHEAR, JacobiGroupElement.lattice(1, 0),
+          JacobiGroupElement.lattice(0, 1)], ids=["S", "T", "x10", "x01"])
+# (family, cosets, tau_box): chi at tau = i, and the three-sector phi span
+_SPANS = pytest.mark.parametrize(
+    "span", [(eval_character_value, (IDENTITY,), None),
+             (jacobi_normalized, GAMMA0_2_COSETS, TAU_BOX)],
+    ids=["chi", "phi-cosets"])
+
+
+def probe_matrices(u, g, family=eval_character_value, cosets=(IDENTITY,),
+                   tau_box=None):
+    """The (V, W) of the probe's first sample set."""
+    count = max(3 * len(spectrum(u)) * len(cosets), 9)
+    return _sample_matrices(u, g, sample_points(2 * count, 7, tau_box)[:count],
+                            F(14), central_charge(u), family, cosets)
+
+
 @pytest.mark.parametrize("u", [2, 3, 4])
-@pytest.mark.parametrize("g", [S_ELEMENT, T_SHEAR,
-                               JacobiGroupElement.lattice(1, 0),
-                               JacobiGroupElement.lattice(0, 1)],
-                         ids=["S", "T", "x10", "x01"])
+@_FOUR_GENS
 def test_back_substitution_matches_general_solve(u, g):
-    # the fit solves R X = Q^H W by back substitution; a general LU solve on
-    # the same Q and R gives the same M to rounding, also at u = 4 S, whose
+    # the fit solves R X = Q^H W by back substitution; on numpy's own Q and R
+    # a general LU solve gives the same X to rounding, also at u = 4 S, whose
     # samples have condition 3.8e5
-    count = max(3 * len(spectrum(u)), 9)
-    V, W = _sample_matrices(u, g, sample_points(2 * count)[:count], F(14),
-                            central_charge(u), eval_character_value,
-                            (IDENTITY,))
-    M, _, _ = _fit(V, W)
-    Q, R = np.linalg.qr(V)
-    ref = np.linalg.solve(R, Q.conj().T @ W).T
-    assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref))
+    V, W = probe_matrices(u, g)
+    Q, R = np.linalg.qr(np.array(V))
+    B = Q.conj().T @ np.array(W)
+    X = np.array(jacobi._back_substitute(R.tolist(), B.tolist()))
+    ref = np.linalg.solve(R, B)
+    assert np.max(np.abs(X - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("u", [2, 3, 4])
+@_FOUR_GENS
+@_SPANS
+def test_fit_matches_lstsq(u, g, span):
+    # Householder least squares is backward stable with perturbations of
+    # order m n eps (Higham, Accuracy and Stability of Numerical Algorithms,
+    # 2002, thm. 20.3), so to first order each column of M^T lies within
+    # m n kappa eps of the exact solution, relative; two such solvers agree
+    # to twice that, and so do their condition numbers
+    family, cosets, tau_box = span
+    V, W = probe_matrices(u, g, family, cosets, tau_box)
+    M, _, cond = _fit(V, W)
+    A, B = np.array(V), np.array(W)
+    ref = np.linalg.lstsq(A, B, rcond=None)[0]
+    kappa = np.linalg.cond(A)
+    m, n = A.shape
+    bound = 2 * m * n * kappa * np.finfo(float).eps
+    err = np.linalg.norm(np.array(M).T - ref, axis=0)
+    assert np.all(err <= bound * np.linalg.norm(ref, axis=0))
+    assert abs(cond - kappa) <= bound * kappa
+
+
+def _random_complex(rng, m, n):
+    return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+
+def _sv_cases():
+    rng = np.random.default_rng(20)
+    deficient = _random_complex(rng, 12, 6)
+    deficient[:, 5] = deficient[:, 0] - 2j * deficient[:, 3]
+    # columns scaled from 1 to 1e-12: condition about 1e12
+    graded = _random_complex(rng, 8, 8) * np.logspace(0, -12, 8)
+    return {"square": _random_complex(rng, 8, 8),
+            "tall": _random_complex(rng, 20, 7),
+            "rank-deficient": deficient, "graded": graded}
+
+
+_SV_CASES = _sv_cases()
+
+
+@pytest.mark.parametrize("name", list(_SV_CASES))
+def test_singular_values_match_svd(name):
+    # both methods are backward stable, so by Weyl's inequality each singular
+    # value moves by at most max(m, n) eps sigma_max to first order
+    A = _SV_CASES[name]
+    got = sorted(jacobi._singular_values(A.tolist()), reverse=True)
+    ref = np.linalg.svd(A, compute_uv=False)
+    bound = max(A.shape) * np.finfo(float).eps * ref[0]
+    assert np.max(np.abs(np.array(got) - ref)) <= bound
+    if name == "graded":
+        assert 1e11 < got[0] / got[-1] < 1e13
+
+
+def test_overflowing_samples_stop_at_the_sweep_cap(monkeypatch):
+    # finite values near 1e200 overflow the Householder norms, so R holds
+    # nan and no rotation ever settles: the sweep cap refuses the samples
+    def no_solve(R, B):
+        raise AssertionError("an overflowed factorization reached the solve")
+
+    monkeypatch.setattr(jacobi, "_back_substitute", no_solve)
+
+    def family(lab, p, q_order):
+        return 1e200 * eval_character_value(lab, p, q_order)
+
+    with pytest.raises(IllConditioned, match="did not converge in 60"):
+        span_invariance_test(3, JacobiGroupElement.lattice(1, 0),
+                             family=family)
 
 
 @pytest.mark.parametrize("column", ["equal", "zero"])
@@ -300,6 +382,39 @@ def test_singular_samples_never_reach_the_solve(monkeypatch, column):
     with pytest.raises(IllConditioned, match=r"condition .* > 1e8"):
         span_invariance_test(3, JacobiGroupElement.lattice(1, 0),
                              family=family)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_samples_never_reach_the_factorization(monkeypatch, value):
+    # a family value of nan or inf is refused before the QR factorization,
+    # whose norms and condition number it would turn into nan
+    def no_factorization(V, W):
+        raise AssertionError("a non-finite sample reached the factorization")
+
+    monkeypatch.setattr(jacobi, "_householder", no_factorization)
+    first = spectrum(3)[0]
+
+    def family(lab, p, q_order):
+        if lab == first:
+            return value
+        return eval_character_value(lab, p, q_order)
+
+    with pytest.raises(IllConditioned, match="not finite; the condition guard"):
+        span_invariance_test(3, JacobiGroupElement.lattice(1, 0),
+                             family=family)
+
+
+def test_nan_condition_never_reaches_the_solve(monkeypatch):
+    # cond > 1e8 is False for nan, so the guard is written as a refusal of
+    # anything that is not <= 1e8
+    def no_solve(R, B):
+        raise AssertionError("a nan condition reached the solve")
+
+    monkeypatch.setattr(jacobi, "_back_substitute", no_solve)
+    monkeypatch.setattr(jacobi, "_singular_values",
+                        lambda R: [math.nan] * len(R))
+    with pytest.raises(IllConditioned, match="condition nan > 1e8"):
+        span_invariance_test(3, JacobiGroupElement.lattice(1, 0))
 
 
 @pytest.mark.parametrize("tau, alpha", [

@@ -47,6 +47,24 @@ def test_exact_modules_are_float_free(module):
     assert not found, f"{module}.py (line, what): {sorted(found)}"
 
 
+def test_only_cli_imports_numpy():
+    # the probe fits in plain Python; cli.py keeps numpy only for the
+    # benchmark's import-time read (test_cli_import_reports_numpy)
+    importers = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(n.split(".")[0] == "numpy" for n in names):
+                importers.add(path.stem)
+    assert importers == {"cli"}
+
+
 def test_traced_names_resolve():
     # the benchmark's tracer wraps these names by getattr; a renamed or
     # deleted one should fail here, not only in a traced benchmark run
