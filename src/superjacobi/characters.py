@@ -14,56 +14,137 @@ flipped via (1 - q^{-r} w) = -q^{-r} w (1 - q^r w^{-1}), which contributes an
 exact monomial, so no series is resummed.
 
 Both the character and its flow come from labels._quotient_factors.  Every
-intermediate coefficient is an integer Laurent polynomial in y, so _product
-multiplies the factors out on integer rows, starting from the row of 1, and
-builds one RatFunc per output term; the q^0 factors form the one rational
-constant, applied once at the end.
+coefficient is an integer Laurent polynomial in y over a power of (y - 1),
+so the work runs on integer rows from the factor walk to the printed JSON:
+_product multiplies the factors out, starting from the row of 1, and the q^0
+factors form one integral constant N/(y-1)^p; _series applies the sign, that
+constant and the prefactor, and puts each term in canonical form once.  No
+CLI path builds a RatFunc: only ``RowSeries.leading`` and ``coeff`` import
+``ratfunc``, to hand one to the demo and the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, lcm
 
 # central_charge and _GENERIC_DENOM are not used here: they are bound so that
 # every label name still resolves as characters.<name>
 from .labels import (_GENERIC_DENOM, ModuleLabel, _p_factors,  # noqa: F401
                      _quotient_factors, central_charge, spectrum)
-from .ratfunc import RatFunc
-from .series import QYSeries
+
+Row = dict[int, int]
+
+
+def _ym1_power(p: int) -> Row:
+    """(y-1)^p expanded."""
+    return {e: (-1) ** (p - e) * comb(p, e) for e in range(p + 1)}
+
+
+def _mul_rows(a: Row, b: Row) -> Row:
+    """a * b on integer rows."""
+    out: Row = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _reduced(num: Row, pole: int) -> tuple[Row, int]:
+    """num/(y-1)^pole, num nonzero, in canonical form: pole = 0 or
+    num(1) != 0, cancelling one (y-1) at a time by synthetic division."""
+    while pole and not sum(num.values()):
+        out: Row = {}
+        carry = 0
+        for e in range(max(num), min(num), -1):
+            carry += num.get(e, 0)
+            if carry:
+                out[e - 1] = carry
+        num, pole = out, pole - 1
+    return num, pole
+
+
+@dataclass
+class RowSeries:
+    """Truncated series  y^ypref * sum_e  N_e(y)/(y-1)^p_e q^(e/qden),  e < trunc.
+
+    ``terms`` maps the scaled exponent e to (N_e, p_e): N_e a nonzero integer
+    Laurent polynomial {yexp: int} and p_e >= 0, in canonical form (p_e = 0
+    or N_e(1) != 0), so equal coefficients have equal terms.
+    """
+
+    qden: int
+    ypref: Fraction
+    terms: dict[int, tuple[Row, int]]
+    trunc: int
+
+    def coeff(self, qexp):
+        """The coefficient of q^qexp as a RatFunc."""
+        from .ratfunc import RatFunc
+        e = Fraction(qexp) * self.qden
+        num, pole = (self.terms.get(int(e), ({}, 0)) if e.denominator == 1
+                     else ({}, 0))
+        return RatFunc({y: Fraction(v) for y, v in num.items()},
+                       {y: Fraction(v) for y, v in _ym1_power(pole).items()})
+
+    def leading(self):
+        """(lowest visible q-exponent, its coefficient as a RatFunc)."""
+        e0 = Fraction(min(self.terms), self.qden)
+        return e0, self.coeff(e0)
+
+    def to_dict(self) -> dict:
+        items = []
+        for e in sorted(self.terms):
+            num, pole = self.terms[e]
+            items.append({
+                "qExp": e,
+                "num": [[y, f"{c}/1"] for y, c in sorted(num.items())],
+                "den": [[y, f"{c}/1"] for y, c in _ym1_power(pole).items()]})
+        p = self.ypref
+        return {"qDenom": self.qden,
+                "yPrefactor": f"{p.numerator}/{p.denominator}",
+                "truncation": self.trunc,
+                "terms": items}
 
 
 @dataclass
 class CharacterSeries:
     label: ModuleLabel
-    series: QYSeries
+    series: RowSeries
     normalized: bool
 
 
-def _product(factors, q_order: Fraction, qden: int) -> QYSeries:
+def _product(factors, q_order: Fraction, qden: int):
     """The product of binomial factors (1 - q^a y^s)^side, exact to
-    q^q_order on the grid 1/qden.
+    q^q_order on the grid 1/qden, as (rows, trunc, (N, p)).
 
     The work runs on integer rows {e: {yexp: int}}, starting from the row of
     1: a numerator factor is one descending-e pass, a denominator factor the
-    forward recurrence.  q^0 factors are exact constants y^s (y-1)^{+-1},
-    folded into one RatFunc and applied once at the end, so only one RatFunc
-    is built per output term.
+    forward recurrence.  The q^0 factors multiply to the constant N/(y-1)^p,
+    N an integer Laurent polynomial and p >= 0, since 1 - y = -(y-1) and
+    1 - 1/y = (y-1)/y; any other q^0 factor is a ValueError.
     """
     trunc = Fraction(q_order) * qden
     if trunc.denominator != 1:
         raise ValueError("q_order not on the grid")
     trunc = int(trunc)
     rows: dict[int, dict[int, int]] = {0: {0: 1}}
-    const = RatFunc.one()
+    sign, yshift, pole = 1, 0, 0
     for a, yexp, side in factors:
         a_scaled = Fraction(a) * qden
         if a_scaled.denominator != 1:
             raise ValueError("factor exponent off the grid")
         a_scaled = int(a_scaled)
         if a_scaled == 0:
-            f = RatFunc({0: Fraction(1), yexp: Fraction(-1)})
-            const = const * f if side > 0 else const * f.inverse()
+            if yexp == 1:
+                sign = -sign
+            elif yexp == -1:
+                yshift -= side
+            else:
+                raise ValueError(f"q^0 factor (1 - y^{yexp}) is not "
+                                 "1 - y or 1 - 1/y")
+            pole -= side
         elif side > 0:
             # row e feeds row e + a, which a descending pass has already read
             for e in sorted(rows, reverse=True):
@@ -76,12 +157,10 @@ def _product(factors, q_order: Fraction, qden: int) -> QYSeries:
                 prev = rows.get(e - a_scaled)
                 if prev:
                     _add_shifted(rows.setdefault(e, {}), prev, yexp, 1)
-    terms = {e: RatFunc({y: Fraction(v) for y, v in row.items()})
-             for e, row in rows.items() if row}
-    out = QYSeries(qden, Fraction(0), terms, trunc)
-    if not (const.is_const() and const.const_value() == 1):
-        out = out.scale(const)
-    return out
+    const = {yshift + e: sign * c
+             for e, c in _ym1_power(max(0, -pole)).items()}
+    return {e: row for e, row in rows.items() if row}, trunc, \
+        (const, max(0, pole))
 
 
 def _add_shifted(target: dict[int, int], row: dict[int, int], yexp: int,
@@ -96,12 +175,28 @@ def _add_shifted(target: dict[int, int], row: dict[int, int], yexp: int,
             del target[y]
 
 
+def _series(factors, q_order: Fraction, qden: int, sign: int = 1,
+            qpref: Fraction = Fraction(0),
+            ypref: Fraction = Fraction(0)) -> RowSeries:
+    """sign * q^qpref * y^ypref * prod (1 - q^a y^s)^side, exact to q^q_order
+    on the grid 1/qden (refined when qpref is off it), each term reduced once."""
+    rows, trunc, (const, pole) = _product(factors, q_order, qden)
+    if sign < 0:
+        const = {y: -c for y, c in const.items()}
+    d = lcm(qden, qpref.denominator)
+    f = d // qden
+    off = int(qpref * d)
+    terms = {e * f + off: _reduced(_mul_rows(row, const), pole)
+             for e, row in rows.items()}
+    return RowSeries(d, ypref, terms, trunc * f + off)
+
+
 def p_product(label: ModuleLabel, q_order: Fraction,
-              qden: int | None = None) -> QYSeries:
+              qden: int | None = None) -> RowSeries:
     """P_{j,k}^{(u)} exact to q^q_order, on the grid 1/qden (default 2u)."""
     u, j, k = label.u, label.j, label.k
     qden = qden if qden is not None else 2 * u
-    return _product(_p_factors(u, j, k, q_order), q_order, qden)
+    return _series(_p_factors(u, j, k, q_order), q_order, qden)
 
 
 def character(label: ModuleLabel, q_order: Fraction,
@@ -122,17 +217,16 @@ def character(label: ModuleLabel, q_order: Fraction,
 # -- spectral flow --------------------------------------------------------------
 
 def _flowed(label: ModuleLabel, m: int, q_order: Fraction,
-            normalized: bool) -> QYSeries:
+            normalized: bool) -> RowSeries:
     """q^{c m^2/6} y^{c m/3} * chi(q, q^m y), exact to q^q_order, from the
     product factors at y -> q^m y; m = 0 gives the character itself."""
     factors, sign, qpref, ypref = _quotient_factors(
         label.u, label.j, label.k, m, q_order, normalized)
-    ser = _product(factors, q_order, 2 * label.u).shift(qpref, ypref)
-    return ser.scale(-1) if sign < 0 else ser
+    return _series(factors, q_order, 2 * label.u, sign, qpref, ypref)
 
 
 def spectral_flow_transform(c: CharacterSeries, m: int,
-                            q_order: Fraction | None = None) -> QYSeries:
+                            q_order: Fraction | None = None) -> RowSeries:
     """q^{c m^2/6} y^{c m/3} * chi(q, q^m y) for a normalized character.
 
     Exact to the input's q-order (or q_order if given); computed from the
@@ -163,24 +257,40 @@ class FlowMatch:
                 "yShift": str(self.y_shift)}
 
 
-def _monomial_ratio(a: QYSeries, b: QYSeries):
+def _on_grid(s: RowSeries, d: int) -> tuple[dict, int]:
+    """The terms and truncation of s on the finer grid 1/d."""
+    f = d // s.qden
+    if f == 1:
+        return s.terms, s.trunc
+    return {e * f: t for e, t in s.terms.items()}, s.trunc * f
+
+
+def _monomial_ratio(a: RowSeries, b: RowSeries):
     """If a == const * q^dq * y^dy * b for a single rational const, return
     (const, dq, dy); else None.  Compares the visible windows, from the
-    leading terms, whose lowest y-terms give const and y^s0."""
-    if a.is_zero() or b.is_zero():
+    leading terms, whose lowest y-terms ca y^ya and cb y^yb give const =
+    ca/cb and y^s0; on canonical terms that is N_a(y) cb = N_b(y) y^s0 ca
+    with equal poles, checked on integers."""
+    if not a.terms or not b.terms:
         return None
-    aa, bb = QYSeries._unify_grid_only(a, b)
-    ea, eb = min(aa.terms), min(bb.terms)
+    d = lcm(a.qden, b.qden)
+    (ta, tra), (tb, trb) = _on_grid(a, d), _on_grid(b, d)
+    ea, eb = min(ta), min(tb)
     dq = ea - eb
-    ca, cb = aa.terms[ea], bb.terms[eb]
-    na, nb = ca.num_min_exp(), cb.num_min_exp()
-    s0, const = na - nb, ca.num[na] / cb.num[nb]
-    for e in range(ea, min(aa.trunc, bb.trunc + dq)):
-        x = aa.terms.get(e, RatFunc.zero())
-        y = bb.terms.get(e - dq, RatFunc.zero()).mul_monomial(s0).scale(const)
-        if x != y:
+    na, nb = ta[ea][0], tb[eb][0]
+    ya, yb = min(na), min(nb)
+    s0, ca, cb = ya - yb, na[ya], nb[yb]
+    for e in range(ea, min(tra, trb + dq)):
+        x, y = ta.get(e), tb.get(e - dq)
+        if x is None or y is None:
+            if x is not y:
+                return None
+            continue
+        (nx, px), (ny, py) = x, y
+        if px != py or len(nx) != len(ny) or any(
+                nx.get(k + s0, 0) * cb != c * ca for k, c in ny.items()):
             return None
-    return const, Fraction(dq, aa.qden), aa.ypref - bb.ypref + s0
+    return Fraction(ca, cb), Fraction(dq, d), a.ypref - b.ypref + s0
 
 
 def find_flow_matches(u: int, m: int, q_order: Fraction) -> list[FlowMatch]:

@@ -333,15 +333,15 @@ def _abs2(z: complex) -> float:
     return z.real * z.real + z.imag * z.imag
 
 
-def _householder(V, W):
-    """(R, B): the n x n upper-triangular factor R of V = QR and the first n
-    rows B of Q^H W, for V of m >= n rows (lists of rows).  Each Householder
-    reflection is applied to the trailing columns of V and to W as it is
-    formed, so Q is never built (Golub-Van Loan, Matrix Computations,
-    sec. 5.2)."""
+def _householder(V, W, fv, fw):
+    """(R, B): the n x n upper-triangular factor R of fv V = QR and the first
+    n rows B of Q^H fw W, for V of m >= n rows (lists of rows).  Each
+    Householder reflection is applied to the trailing columns of V and to W
+    as it is formed, so Q is never built (Golub-Van Loan, Matrix
+    Computations, sec. 5.2)."""
     n = len(V[0])
-    cols = [list(c) for c in zip(*V)]
-    rhs = [list(c) for c in zip(*W)]
+    cols = [[z * fv for z in c] for c in zip(*V)]
+    rhs = [[z * fw for z in c] for c in zip(*W)]
     for k in range(n):
         x = cols[k]
         norm = math.sqrt(sum(_abs2(z) for z in x[k:]))
@@ -426,31 +426,45 @@ def _back_substitute(R, B):
     return X
 
 
-def _fit(V, W):
-    """The least-squares M with V M^T ~ W, its worst relative residual and
-    the condition number of V; IllConditioned when that exceeds 1e8 or is
-    NaN, or when a sample value is not finite, before any solve.
-
-    Householder QR of V carries W along; the condition number is the ratio
-    of the extreme singular values of R (inf when the smallest is 0), and
-    back substitution on R gives M^T."""
-    for row in V + W:
+def _refuse_non_finite(A, what: str) -> None:
+    for row in A:
         for z in row:
             if not cmath.isfinite(z):
                 raise IllConditioned(
-                    f"sample value {z} is not finite; the condition guard "
+                    f"{what} {z} is not finite; the condition guard "
                     "refuses it")
-    R, B = _householder(V, W)
+
+
+def _fit(V, W):
+    """The least-squares M with V M^T ~ W, its worst relative residual and
+    the condition number of V; IllConditioned when that exceeds 1e8 or is
+    NaN, or when a sample value or an entry of M is not finite.
+
+    V and W are each scaled by the power of two 2^-e that brings its largest
+    entry into [1/2, 1), or near it for subnormal entries, so the sums of
+    squares cannot overflow; M is scaled back.  Powers of two scale exactly.
+    Householder QR of V carries W along; the condition number is the ratio
+    of the extreme singular values of R (inf when the smallest is 0), and
+    back substitution on R gives M^T."""
+    _refuse_non_finite(V + W, "sample value")
+    ev, ew = (min(max(math.frexp(max(abs(z) for r in A for z in r))[1],
+                      -1022), 1023) for A in (V, W))
+    fv, fw = 2.0 ** -ev, 2.0 ** -ew
+    R, B = _householder(V, W, fv, fw)
     sv = _singular_values(R)
     lo, hi = min(sv), max(sv)
     cond = math.inf if lo == 0.0 else hi / lo
     if not cond <= 1e8:
         raise IllConditioned(f"sample matrix condition {cond:.3e} > 1e8")
-    Mt = _back_substitute(R, B)
-    M = [list(c) for c in zip(*Mt)]
-    scale = max(abs(z) for row in W for z in row)
-    worst = max(abs(sum(a * b for a, b in zip(v, m)) - w)
-                for v, wrow in zip(V, W) for m, w in zip(M, wrow))
+    Ms = list(zip(*_back_substitute(R, B)))
+    scale = max(abs(z) for row in W for z in row) * fw
+    worst = max(abs(sum(a * fv * b for a, b in zip(v, m)) - w * fw)
+                for v, wrow in zip(V, W) for m, w in zip(Ms, wrow))
+    # 2^k in two finite halves
+    k = ew - ev
+    h1, h2 = 2.0 ** (k // 2), 2.0 ** (k - k // 2)
+    M = [[z * h1 * h2 for z in row] for row in Ms]
+    _refuse_non_finite(M, "fitted matrix entry")
     return M, worst / max(scale, 1e-300), cond
 
 

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from superjacobi.qseries import QSeries
-from superjacobi.ratfunc import RatFunc
+from superjacobi.ratfunc import RatFunc, _make
 from superjacobi.series import QYSeries
 
 
@@ -22,6 +22,15 @@ def series_from_dict(d: dict) -> QYSeries:
              for t in d["terms"]}
     return QYSeries(int(d["qDenom"]), Fraction(d["yPrefactor"]), terms,
                     int(d["truncation"]))
+
+
+def as_qyseries(s) -> QYSeries:
+    """A ``characters.RowSeries`` as the QYSeries with the same terms, each
+    N/(y-1)^p taken as it stands, so a term the row route left unreduced
+    compares unequal to its canonical RatFunc."""
+    terms = {e: _make({y: Fraction(c) for y, c in num.items()}, pole)
+             for e, (num, pole) in s.terms.items()}
+    return QYSeries(s.qden, s.ypref, terms, s.trunc)
 
 
 def qseries_of(s: QYSeries) -> QSeries:

@@ -4,13 +4,16 @@ from fractions import Fraction
 import pytest
 
 from superjacobi.characters import (_GENERIC_DENOM, ModuleLabel,
-                                    _p_factors, _product, _quotient_factors,
+                                    RowSeries, _monomial_ratio, _p_factors,
+                                    _product, _quotient_factors, _series,
                                     central_charge, character,
                                     find_flow_matches, p_product,
                                     spectral_flow_transform, spectrum)
 from superjacobi.errors import BadLevel
 from superjacobi.ratfunc import RatFunc
 from superjacobi.series import QYSeries, div_binomial, mul_binomial
+
+from conftest import as_qyseries
 
 F = Fraction
 
@@ -92,10 +95,140 @@ def _random_kernel_case(rng: random.Random):
 @pytest.mark.parametrize("seed", range(12))
 def test_apply_factors_matches_binomial_fold(seed):
     factors, trunc, qden = _random_kernel_case(random.Random(seed))
-    got = _product(factors, F(trunc, qden), qden)
+    got = as_qyseries(_series(factors, F(trunc, qden), qden))
     ref = _product_reference(factors, trunc, qden)
     assert got.terms == ref.terms
     assert (got.trunc, got.qden, got.ypref) == (ref.trunc, ref.qden, ref.ypref)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_surplus_numerator_q0_factors_match_binomial_fold(seed):
+    # more numerator than denominator q^0 factors leave (y-1)^k in the
+    # constant's numerator, which multiplies every row
+    rng = random.Random(seed)
+    factors, trunc, qden = _random_kernel_case(rng)
+    factors += [(F(0), rng.choice([-1, 1]), +1) for _ in range(2)]
+    got = as_qyseries(_series(factors, F(trunc, qden), qden))
+    assert got == _product_reference(factors, trunc, qden)
+
+
+@pytest.mark.parametrize("yexp", [0, 2, -3])
+@pytest.mark.parametrize("side", [1, -1])
+def test_other_q0_factor_rejected(yexp, side):
+    # the q^0 constant stays integral over a power of (y - 1) only for the
+    # factors 1 - y and 1 - 1/y
+    with pytest.raises(ValueError, match=r"q\^0 factor"):
+        _product([(F(0), yexp, side)], F(2), 2)
+
+
+# -- the row route against the RatFunc route it replaced ----------------------
+
+def _ratfunc_route(factors, q_order, qden, sign=1, qpref=F(0), ypref=F(0)):
+    """The binomial fold on RatFunc coefficients, then the prefactor shift and
+    the sign as whole-series operations."""
+    ser = _product_reference(factors, int(q_order * qden), qden)
+    ser = ser.shift(qpref, ypref)
+    return ser.scale(-1) if sign < 0 else ser
+
+
+def _monomial_ratio_reference(a: QYSeries, b: QYSeries):
+    """_monomial_ratio on RatFunc terms, compared term by term."""
+    if a.is_zero() or b.is_zero():
+        return None
+    aa, bb = QYSeries._unify_grid_only(a, b)
+    ea, eb = min(aa.terms), min(bb.terms)
+    dq = ea - eb
+    ca, cb = aa.terms[ea], bb.terms[eb]
+    na, nb = ca.num_min_exp(), cb.num_min_exp()
+    s0, const = na - nb, ca.num[na] / cb.num[nb]
+    for e in range(ea, min(aa.trunc, bb.trunc + dq)):
+        x = aa.terms.get(e, RatFunc.zero())
+        y = bb.terms.get(e - dq, RatFunc.zero()).mul_monomial(s0).scale(const)
+        if x != y:
+            return None
+    return const, F(dq, aa.qden), aa.ypref - bb.ypref + s0
+
+
+def _character_cases(rng: random.Random):
+    """Three spectrum labels and one generic label at each u = 2..8, with
+    orders and normalizations drawn from rng; the generic j, k lie on a grid
+    1/d with d | 2u and j + k < u, so jk/u may refine the character's grid."""
+    for u in range(2, 9):
+        labels = spectrum(u)
+        for lab in rng.sample(labels, min(3, len(labels))):
+            yield lab, F(rng.choice([8, 20])), rng.random() < 0.5
+        d = rng.choice([d for d in range(1, 2 * u + 1) if 2 * u % d == 0])
+        j = F(rng.randint(0, u * d - 2), d)
+        k = F(rng.randint(1, int((u - j) * d) - 1), d)
+        yield (ModuleLabel(u, j, k, generic=True), F(rng.choice([3, 8])),
+               rng.random() < 0.5)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_character_rows_print_as_the_ratfunc_route(seed):
+    for lab, q_order, normalized in _character_cases(random.Random(seed)):
+        factors, sign, qpref, ypref = _quotient_factors(
+            lab.u, lab.j, lab.k, 0, q_order, normalized)
+        ref = _ratfunc_route(factors, q_order, 2 * lab.u, sign, qpref, ypref)
+        got = character(lab, q_order, normalized).series
+        assert got.to_dict() == ref.to_dict(), (lab, q_order, normalized)
+
+
+@pytest.mark.parametrize("u", range(2, 8))
+def test_flow_rows_and_ratios_match_the_ratfunc_route(u):
+    m = random.Random(u).choice([1, -1, 2, -2, 3])
+    labels = spectrum(u)
+    chars = {lab: character(lab, F(9), normalized=True) for lab in labels}
+    want = []
+    for lab in labels:
+        flowed = spectral_flow_transform(chars[lab], m)
+        q_order = F(chars[lab].series.trunc, chars[lab].series.qden)
+        factors, sign, qpref, ypref = _quotient_factors(
+            u, lab.j, lab.k, m, q_order, True)
+        ref = _ratfunc_route(factors, q_order, 2 * u, sign, qpref, ypref)
+        assert flowed.to_dict() == ref.to_dict(), lab
+        for cand in labels:
+            r = _monomial_ratio(flowed, chars[cand].series)
+            assert r == _monomial_ratio_reference(
+                ref, as_qyseries(chars[cand].series)), (lab, cand)
+            if r:
+                want.append((lab, cand, *r))
+    assert [(mt.source, mt.target, mt.const, mt.q_shift, mt.y_shift)
+            for mt in find_flow_matches(u, m, F(9))] == want
+
+
+def _with_term(s: RowSeries, e: int, num: dict, pole: int) -> RowSeries:
+    return RowSeries(s.qden, s.ypref, {**s.terms, e: (num, pole)}, s.trunc)
+
+
+@pytest.mark.parametrize("change", ["coefficient", "pole", "leading constant",
+                                    "dropped term"])
+def test_monomial_ratio_refuses_a_changed_term(change):
+    # a true flow match, then one term of the flowed series changed; the
+    # flow of (1, 1) has terms with a pole, which keep a pole + 1 canonical
+    match = next(mt for mt in find_flow_matches(4, 1, F(9))
+                 if mt.source == ModuleLabel(4, 1, 1))
+    b = character(match.target, F(9), normalized=True).series
+    a = spectral_flow_transform(
+        character(match.source, F(9), normalized=True), 1)
+    assert _monomial_ratio(a, b) == (match.const, match.q_shift,
+                                     match.y_shift)
+    lead = min(a.terms)
+    e = next(e for e in sorted(a.terms) if e > lead and a.terms[e][1])
+    num, pole = a.terms[e]
+    if change == "coefficient":
+        y0 = min(num)
+        bad = _with_term(a, e, {**num, y0: 2 * num[y0]}, pole)
+    elif change == "pole":
+        bad = _with_term(a, e, num, pole + 1)
+    elif change == "dropped term":
+        bad = RowSeries(a.qden, a.ypref,
+                        {k: t for k, t in a.terms.items() if k != e}, a.trunc)
+    else:
+        num, pole = a.terms[lead]
+        bad = _with_term(a, lead, {y: 2 * c for y, c in num.items()}, pole)
+    assert _monomial_ratio(bad, b) is None
+    assert _monomial_ratio_reference(as_qyseries(bad), as_qyseries(b)) is None
 
 
 # -- independent oracle: log of each factor, exponential via the ODE recurrence
@@ -148,13 +281,15 @@ def log_exp_oracle(label: ModuleLabel, q_order: F) -> QYSeries:
 
 def test_product_matches_log_exp_oracle_311():
     lab = ModuleLabel(3, 1, 1)
-    assert p_product(lab, F(10)).same_visible(log_exp_oracle(lab, F(10)))
+    assert as_qyseries(p_product(lab, F(10))).same_visible(
+        log_exp_oracle(lab, F(10)))
 
 
 @pytest.mark.parametrize("u", [2, 3, 4])
 def test_product_matches_log_exp_oracle_all(u):
     for lab in spectrum(u):
-        assert p_product(lab, F(8)).same_visible(log_exp_oracle(lab, F(8)))
+        assert as_qyseries(p_product(lab, F(8))).same_visible(
+            log_exp_oracle(lab, F(8)))
 
 
 # -- reference routes: numerator times the inverted denominator series ---------
@@ -163,11 +298,11 @@ def test_product_matches_log_exp_oracle_all(u):
 def test_character_matches_inversion_route(q_order):
     generic = ModuleLabel(*_GENERIC_DENOM, generic=True)
     for u in range(2, 7):
-        den_inv = p_product(generic, q_order, 2 * u).invert()
+        den_inv = as_qyseries(p_product(generic, q_order, 2 * u)).invert()
         for lab in spectrum(u):
-            quotient = p_product(lab, q_order) * den_inv
+            quotient = as_qyseries(p_product(lab, q_order)) * den_inv
             for normalized in (False, True):
-                got = character(lab, q_order, normalized).series
+                got = as_qyseries(character(lab, q_order, normalized).series)
                 ypref = F(lab.j - lab.k + 1) / u
                 if normalized:
                     ypref += central_charge(u) / 6
@@ -213,8 +348,8 @@ def _flow_by_inversion(label: ModuleLabel, m: int, q_order: F) -> QYSeries:
     fac_n, sg_n, qs_n, ys_n = _flowed_factors_reference(u, j, k, m, q_order)
     fac_d, sg_d, qs_d, ys_d = _flowed_factors_reference(*_GENERIC_DENOM, m,
                                                         q_order)
-    ser = (_product(fac_n, q_order, qden)
-           * _product(fac_d, q_order, qden).invert())
+    ser = (as_qyseries(_series(fac_n, q_order, qden))
+           * as_qyseries(_series(fac_d, q_order, qden)).invert())
     ypref = F(j - k + 1) / u + cc / 6
     qpref = F(j * k) / u + m * ypref + cc * m * m / 6 + qs_n - qs_d
     ser = ser.shift(qpref, ypref + F(cc * m, 3) + ys_n - ys_d)
@@ -226,7 +361,7 @@ def test_flow_matches_inversion_route(m):
     for u in range(2, 6):
         for lab in spectrum(u):
             ch = character(lab, F(8), normalized=True)
-            got = spectral_flow_transform(ch, m)
+            got = as_qyseries(spectral_flow_transform(ch, m))
             # the flow keeps the character's order, its prefactor included
             ref = _flow_by_inversion(lab, m, F(ch.series.trunc, 2 * u))
             assert got.terms == ref.terms
@@ -344,7 +479,8 @@ def test_leading_exponent_invariant():
 
 def test_flow_m0_identity():
     ch = character(ModuleLabel(3, 1, 1), F(6), normalized=True)
-    assert spectral_flow_transform(ch, 0).same_visible(ch.series)
+    assert as_qyseries(spectral_flow_transform(ch, 0)).same_visible(
+        as_qyseries(ch.series))
 
 
 def test_flow_u2_no_prefactor():

@@ -1,4 +1,5 @@
-"""Every script in demos/ runs to completion and prints something."""
+"""Every script in demos/ runs to completion and prints something; the
+characters demo prints exactly its pinned lines."""
 
 import os
 import re
@@ -18,10 +19,38 @@ def test_readme_lists_every_demo():
     assert sorted(listed) == [str(p.relative_to(ROOT)) for p in DEMOS]
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
-def test_demo_runs(script):
+def run_demo(script: Path) -> str:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(script)], capture_output=True,
                           text=True, env=env, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    return proc.stdout
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
+def test_demo_runs(script):
+    assert run_demo(script).strip()
+
+
+def test_characters_demo_output():
+    # the printed q^0 and leading coefficients go through RowSeries.coeff and
+    # leading, the only accessors that build a RatFunc
+    assert run_demo(ROOT / "demos" / "characters_and_flow.py").splitlines() == [
+        "u=2: c = 0, 1 modules: [(0, 1)]",
+        "u=3: c = 1, 3 modules: [(0, 1), (0, 2), (1, 1)]",
+        "u=4: c = 3/2, 6 modules: [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), "
+        "(2, 1)]",
+        "u=2 (0,1) q^0 coefficient: (y)/(y - 1)",
+        "u=4 (2,1): leading exponent 1/2 coefficient 1",
+        "flow permutation at u=3, m=1:",
+        "   (0,1) -> (1,1)   constant 1 * q^1/2",
+        "   (0,2) -> (0,1)   constant 1 * q^1/2",
+        "   (1,1) -> (0,2)   constant -1 * q^1/2",
+        "flow permutation at u=4, m=1:",
+        "   (0,1) -> (2,1)   constant 1 * q^1/2",
+        "   (0,2) -> (1,1)   constant 1 * q^1/2",
+        "   (0,3) -> (0,1)   constant 1 * q^1/2",
+        "   (1,1) -> (0,2)   constant -1 * q^1/2",
+        "   (1,2) -> (0,3)   constant -1 * q^1/2",
+        "   (2,1) -> (1,2)   constant -1 * q^1/2",
+    ]

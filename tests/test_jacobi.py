@@ -21,7 +21,7 @@ from superjacobi.jacobi import (GAMMA0_2_COSETS, IDENTITY, TAU_BOX,
                                 multiplier_cocycle_defect, sample_points,
                                 span_invariance_test)
 
-from conftest import eval_series
+from conftest import as_qyseries, eval_series
 
 F = Fraction
 
@@ -118,7 +118,7 @@ def test_eval_truncation_stability():
 
 def test_series_and_product_evaluation_agree():
     for lab in (ModuleLabel(2, 0, 1), ModuleLabel(3, 0, 2), ModuleLabel(3, 1, 1)):
-        s = character(lab, 14, normalized=True).series
+        s = as_qyseries(character(lab, 14, normalized=True).series)
         for alpha in (0.21, 0.13 + 0.19j, 0.37 + 0.05j):
             p = ModularPoint(1j, alpha)
             q = cmath.exp(2j * cmath.pi * p.tau)
@@ -347,20 +347,50 @@ def test_singular_values_match_svd(name):
         assert 1e11 < got[0] / got[-1] < 1e13
 
 
-def test_overflowing_samples_stop_at_the_sweep_cap(monkeypatch):
-    # finite values near 1e200 overflow the Householder norms, so R holds
-    # nan and no rotation ever settles: the sweep cap refuses the samples
-    def no_solve(R, B):
-        raise AssertionError("an overflowed factorization reached the solve")
-
-    monkeypatch.setattr(jacobi, "_back_substitute", no_solve)
+@pytest.mark.parametrize("size", [1e200, 1e-200])
+def test_huge_and_tiny_samples_fit_as_the_unscaled_family(size):
+    # the fit scales V and W by one power of two before the factorization,
+    # so finite values near 1e200 no longer overflow its sums of squares,
+    # nor do values near 1e-200 underflow them; the relative residual is
+    # scale-free
+    g = JacobiGroupElement.lattice(1, 0)
 
     def family(lab, p, q_order):
-        return 1e200 * eval_character_value(lab, p, q_order)
+        return size * eval_character_value(lab, p, q_order)
 
-    with pytest.raises(IllConditioned, match="did not converge in 60"):
-        span_invariance_test(3, JacobiGroupElement.lattice(1, 0),
-                             family=family)
+    plain = span_invariance_test(3, g)
+    scaled = span_invariance_test(3, g, family=family)
+    assert (scaled.residual < 1e-6) == (plain.residual < 1e-6)
+    assert abs(scaled.residual - plain.residual) <= 1e-12
+
+
+def test_subnormal_samples_fit_at_their_precision():
+    # values near 1e-310 are subnormal and keep about 44 bits; the fit scales
+    # them into the normal range and measures its residual there, where it
+    # reflects that precision instead of underflowing
+    def family(lab, p, q_order):
+        return 1e-310 * eval_character_value(lab, p, q_order)
+
+    rep = span_invariance_test(3, JacobiGroupElement.lattice(1, 0),
+                               family=family)
+    assert 1e-14 < rep.residual < 1e-10
+
+
+def test_samples_on_different_scales_fit_exactly():
+    # V and W are scaled by their own powers of two: tiny V with normal W
+    # gives the fit of the unscaled pair times a power of two, bit for bit,
+    # and a fit whose M leaves the float range is refused
+    rng = np.random.default_rng(5)
+    V0 = _random_complex(rng, 9, 3)
+    W0 = V0 @ _random_complex(rng, 3, 3).T
+    M0, res0, cond0 = _fit(V0.tolist(), W0.tolist())
+    V = (V0 * 2.0 ** -660).tolist()  # about 1e-199
+    M, res, cond = _fit(V, (W0 * 2.0 ** 330).tolist())
+    assert (res, cond) == (res0, cond0)
+    assert np.array_equal(np.array(M), np.array(M0) * 2.0 ** 990)
+    with pytest.raises(IllConditioned, match="fitted matrix entry .* not "
+                                             "finite"):
+        _fit(V, (W0 * 1e110).tolist())
 
 
 @pytest.mark.parametrize("column", ["equal", "zero"])

@@ -137,7 +137,7 @@ LABELS = BASE | {"labels"}
 Y_FREE = BASE | {"qseries", "numtheory"}
 ELLIPTIC = Y_FREE | {"elliptic"}
 XI = ELLIPTIC | {"ratfunc", "series"}
-CHARACTERS = BASE | {"ratfunc", "series", "qseries", "labels", "characters"}
+CHARACTERS = LABELS | {"characters"}
 SUPERALGEBRA = BASE | {"superalgebra"}
 CERTIFIED = SUPERALGEBRA | {"certificate"}
 
