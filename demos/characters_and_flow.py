@@ -7,8 +7,9 @@ characters up to a signed monomial, computed exactly at the product level.
 """
 from fractions import Fraction
 
-from superjacobi.characters import (ModuleLabel, central_charge, character,
+from superjacobi.characters import (ModuleLabel, character,
                                     find_flow_matches, spectrum)
+from superjacobi.labels import central_charge
 
 for u in (2, 3, 4):
     labels = spectrum(u)

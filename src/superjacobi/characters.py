@@ -29,10 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
-# central_charge and _GENERIC_DENOM are not used here: they are bound so that
-# every label name still resolves as characters.<name>
-from .labels import (_GENERIC_DENOM, ModuleLabel, _p_factors,  # noqa: F401
-                     _quotient_factors, central_charge, spectrum)
+from .labels import ModuleLabel, _p_factors, _quotient_factors, spectrum
 
 Row = dict[int, int]
 

@@ -22,9 +22,10 @@ opposite overall sign satisfies neither.
 The numerical evaluators sum these partial fractions at the reduced point,
 in q^n, up to a count set by a proved tail bound (see _reduced).
 
-wp and zeta-bar have rational q-series coefficients (QSeries, on ints).  Only
-xi has coefficients in x, as a QYSeries: xi_series and xi_shift_check import
-the RatFunc engine themselves, so wp, zeta-bar and the evaluators never load it.
+wp and zeta-bar have rational q-series coefficients (QSeries, on ints).  xi
+has coefficients in x: xi_series gives them as integer rows N_j(x) plus the
+residue r = -1 of the one simple pole r/(x-1), and both xi checks expand that
+pole in closed form, so no job here builds a rational function of x.
 """
 
 from __future__ import annotations
@@ -33,15 +34,11 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 from .errors import PolePoint
 from .numtheory import bernoulli, divisors, eisenstein_ghat
 from .qseries import QSeries, ZPiSeries
-
-# xi's coefficients, shared by every term of every xi_series
-_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
-
 
 # -- formal series ------------------------------------------------------------
 
@@ -133,33 +130,18 @@ def wp_pde_check(z_order: int, q_order: int) -> CheckReport:
 
 # -- xi: partial fractions ----------------------------------------------------
 
-def xi_series(q_order: int) -> QYSeries:
-    """xi(x, q) to q^q_order as a QYSeries on the integer grid whose
-    coefficients are rational functions of x (the RatFunc variable):
-    -1/2 - 1/(x-1) at q^0 and sum_{m | j} (x^m - x^{-m}) at q^j."""
-    from .ratfunc import RatFunc
-    from .series import QYSeries
-    x_minus_1 = RatFunc({1: _ONE, 0: _MINUS_ONE})
-    terms = {0: RatFunc.const(Fraction(-1, 2)) - x_minus_1.inverse()}
+def xi_series(q_order: int) -> tuple[dict[int, dict], int]:
+    """xi(x, q) to q^q_order as (rows, r), meaning
+
+        xi = r/(x-1) + sum_{j < q_order} q^j N_j(x),
+
+    with r = -1 the residue of the one simple pole, N_0 = -1/2 and, for
+    j >= 1, the integer Laurent polynomial N_j = sum_{m | j} (x^m - x^{-m}).
+    rows[j] is N_j as {x-exponent: coefficient}."""
+    rows = {0: {0: Fraction(-1, 2)}}
     for j in range(1, q_order):
-        terms[j] = RatFunc({s: c for m in divisors(j)
-                            for s, c in ((m, _ONE), (-m, _MINUS_ONE))})
-    return QYSeries(1, Fraction(0), terms, q_order)
-
-
-def _expand_inverse_direction(r: RatFunc, order: int) -> dict[int, Fraction]:
-    """Coefficients of the expansion of r(x) in descending powers of x.
-
-    Returns {e: c} meaning  r = sum c_e x^{-e}  for e < order (e may be
-    negative when r grows at infinity), from r = N/(x-1)^p and
-    (x-1)^-p = sum_{t>=0} C(p+t-1, t) x^{-p-t}."""
-    p, out = r.pole, {}
-    for s, c in r.num.items():
-        b = 1  # C(p + t - 1, t)
-        for t in range(order - p + s):
-            out[p + t - s] = out.get(p + t - s, 0) + c * b
-            b = b * (p + t) // (t + 1)
-    return {e: c for e, c in out.items() if c}
+        rows[j] = {s: c for m in divisors(j) for s, c in ((m, 1), (-m, -1))}
+    return rows, -1
 
 
 def _add_to_row(rows: dict[int, dict], e: int, s: int, c) -> None:
@@ -179,14 +161,13 @@ def xi_shift_check(q_order: int, offset: Fraction = Fraction(1)) -> CheckReport:
     and reports its nonzero entries.  The substitution turns the q^0 pole
     term into a q-series via -1/(qx - 1) = sum_{m>=0} q^m x^m.  The map
     covers q^e for 1 <= e <= (T-1)//2 as Laurent polynomials, and q^0 after
-    expanding the rational target in descending powers of x through
-    x^{-(T-1)}; terms of xi(qx) outside that window are not built.
-    A correct run passes only for offset = 1.
+    expanding xi's pole in descending powers of x, r/(x-1) = r sum_{t>=1}
+    x^-t, through x^{-(T-1)}; terms of xi(qx) outside that window are not
+    built.  A correct run passes only for offset = 1.
     """
-    from .ratfunc import RatFunc
     if q_order < 1:
         raise ValueError("q_order must be >= 1")
-    xi = xi_series(q_order)
+    rows, r = xi_series(q_order)
     T, half = q_order, (q_order - 1) // 2
     diff: dict[int, dict[int, Fraction]] = {}
     # xi(qx), source q^0: -1/2 - 1/(qx-1) = -1/2 + sum_{m>=0} q^m x^m
@@ -195,15 +176,17 @@ def xi_shift_check(q_order: int, offset: Fraction = Fraction(1)) -> CheckReport:
         _add_to_row(diff, m, m, 1)
     # sources q^j: c x^s gives c q^(j+s) x^s in xi(qx), and -c q^j x^s
     for j in range(1, T):
-        for s, c in xi.terms[j].num.items():
+        for s, c in rows[j].items():
             if j + s <= half:
                 _add_to_row(diff, j + s, s, c)
             if j <= half:
                 _add_to_row(diff, j, s, -c)
-    # q^0: minus the descending expansion of xi's q^0 term + offset
-    target0 = xi.terms[0] + RatFunc.const(offset)
-    for r, c in _expand_inverse_direction(target0, T).items():
-        _add_to_row(diff, 0, -r, -c)
+    # q^0: minus xi's q^0 term N_0 + r sum_{t>=1} x^-t, and minus the offset
+    for s, c in rows[0].items():
+        _add_to_row(diff, 0, s, -c)
+    _add_to_row(diff, 0, 0, -offset)
+    for t in range(1, T):
+        _add_to_row(diff, 0, -t, -r)
     failures = [(e, s) for e in (*range(1, half + 1), 0)
                 for s in sorted(diff.get(e, ()), reverse=True)]
     return CheckReport("xi-shift", {"qOrder": q_order, "comparedThrough": half,
@@ -214,29 +197,20 @@ def xi_t_expansion(t_order: int, q_order: int) -> ZPiSeries:
     """Expand xi_series(q_order) at x = e^{2 pi i t} in powers of t, pi-hat
     graded.
 
-    Each coefficient N(x)/(x-1)^p of xi_series, p <= 1, is expanded at
-    x = e^w with w = pi-hat t: N(e^w) = sum_r (sum_s c_s s^r) w^r / r!, and
-    for p = 1 it is multiplied by 1/(e^w - 1) = w^-1 sum_n B_n w^n / n!.
-    The power sums run on integers over one common denominator.
+    At x = e^w with w = pi-hat t, each row N_j gives N_j(e^w) = sum_r
+    (sum_s c_s s^r) w^r / r!, and the pole with residue res gives
+    res/(e^w - 1) = res w^-1 sum_n B_n w^n / n! at q^0.
     """
-    xi = xi_series(q_order)
-    bern = [bernoulli(n) / factorial(n) for n in range(t_order + 2)]
-    rows: dict[int, dict[int, Fraction]] = {}
-    for j, coeff in xi.terms.items():
-        p = coeff.pole
-        den = lcm(*(c.denominator for c in coeff.num.values()))
-        nums = [(s, c.numerator * (den // c.denominator))
-                for s, c in coeff.num.items()]
-        # N(e^w) through w^(t_order + p)
-        ser = [Fraction(sum(n * s ** r for s, n in nums), den * factorial(r))
-               for r in range(t_order + p + 1)]
-        if p:
-            ser = [sum(ser[i] * bern[k - i] for i in range(k + 1))
-                   for k in range(t_order + 2)]
-        for r, c in enumerate(ser, start=-p):
-            _add_to_row(rows, r, j, c)
+    rows, res = xi_series(q_order)
+    out: dict[int, dict[int, Fraction]] = {}
+    for n in range(t_order + 2):
+        _add_to_row(out, n - 1, 0, res * bernoulli(n) / factorial(n))
+    for j, row in rows.items():
+        for r in range(t_order + 1):
+            power_sum = sum(c * s ** r for s, c in row.items())
+            _add_to_row(out, r, j, Fraction(power_sum, factorial(r)))
     zterms = {(r, r): QSeries.from_fractions(row, q_order)
-              for r, row in rows.items()}
+              for r, row in out.items()}
     return ZPiSeries(zterms, t_order + 1, q_order)
 
 

@@ -1,10 +1,12 @@
 """Rational functions in Q[y, 1/y, 1/(y-1)] over the exact rationals.
 
 A :class:`RatFunc` is N/(y-1)^p where N is a Laurent polynomial (finite dict
-exponent -> Fraction, exponents may be negative) and p >= 0 is an int.  Every
-coefficient the engine builds lives in this ring: the only denominators are
-the q^0 product factors (1 - y^{+-1}) of the characters and the pole
--1/(x-1) of xi.  The canonical form is:
+exponent -> Fraction, exponents may be negative) and p >= 0 is an int.  No
+CLI job builds one.  Its users are :class:`~superjacobi.series.QYSeries`,
+``characters.RowSeries.coeff`` and ``leading`` (which hand a coefficient to
+the demo and the tests), and the tests' reference routes for the characters
+and for xi, whose only denominators are the q^0 product factors
+(1 - y^{+-1}) and the pole -1/(x-1).  The canonical form is:
 
 * p = 0 or N(1) != 0, so N and (y-1)^p share no factor; reduction is exact
   synthetic division by (y-1),
@@ -14,8 +16,8 @@ the q^0 product factors (1 - y^{+-1}) of the characters and the pole
 1 and a nonzero constant term, the canonical denominator of the quotient
 N/D printed in JSON.
 
-The same class doubles as the ring of rational functions of x for the
-partial-fraction layer (only the display name differs).
+The tests' reference route for xi uses the same class for rational
+functions of x (``to_str`` takes the variable's name).
 """
 
 from __future__ import annotations

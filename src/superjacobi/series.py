@@ -2,9 +2,11 @@
 
 :class:`QYSeries` is a series in q on the exponent grid (1/qden)Z, with
 coefficients in Q[y, 1/y, 1/(y-1)] (:class:`~superjacobi.ratfunc.RatFunc`)
-and a single global fractional y-power prefactor: the layer of the
-characters and of xi.  Truncation is tracked per series and propagated
-pessimistically; arithmetic never reads past it.  y-free series live in
+and a single global fractional y-power prefactor.  No CLI job uses it: the
+characters run on ``characters.RowSeries`` and xi on integer rows, and the
+tests keep QYSeries as the characters' reference engine.  Truncation is
+tracked per series and propagated pessimistically; arithmetic never reads
+past it.  y-free series live in
 :mod:`superjacobi.qseries`, on ints; ``ZPiSeries`` is bound here from there.
 
 All values are immutable by convention; operations return new objects.

@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from superjacobi.characters import (_GENERIC_DENOM, ModuleLabel,
-                                    RowSeries, _monomial_ratio, _p_factors,
-                                    _product, _quotient_factors, _series,
-                                    central_charge, character,
+from superjacobi.characters import (ModuleLabel, RowSeries,
+                                    _monomial_ratio, _p_factors, _product,
+                                    _quotient_factors, _series, character,
                                     find_flow_matches, p_product,
                                     spectral_flow_transform, spectrum)
 from superjacobi.errors import BadLevel
+from superjacobi.labels import _GENERIC_DENOM, central_charge
 from superjacobi.ratfunc import RatFunc
 from superjacobi.series import QYSeries, div_binomial, mul_binomial
 

@@ -1,5 +1,6 @@
 """Every script in demos/ runs to completion and prints something; the
-characters demo prints exactly its pinned lines."""
+characters demo and the first lines of the xi demo print exactly their
+pinned lines."""
 
 import os
 import re
@@ -53,4 +54,18 @@ def test_characters_demo_output():
         "   (1,1) -> (0,2)   constant -1 * q^1/2",
         "   (1,2) -> (0,3)   constant -1 * q^1/2",
         "   (2,1) -> (1,2)   constant -1 * q^1/2",
+    ]
+
+
+def test_xi_demo_exact_lines():
+    # the coefficients are printed from xi_series' rows and pole residue
+    lines = run_demo(ROOT / "demos" / "xi_partial_fractions.py").splitlines()
+    assert lines[:7] == [
+        "xi q^0 coefficient: (-1/2*x - 1/2)/(x - 1)",
+        "xi q^1 coefficient: x - 1*x^-1",
+        "xi q^2 coefficient: x^2 + x - 1*x^-1 - 1*x^-2",
+        "xi q^3 coefficient: x^3 + x - 1*x^-1 - 1*x^-3",
+        "xi q^4 coefficient: x^4 + x^2 + x - 1*x^-1 - 1*x^-2 - 1*x^-4",
+        "shift xi(qx) = xi + 1: True",
+        "t-expansion equals zeta-bar (t^8, q^30): True",
     ]

@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from superjacobi import elliptic
-from superjacobi.elliptic import (LatticePoint, _expand_inverse_direction,
-                                  _reduced, eval_wp, eval_zetabar,
+from superjacobi.elliptic import (LatticePoint, _reduced, eval_wp, eval_zetabar,
                                   eval_zetabar_zseries, wp_pde_check,
                                   wp_pde_sides, wp_series, xi_series,
                                   xi_shift_check, xi_t_expansion,
@@ -17,7 +16,6 @@ from superjacobi.numtheory import (bernoulli, divisors, eisenstein_e,
                                    eisenstein_ghat)
 from superjacobi.qseries import QSeries, ZPiSeries
 from superjacobi.ratfunc import RatFunc
-from superjacobi.series import QYSeries
 
 F = Fraction
 
@@ -101,13 +99,26 @@ def test_wp_pde_sensitive_to_perturbation():
     assert fails and len(fails) < 50
 
 
+def _xi_as_ratfuncs(q_order):
+    """xi_series(q_order) as {j: RatFunc}, its pole r/(x-1) put back at q^0."""
+    rows, r = xi_series(q_order)
+    terms = {j: RatFunc({s: F(c) for s, c in row.items()})
+             for j, row in rows.items()}
+    terms[0] = terms[0] + RatFunc({1: F(1), 0: F(-1)}).inverse().scale(r)
+    return terms
+
+
 def test_xi_series_coefficients():
-    xi = xi_series(5)
+    rows, r = xi_series(5)
+    assert (rows[0], r) == ({0: F(-1, 2)}, -1)
+    assert rows[1] == {1: 1, -1: -1}
+    assert rows[2] == {2: 1, 1: 1, -1: -1, -2: -1}
+    assert all(type(c) is int for j in range(1, 5) for c in rows[j].values())
+    xi = _xi_as_ratfuncs(5)
     # q^0: -1/2 - 1/(x-1) = (-x/2 - 1/2)/(x - 1)
-    assert xi.terms[0] == RatFunc({1: F(-1, 2), 0: F(-1, 2)},
-                                  {1: F(1), 0: F(-1)})
-    assert xi.terms[1] == RatFunc({1: F(1), -1: F(-1)})
-    assert xi.terms[2] == RatFunc({2: F(1), 1: F(1), -1: F(-1), -2: F(-1)})
+    assert xi[0] == RatFunc({1: F(-1, 2), 0: F(-1, 2)}, {1: F(1), 0: F(-1)})
+    assert xi[1] == RatFunc({1: F(1), -1: F(-1)})
+    assert xi[2] == RatFunc({2: F(1), 1: F(1), -1: F(-1), -2: F(-1)})
 
 
 def test_xi_shift():
@@ -314,10 +325,8 @@ def _xi_series_by_repeated_sums(q_order):
 
 @pytest.mark.parametrize("T", [1, 2, 120])
 def test_xi_series_matches_repeated_sums(T):
-    xi = xi_series(T)
-    assert xi.trunc == T
-    assert (xi.qden, xi.ypref) == (1, 0)
-    assert xi.terms == _xi_series_by_repeated_sums(T)
+    assert list(xi_series(T)[0]) == list(range(T))
+    assert _xi_as_ratfuncs(T) == _xi_series_by_repeated_sums(T)
 
 
 def _xi_t_expansion_by_divisors(t_order, q_order):
@@ -359,24 +368,28 @@ def test_xi_t_expansion_matches_divisor_route():
                 assert coeff == want.terms[key]
 
 
-def _corrupted_xi_series(q_exp, extra):
-    """xi_series with the RatFunc extra added to its q^q_exp coefficient."""
+def _corrupted_xi_series(q_exp, extra, residue):
+    """xi_series with the row extra added to its q^q_exp row and the pole's
+    residue replaced by residue."""
     def corrupted(q_order):
-        xi = xi_series(q_order)
-        xi.terms[q_exp] = xi.terms[q_exp] + extra
-        return xi
+        rows, _ = xi_series(q_order)
+        for s, c in extra.items():
+            rows[q_exp][s] = rows[q_exp].get(s, 0) + c
+        return rows, residue
     return corrupted
 
 
-@pytest.mark.parametrize("q_exp, extra", [
-    (6, RatFunc({3: F(1), -3: F(-1)})),
-    (1, RatFunc({2: F(1), -2: F(-1)})),
-    (5, RatFunc({1: F(1), -1: F(1)})),
-    (0, RatFunc.const(F(1, 6))),
-], ids=["x3-x^-3@q6", "x2-x^-2@q1", "x+x^-1@q5", "1/6@q0"])
-def test_both_xi_checks_read_xi_series(monkeypatch, q_exp, extra):
+@pytest.mark.parametrize("q_exp, extra, residue", [
+    (6, {3: 1, -3: -1}, -1),
+    (1, {2: 1, -2: -1}, -1),
+    (5, {1: 1, -1: 1}, -1),
+    (0, {0: F(1, 6)}, -1),
+    (0, {}, -2),
+], ids=["x3-x^-3@q6", "x2-x^-2@q1", "x+x^-1@q5", "1/6@q0", "residue-2"])
+def test_both_xi_checks_read_xi_series(monkeypatch, q_exp, extra, residue):
     # each check must fail when the xi it certifies is wrong
-    monkeypatch.setattr(elliptic, "xi_series", _corrupted_xi_series(q_exp, extra))
+    monkeypatch.setattr(elliptic, "xi_series",
+                        _corrupted_xi_series(q_exp, extra, residue))
     assert not xi_shift_check(30).passed
     assert not xi_zetabar_check(8, 30).passed
 
@@ -390,38 +403,6 @@ def test_both_xi_checks_read_xi_series(monkeypatch, q_exp, extra):
 def test_checks_reject_nonpositive_q_order(check, order):
     with pytest.raises(ValueError, match="q_order must be >= 1"):
         check(order)
-
-
-def _expand_by_series_inversion(r, order):
-    """The descending-power expansion of r(x) by the series engine in v = 1/x:
-    N(1/v) times the inverse of (1/v - 1)^p, padded so that the inversion
-    keeps every coefficient below order."""
-    exps = [abs(s) for s in r.num] + [abs(s) for s in r.den]
-    pad = 3 * (max(exps, default=0) + 1)
-    num = QYSeries(1, F(0), {-s: RatFunc.const(c) for s, c in r.num.items()},
-                   order + pad)
-    den = QYSeries(1, F(0), {-s: RatFunc.const(c) for s, c in r.den.items()},
-                   order + pad)
-    piece = num * den.invert()
-    assert piece.trunc >= order
-    return {e: c.const_value() for e, c in piece.terms.items() if e < order}
-
-
-def test_inverse_direction_matches_series_inversion():
-    # xi-shift only expands a simple pole; poles up to order 4 are drawn here
-    rng = random.Random(19)
-    poles = set()
-    for _ in range(80):
-        num = {s: F(rng.randint(-9, 9), rng.randint(1, 4))
-               for s in rng.sample(range(-5, 6), rng.randint(1, 4))}
-        p = rng.randint(0, 4)
-        r = RatFunc(num, {e: F(math.comb(p, e) * (-1) ** (p - e))
-                          for e in range(p + 1)})
-        poles.add(r.pole)
-        for order in range(1, 13):
-            assert (_expand_inverse_direction(r, order)
-                    == _expand_by_series_inversion(r, order))
-    assert poles == set(range(5))
 
 
 @pytest.mark.parametrize("fn", [eval_zetabar, eval_wp])

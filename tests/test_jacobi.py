@@ -8,7 +8,7 @@ import pytest
 
 from superjacobi import jacobi
 from superjacobi.characters import (ModuleLabel, _quotient_factors,
-                                    central_charge, character, spectrum)
+                                    character, spectrum)
 from superjacobi.errors import (IllConditioned, PoleProximity,
                                TailBoundExceeded)
 from superjacobi.jacobi import (GAMMA0_2_COSETS, IDENTITY, TAU_BOX,
@@ -20,6 +20,7 @@ from superjacobi.jacobi import (GAMMA0_2_COSETS, IDENTITY, TAU_BOX,
                                 jacobi_normalized, multiplier,
                                 multiplier_cocycle_defect, sample_points,
                                 span_invariance_test)
+from superjacobi.labels import central_charge
 
 from conftest import as_qyseries, eval_series
 

@@ -47,9 +47,10 @@ def test_exact_modules_are_float_free(module):
     assert not found, f"{module}.py (line, what): {sorted(found)}"
 
 
-def test_only_cli_imports_numpy():
-    # the probe fits in plain Python; cli.py keeps numpy only for the
-    # benchmark's import-time read (test_cli_import_reports_numpy)
+def importers_of(wanted) -> set[str]:
+    """The package modules with an import statement, lazy ones included,
+    that names a module for which ``wanted`` is true; a relative import of
+    module m names ``superjacobi.m``."""
     importers = set()
     for path in PACKAGE.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -58,11 +59,30 @@ def test_only_cli_imports_numpy():
                 names = [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names = [node.module]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"superjacobi.{m}" for m in
+                         ([node.module] if node.module
+                          else [a.name for a in node.names])]
             else:
                 continue
-            if any(n.split(".")[0] == "numpy" for n in names):
+            if any(map(wanted, names)):
                 importers.add(path.stem)
-    assert importers == {"cli"}
+    return importers
+
+
+def test_only_cli_imports_numpy():
+    # the probe fits in plain Python; cli.py keeps numpy only for the
+    # benchmark's import-time read (test_cli_import_reports_numpy)
+    assert importers_of(lambda n: n.split(".")[0] == "numpy") == {"cli"}
+
+
+def test_no_cli_path_imports_the_ratfunc_engine():
+    # series is built on RatFunc, and characters imports it only in the lazy
+    # RowSeries.coeff, which the demo and the tests call; no module imports
+    # series, so the engine is the tests' reference and no job loads it
+    assert importers_of("superjacobi.ratfunc".__eq__) == {"series",
+                                                           "characters"}
+    assert importers_of("superjacobi.series".__eq__) == set()
 
 
 def test_traced_names_resolve():
@@ -136,7 +156,6 @@ BASE = {"cli", "errors"}
 LABELS = BASE | {"labels"}
 Y_FREE = BASE | {"qseries", "numtheory"}
 ELLIPTIC = Y_FREE | {"elliptic"}
-XI = ELLIPTIC | {"ratfunc", "series"}
 CHARACTERS = LABELS | {"characters"}
 SUPERALGEBRA = BASE | {"superalgebra"}
 CERTIFIED = SUPERALGEBRA | {"certificate"}
@@ -149,13 +168,15 @@ CERTIFIED = SUPERALGEBRA | {"certificate"}
     ("flow --u 3 --order 6", CHARACTERS),
     ("eisenstein --k 2 --order 4", Y_FREE),
     ("wp-pde --z-order 4 --order 4", ELLIPTIC),
-    ("xi-shift --order 4", XI),
-    ("xi-zetabar --t-order 4 --order 4", XI),
+    ("xi-shift --order 4", ELLIPTIC),
+    ("xi-zetabar --t-order 4 --order 4", ELLIPTIC),
     ("zetabar-table --points 1", ELLIPTIC),
     ("jacobi-test --u 2 --gen x10 --order 6", LABELS | {"jacobi"}),
     ("bracket L 2 L -1", SUPERALGEBRA),
     ("jacobi-identity --max 1", CERTIFIED),
     ("realization-check --max 1 --window 4", CERTIFIED),
+    ("xi-shift --self-test", ELLIPTIC),
+    ("xi-zetabar --self-test", ELLIPTIC),
 ])
 def test_job_loads_only_its_modules(argv, modules):
     assert loaded_after(RUN_JOB, *argv.split()) == modules
