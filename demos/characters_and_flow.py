@@ -7,6 +7,7 @@ characters up to a signed monomial, computed exactly at the product level.
 """
 from fractions import Fraction
 
+from _laurent import over_pole
 from superjacobi.characters import (ModuleLabel, character,
                                     find_flow_matches, spectrum)
 from superjacobi.labels import central_charge
@@ -18,12 +19,12 @@ for u in (2, 3, 4):
 
 # the j = 0 modules keep an exact rational coefficient at q^0
 ch = character(ModuleLabel(2, 0, 1), Fraction(3))
-print("u=2 (0,1) q^0 coefficient:", ch.series.coeff(0).to_str())
+print("u=2 (0,1) q^0 coefficient:", over_pole(*ch.series.coeff(0), "y"))
 
 # leading exponent is jk/u
 ch = character(ModuleLabel(4, 2, 1), Fraction(3))
 e0, c0 = ch.series.leading()
-print("u=4 (2,1): leading exponent", e0, "coefficient", c0.to_str())
+print("u=4 (2,1): leading exponent", e0, "coefficient", over_pole(*c0, "y"))
 
 # spectral flow: a signed-monomial permutation of the spectrum
 for u in (3, 4):

@@ -5,28 +5,17 @@ polynomial coefficients sum_{m|j} (x^m - x^{-m}) at q^j.  It gains exactly +1
 under x -> qx, and its expansion at x = e^{2 pi i t} reproduces zeta-bar --
 re-deriving every Eisenstein expansion from divisor sums on the way.
 """
+from _laurent import laurent, over_pole
 from superjacobi.elliptic import (LatticePoint, eval_wp, eval_zetabar,
                                   eval_zetabar_zseries, xi_series,
                                   xi_shift_check, xi_zetabar_check)
 
-
-def laurent(row):
-    """The Laurent polynomial {exponent: coefficient} in descending powers
-    of x."""
-    bits = []
-    for e in sorted(row, reverse=True):
-        c, v = row[e], "x" if e == 1 else f"x^{e}"
-        bits.append(f"{c}" if e == 0 else v if c == 1 else f"{c}*{v}")
-    return " + ".join(bits).replace("+ -", "- ")
-
-
 # xi = r/(x-1) + sum_j q^j N_j(x), with N_0 = -1/2 a constant
 rows, r = xi_series(6)
 n0 = rows[0][0]
-print("xi q^0 coefficient:",
-      f"({laurent({1: n0, 0: r - n0})})/({laurent({1: 1, 0: -1})})")
+print("xi q^0 coefficient:", over_pole({1: n0, 0: r - n0}, 1, "x"))
 for j in (1, 2, 3, 4):
-    print(f"xi q^{j} coefficient:", laurent(rows[j]))
+    print(f"xi q^{j} coefficient:", laurent(rows[j], "x"))
 
 print("shift xi(qx) = xi + 1:", xi_shift_check(41).passed)
 print("t-expansion equals zeta-bar (t^8, q^30):", xi_zetabar_check(8, 30).passed)

@@ -1,7 +1,7 @@
 """superjacobi: exact q-series arithmetic and superconformal structures.
 
-Its modules cover the truncated Puiseux/Laurent series engine, Bernoulli and
-Eisenstein series, Weierstrass functions and their differential identities,
+Its modules cover truncated q-series on integers, Bernoulli and Eisenstein
+series, Weierstrass functions and their differential identities,
 minimal-model supercharacters with spectral flow, the Jacobi group action
 with a numerical span-invariance probe, and the W(1|1) Lie superalgebra.
 
@@ -16,9 +16,7 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines
 _EXPORTS = {
-    "ratfunc": ("RatFunc",),
     "qseries": ("QSeries", "ZPiSeries"),
-    "series": ("QYSeries",),
     "numtheory": ("bernoulli", "divisor_sum", "eisenstein_e", "eisenstein_ghat"),
     "elliptic": ("LatticePoint", "eval_wp", "eval_zetabar", "wp_pde_check",
                  "wp_series", "xi_series", "xi_shift_check",

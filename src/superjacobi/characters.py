@@ -18,9 +18,8 @@ coefficient is an integer Laurent polynomial in y over a power of (y - 1),
 so the work runs on integer rows from the factor walk to the printed JSON:
 _product multiplies the factors out, starting from the row of 1, and the q^0
 factors form one integral constant N/(y-1)^p; _series applies the sign, that
-constant and the prefactor, and puts each term in canonical form once.  No
-CLI path builds a RatFunc: only ``RowSeries.leading`` and ``coeff`` import
-``ratfunc``, to hand one to the demo and the tests.
+constant and the prefactor, and puts each term in canonical form once.
+``RowSeries.coeff`` and ``leading`` hand out those canonical (N, p) pairs.
 """
 
 from __future__ import annotations
@@ -76,19 +75,15 @@ class RowSeries:
     terms: dict[int, tuple[Row, int]]
     trunc: int
 
-    def coeff(self, qexp):
-        """The coefficient of q^qexp as a RatFunc."""
-        from .ratfunc import RatFunc
-        e = Fraction(qexp) * self.qden
-        num, pole = (self.terms.get(int(e), ({}, 0)) if e.denominator == 1
-                     else ({}, 0))
-        return RatFunc({y: Fraction(v) for y, v in num.items()},
-                       {y: Fraction(v) for y, v in _ym1_power(pole).items()})
+    def coeff(self, qexp) -> tuple[Row, int]:
+        """The canonical (N, p) at q^qexp; ({}, 0) where there is no term,
+        as off the grid (a Fraction keys the dict as the equal int)."""
+        return self.terms.get(Fraction(qexp) * self.qden, ({}, 0))
 
-    def leading(self):
-        """(lowest visible q-exponent, its coefficient as a RatFunc)."""
-        e0 = Fraction(min(self.terms), self.qden)
-        return e0, self.coeff(e0)
+    def leading(self) -> tuple[Fraction, tuple[Row, int]]:
+        """(lowest visible q-exponent, its coefficient as (N, p))."""
+        e0 = min(self.terms)
+        return Fraction(e0, self.qden), self.terms[e0]
 
     def to_dict(self) -> dict:
         items = []
@@ -188,11 +183,16 @@ def _series(factors, q_order: Fraction, qden: int, sign: int = 1,
     return RowSeries(d, ypref, terms, trunc * f + off)
 
 
+def _grid(label: ModuleLabel) -> int:
+    """lcm(2u, den j, den k), which is 2u for every spectrum label."""
+    return lcm(2 * label.u, label.j.denominator, label.k.denominator)
+
+
 def p_product(label: ModuleLabel, q_order: Fraction,
               qden: int | None = None) -> RowSeries:
-    """P_{j,k}^{(u)} exact to q^q_order, on the grid 1/qden (default 2u)."""
+    """P_{j,k}^{(u)} exact to q^q_order, on the grid 1/qden (default _grid)."""
     u, j, k = label.u, label.j, label.k
-    qden = qden if qden is not None else 2 * u
+    qden = qden if qden is not None else _grid(label)
     return _series(_p_factors(u, j, k, q_order), q_order, qden)
 
 
@@ -201,8 +201,8 @@ def character(label: ModuleLabel, q_order: Fraction,
     """The graded superdimension of L_u(j, k), exact to q^q_order.
 
     The leading q-exponent is jk/u and the y-prefactor is (j - k + 1)/u,
-    plus c(u)/6 when normalized.  The grid is 1/(2u), refined when jk/u is
-    off it, as for some generic labels.
+    plus c(u)/6 when normalized.  The grid is 1/lcm(2u, den j, den k),
+    refined when jk/u is off it, as for some generic labels.
     """
     q_order = Fraction(q_order)
     if q_order < 1:
@@ -219,7 +219,7 @@ def _flowed(label: ModuleLabel, m: int, q_order: Fraction,
     product factors at y -> q^m y; m = 0 gives the character itself."""
     factors, sign, qpref, ypref = _quotient_factors(
         label.u, label.j, label.k, m, q_order, normalized)
-    return _series(factors, q_order, 2 * label.u, sign, qpref, ypref)
+    return _series(factors, q_order, _grid(label), sign, qpref, ypref)
 
 
 def spectral_flow_transform(c: CharacterSeries, m: int,

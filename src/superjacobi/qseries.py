@@ -5,8 +5,8 @@ Two layers, both y-free:
 * :class:`QSeries` -- a series  sum_e (n_e / d) q^e,  e < trunc,  on the
   integer grid, stored as int numerators n_e over one positive denominator
   d.  Each result is reduced by one gcd over d and all the n_e, so equal
-  series have equal numerators and denominators.  Truncation is propagated
-  as for :class:`~superjacobi.series.QYSeries`.
+  series have equal numerators and denominators.  A product keeps only the
+  terms that the truncations of both factors determine.
 
 * :class:`ZPiSeries` -- Laurent series in a formal variable z, graded by
   powers of the formal symbol pi-hat (standing for 2*pi*i), with QSeries
@@ -137,9 +137,9 @@ class QSeries:
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """The JSON form of :meth:`QYSeries.to_dict
-        <superjacobi.series.QYSeries.to_dict>` for a y-free series: grid 1,
-        no y-prefactor, each coefficient a constant over denominator 1."""
+        """The JSON form of :meth:`RowSeries.to_dict
+        <superjacobi.characters.RowSeries.to_dict>` for a y-free series: grid
+        1, no y-prefactor, each coefficient a constant over denominator 1."""
         d = self.den
         items = []
         for e in sorted(self.nums):

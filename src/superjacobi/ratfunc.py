@@ -1,12 +1,12 @@
 """Rational functions in Q[y, 1/y, 1/(y-1)] over the exact rationals.
 
 A :class:`RatFunc` is N/(y-1)^p where N is a Laurent polynomial (finite dict
-exponent -> Fraction, exponents may be negative) and p >= 0 is an int.  No
-CLI job builds one.  Its users are :class:`~superjacobi.series.QYSeries`,
-``characters.RowSeries.coeff`` and ``leading`` (which hand a coefficient to
-the demo and the tests), and the tests' reference routes for the characters
-and for xi, whose only denominators are the q^0 product factors
-(1 - y^{+-1}) and the pole -1/(x-1).  The canonical form is:
+exponent -> Fraction, exponents may be negative) and p >= 0 is an int.  It
+is the tests' reference engine for the characters and for xi, whose only
+denominators are the q^0 product factors (1 - y^{+-1}) and the pole
+-1/(x-1).  In the package only :mod:`~superjacobi.series` imports it; it
+is not exported, and it stays here for the benchmark's tracer, which wraps
+its operations.  The canonical form is:
 
 * p = 0 or N(1) != 0, so N and (y-1)^p share no factor; reduction is exact
   synthetic division by (y-1),

@@ -24,12 +24,18 @@ def series_from_dict(d: dict) -> QYSeries:
                     int(d["truncation"]))
 
 
+def as_ratfunc(term) -> RatFunc:
+    """An integer (N, p) pair of ``characters.RowSeries`` as the RatFunc
+    N/(y-1)^p, taken as it stands, so a pair the row route left unreduced
+    compares unequal to its canonical RatFunc."""
+    num, pole = term
+    return _make({y: Fraction(c) for y, c in num.items()}, pole)
+
+
 def as_qyseries(s) -> QYSeries:
     """A ``characters.RowSeries`` as the QYSeries with the same terms, each
-    N/(y-1)^p taken as it stands, so a term the row route left unreduced
-    compares unequal to its canonical RatFunc."""
-    terms = {e: _make({y: Fraction(c) for y, c in num.items()}, pole)
-             for e, (num, pole) in s.terms.items()}
+    converted by ``as_ratfunc``."""
+    terms = {e: as_ratfunc(t) for e, t in s.terms.items()}
     return QYSeries(s.qden, s.ypref, terms, s.trunc)
 
 

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from superjacobi import characters
 from superjacobi.characters import (ModuleLabel, RowSeries,
                                     _monomial_ratio, _p_factors, _product,
                                     _quotient_factors, _series, character,
@@ -13,7 +15,7 @@ from superjacobi.labels import _GENERIC_DENOM, central_charge
 from superjacobi.ratfunc import RatFunc
 from superjacobi.series import QYSeries, div_binomial, mul_binomial
 
-from conftest import as_qyseries
+from conftest import as_qyseries, as_ratfunc
 
 F = Fraction
 
@@ -195,6 +197,24 @@ def test_flow_rows_and_ratios_match_the_ratfunc_route(u):
                 want.append((lab, cand, *r))
     assert [(mt.source, mt.target, mt.const, mt.q_shift, mt.y_shift)
             for mt in find_flow_matches(u, m, F(9))] == want
+
+
+@pytest.mark.parametrize("u, j, k", [(3, F(1, 5), F(1, 5)),
+                                     (4, F(2, 7), F(3, 5)),
+                                     (5, F(1, 3), F(1, 3))])
+@pytest.mark.parametrize("normalized", [False, True])
+def test_generic_labels_off_the_2u_grid(u, j, k, normalized):
+    # the default grid is lcm(2u, den j, den k), which is 2u whenever both
+    # denominators divide 2u
+    lab, q_order = ModuleLabel(u, j, k, generic=True), F(2)
+    qden = lcm(2 * u, j.denominator, k.denominator)
+    factors, sign, qpref, ypref = _quotient_factors(u, j, k, 0, q_order,
+                                                    normalized)
+    ref = _ratfunc_route(factors, q_order, qden, sign, qpref, ypref)
+    assert character(lab, q_order, normalized).series.to_dict() == \
+        ref.to_dict()
+    assert p_product(lab, q_order).to_dict() == \
+        _ratfunc_route(_p_factors(u, j, k, q_order), q_order, qden).to_dict()
 
 
 def _with_term(s: RowSeries, e: int, num: dict, pole: int) -> RowSeries:
@@ -450,18 +470,82 @@ def test_flow_default_order_is_read_on_the_characters_grid():
         spectral_flow_transform(ch, 0)
 
 
+# -- P from Kronecker's sum, which reads no factor table -----------------------
+
+def _kronecker_sum(u: int, j: int, k: int, trunc: int) -> dict:
+    """sum_{n in Z} q^{jn} y^{-n} / (1 - q^{un+k} y) through q^(trunc-1), as
+    RowSeries terms {e: (row, pole)} on the grid 1.
+
+    For n >= 0 the term expands in q^{un+k} y: q^{jn + r(un+k)} y^{r-n},
+    r >= 0.  For n = -m < 0 the exponent un + k is negative, so it expands in
+    the inverse, 1/(1 - w) = -w^{-1}/(1 - w^{-1}): -q^{r(um-k) - jm} y^{m-r},
+    r >= 1.  For j = 0 the q^0 terms y^{-n}, n >= 0, sum to y/(y - 1).
+    """
+    rows: dict[int, dict[int, int]] = {}
+
+    def add(e: int, yexp: int, c: int) -> None:
+        row = rows.setdefault(e, {})
+        row[yexp] = row.get(yexp, 0) + c
+
+    for n in range(trunc):
+        for r in range(0 if j else 1, trunc):
+            if (e := j * n + r * (u * n + k)) >= trunc:
+                break
+            add(e, r - n, 1)
+    for m in range(1, trunc):
+        for r in range(1, trunc):
+            if (e := r * (u * m - k) - j * m) >= trunc:
+                break
+            add(e, m - r, -1)
+    terms = {e: ({y: c for y, c in row.items() if c}, 0)
+             for e, row in rows.items() if any(row.values())}
+    if j == 0:
+        assert 0 not in terms
+        terms[0] = ({1: 1}, 1)
+    return terms
+
+
+def _kronecker_mismatches(trunc: int = 24) -> list:
+    """The labels at u = 2..8 whose p_product differs from Kronecker's sum."""
+    return [lab for u in range(2, 9) for lab in spectrum(u)
+            if p_product(lab, F(trunc), 1).terms
+            != _kronecker_sum(u, int(lab.j), int(lab.k), trunc)]
+
+
+def test_p_product_is_kroneckers_sum():
+    # P^(u)_{j,k} = (Q;Q)^2 (AB;Q)(Q/AB;Q) / [(A;Q)(Q/A;Q)(B;Q)(Q/B;Q)] with
+    # A = q^j/y, B = q^k y, Q = q^u is Ramanujan's 1psi1 sum
+    assert sum(len(spectrum(u)) for u in range(2, 9)) == 84
+    assert _kronecker_mismatches() == []
+
+
+def test_kroneckers_sum_catches_a_dropped_p_factor(monkeypatch):
+    # (Q;Q) in place of (Q;Q)^2: the flow y -> q^m y cannot see a y-free
+    # factor, but Kronecker's sum does
+    def one_fewer_q_power(u, j, k, qmax):
+        seen = set()
+        for a, yexp, side in _p_factors(u, j, k, qmax):
+            if (yexp, side) == (0, 1) and a % u == 0 and a not in seen:
+                seen.add(a)
+                continue
+            yield a, yexp, side
+
+    monkeypatch.setattr(characters, "_p_factors", one_fewer_q_power)
+    assert len(_kronecker_mismatches()) == 84
+
+
 def test_character_leading_u3():
     ch = character(ModuleLabel(3, 1, 1), F(4))
     e0, c0 = ch.series.leading()
     assert e0 == F(1, 3)
-    assert c0 == RatFunc.one()
+    assert as_ratfunc(c0) == RatFunc.one()
     assert ch.series.ypref == F(1, 3)
 
 
 def test_character_u2_q0_rational():
     ch = character(ModuleLabel(2, 0, 1), F(5))
     c0 = ch.series.coeff(0)
-    assert c0 == RatFunc({0: F(1), -1: F(-1)}).inverse()
+    assert as_ratfunc(c0) == RatFunc({0: F(1), -1: F(-1)}).inverse()
 
 
 def test_normalized_prefactor():

@@ -88,6 +88,15 @@ def test_vanishing_factor_exit2():
     assert "(1 - q^0) = 0" in err
 
 
+def test_generic_label_off_the_2u_grid_exit0():
+    # j = k = 1/5 lies off the grid 1/6; the character is built on 1/30,
+    # refined to 1/150 by jk/u = 1/75
+    code, out, err = run_cli("char", "--u", "3", "--j", "1/5", "--k", "1/5",
+                             "--generic", "--order", "2")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["qDenom"] == 150
+
+
 def test_unknown_flag_exit2():
     code, *_ = run_cli("spectrum", "--u", "4", "--bogus")
     assert code == 2

@@ -1,6 +1,7 @@
 """Every script in demos/ runs to completion and prints something; the
 characters demo and the first lines of the xi demo print exactly their
-pinned lines."""
+pinned lines.  A module whose name starts with _ is a helper that the
+scripts import, not a demo."""
 
 import os
 import re
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+DEMOS = sorted(p for p in (ROOT / "demos").glob("*.py")
+               if not p.name.startswith("_"))
 
 
 def test_readme_lists_every_demo():
@@ -34,8 +36,8 @@ def test_demo_runs(script):
 
 
 def test_characters_demo_output():
-    # the printed q^0 and leading coefficients go through RowSeries.coeff and
-    # leading, the only accessors that build a RatFunc
+    # the printed q^0 and leading coefficients are the (row, pole) pairs of
+    # RowSeries.coeff and leading, in the formatter shared with the xi demo
     assert run_demo(ROOT / "demos" / "characters_and_flow.py").splitlines() == [
         "u=2: c = 0, 1 modules: [(0, 1)]",
         "u=3: c = 1, 3 modules: [(0, 1), (0, 2), (1, 1)]",

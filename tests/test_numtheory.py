@@ -4,6 +4,7 @@ from math import comb, factorial
 
 import pytest
 
+from superjacobi import numtheory
 from superjacobi.numtheory import (bernoulli, divisor_sum, divisors,
                                    eisenstein_e, eisenstein_ghat)
 
@@ -124,3 +125,28 @@ def test_divisors_rejects_nonpositive(n):
 def test_eisenstein_rejects_nonpositive_order(fn, trunc):
     with pytest.raises(ValueError, match="q_order must be >= 1"):
         fn(2, trunc)
+
+
+# -- the E_2k normalisation, pinned by products of modular forms ----------------
+
+def _eisenstein_products_hold(trunc: int = 61) -> list[bool]:
+    """E4^2 = E8, E4 E6 = E10 and E4^2 E6 = E14 through q^(trunc-1): each
+    space of modular forms of weight 8, 10 and 14 is one-dimensional, so the
+    constant -4k/B_2k is right only if the products agree."""
+    e4, e6 = eisenstein_e(2, trunc), eisenstein_e(3, trunc)
+    return [e4 * e4 == eisenstein_e(4, trunc),
+            e4 * e6 == eisenstein_e(5, trunc),
+            e4 * e4 * e6 == eisenstein_e(7, trunc)]
+
+
+def test_eisenstein_products_pin_the_normalisation():
+    assert _eisenstein_products_hold() == [True, True, True]
+
+
+def test_doubled_b8_breaks_e4_squared(monkeypatch):
+    bernoulli(14)                         # the table holds c_0..c_14 at least
+    c = list(numtheory._bernoulli_c)
+    c[8] *= 2
+    monkeypatch.setattr(numtheory, "_bernoulli_c", tuple(c))
+    assert bernoulli(8) == 2 * F(-1, 30)
+    assert _eisenstein_products_hold() == [False, True, True]

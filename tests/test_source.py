@@ -77,11 +77,9 @@ def test_only_cli_imports_numpy():
 
 
 def test_no_cli_path_imports_the_ratfunc_engine():
-    # series is built on RatFunc, and characters imports it only in the lazy
-    # RowSeries.coeff, which the demo and the tests call; no module imports
-    # series, so the engine is the tests' reference and no job loads it
-    assert importers_of("superjacobi.ratfunc".__eq__) == {"series",
-                                                           "characters"}
+    # series is built on RatFunc and no module imports series, so the engine
+    # is the tests' reference and no job loads it
+    assert importers_of("superjacobi.ratfunc".__eq__) == {"series"}
     assert importers_of("superjacobi.series".__eq__) == set()
 
 
@@ -121,6 +119,17 @@ def test_public_namespace_resolves():
     assert superjacobi.QSeries is qseries.QSeries
     with pytest.raises(AttributeError, match="'no_such_name'"):
         superjacobi.no_such_name
+
+
+def test_reference_engine_is_not_exported():
+    # RatFunc and QYSeries are the tests' reference engine: they resolve in
+    # their own modules, not in the package namespace
+    for module, name in (("ratfunc", "RatFunc"), ("series", "QYSeries")):
+        assert name not in superjacobi.__all__
+        with pytest.raises(AttributeError, match=f"'{name}'"):
+            getattr(superjacobi, name)
+        assert callable(getattr(
+            importlib.import_module(f"superjacobi.{module}"), name))
 
 
 # -- what a CLI job imports ----------------------------------------------------

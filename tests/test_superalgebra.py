@@ -702,3 +702,59 @@ def test_flats_cover_every_index_point(flats, forms):
         z = _forms_at(point, forms)
         owners = [image for zz, image in vanishing if zz == z]
         assert len(owners) == 1 and point in owners[0], point
+
+
+# -- spectral flow U_eta is an automorphism -------------------------------------
+
+_FLOW_BOX = [X(n) for X in (L, J, H, Q) for n in range(-4, 5)] + [C]
+
+
+def _flow(eta: int, l0_shift):
+    """U_eta: L_n -> L_n + eta J_n + delta_{n,0} l0_shift C,
+    J_n -> J_n + delta_{n,0} (eta/3) C, Q_n -> Q_{n+eta}, H_n -> H_{n-eta},
+    C -> C; returned as (image of a basis element, image of a combination)."""
+    def image(e: BasisElt) -> SuperLinComb:
+        n, zero = e.index, e.index == 0
+        if e.family == "L":
+            return SuperLinComb.of((1, L(n)), (eta, J(n)),
+                                   (l0_shift if zero else 0, C))
+        if e.family == "J":
+            return SuperLinComb.of((1, J(n)), (F(eta, 3) if zero else 0, C))
+        if e.family == "Q":
+            return SuperLinComb.of((1, Q(n + eta)))
+        if e.family == "H":
+            return SuperLinComb.of((1, H(n - eta)))
+        return SuperLinComb.of((1, C))
+
+    def extend(x: SuperLinComb) -> SuperLinComb:
+        out = SuperLinComb()
+        for b, c in x.coeffs.items():
+            out = out + image(b).scale(c)
+        return out
+
+    return image, extend
+
+
+def _flow_failures(eta: int, l0_shift) -> list:
+    """The ordered pairs (a, b) of _FLOW_BOX with [U a, U b] != U [a, b]."""
+    image, extend = _flow(eta, l0_shift)
+    return [(a, b) for a in _FLOW_BOX for b in _FLOW_BOX
+            if bracket_comb(image(a), image(b)) != extend(bracket(a, b))]
+
+
+@pytest.mark.parametrize("eta", range(-3, 4))
+def test_spectral_flow_is_an_automorphism(eta):
+    # Schwimmer-Seiberg: the central shift of L_0 is eta(eta+1)/6 C, which is
+    # the q^{c eta^2/6} of the characters' flow once y^{c/6} is taken out
+    assert len(_FLOW_BOX) ** 2 == 1369
+    assert _flow_failures(eta, F(eta * (eta + 1), 6)) == []
+
+
+@pytest.mark.parametrize("eta", [-3, -2, -1, 1, 2, 3])
+def test_spectral_flow_with_eta_squared_shift_fails(eta):
+    # eta^2/6 misses the central term by eta/6 on every bracket with an L_0
+    # term: [L_m, L_-m] for m != 0 and both orders of [H_m, Q_-m]
+    with_l0 = [(a, b) for a in _FLOW_BOX for b in _FLOW_BOX
+               if L(0) in bracket(a, b).coeffs]
+    assert len(with_l0) == 26
+    assert _flow_failures(eta, F(eta * eta, 6)) == with_l0
