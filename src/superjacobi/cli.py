@@ -52,6 +52,7 @@ def _write(fh, payload, as_json: bool) -> None:
 def _emit(payload, out_path: str | None, as_json: bool = True) -> None:
     if not out_path:
         _write(sys.stdout, payload, as_json)
+        sys.stdout.flush()      # a closed pipe raises here, not at exit
         return
     try:
         with open(out_path, "w") as fh:
@@ -411,6 +412,13 @@ def main(argv: list[str] | None = None) -> int:
             _emit({"selfTest": args.command, "passed": ok}, args.out)
             return EXIT_OK if ok else EXIT_MATH_FAIL
         return args.fn(args)
+    except BrokenPipeError as exc:
+        # the reader of stdout is gone; the flush at shutdown goes to devnull
+        # instead of raising again
+        import os
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.write(f"error: cannot write stdout: {exc.strerror}\n")
+        return EXIT_USAGE
     except (SuperjacobiError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

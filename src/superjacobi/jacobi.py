@@ -200,6 +200,14 @@ def eval_normalized_character(label: ModuleLabel, p: ModularPoint,
     ch. 5).  tail is inf when some |x| >= 1.  Raises TailBoundExceeded when
     tol is given and tail exceeds it.
     """
+    tail = _tail_bound(label, p, q_order)
+    _refuse_tail(tail, tol, p)
+    return eval_character_value(label, p, q_order), tail
+
+
+def _tail_bound(label: ModuleLabel, p: ModularPoint,
+                q_order: Fraction) -> float:
+    """The bound tail of eval_normalized_character, without the value."""
     q_order = Fraction(q_order)
     qa = math.exp(-2 * math.pi * p.tau.imag)
     ya = math.exp(-2 * math.pi * p.alpha.imag)
@@ -208,16 +216,18 @@ def eval_normalized_character(label: ModuleLabel, p: ModularPoint,
     # a and q_order sit on coarse grids, so float order is exact order
     xs = [(qa ** a * ya ** s, side) for a, s, side in factors
           if a >= float(q_order)]
-    tail = math.inf
-    if all(x < 1.0 for x, _ in xs):
-        total = sum(x if side > 0 else x / (1.0 - x) for x, side in xs)
-        total /= 1.0 - qa * qa
-        tail = math.expm1(total) if total < 700.0 else math.inf
+    if not all(x < 1.0 for x, _ in xs):
+        return math.inf
+    total = sum(x if side > 0 else x / (1.0 - x) for x, side in xs)
+    total /= 1.0 - qa * qa
+    return math.expm1(total) if total < 700.0 else math.inf
+
+
+def _refuse_tail(tail: float, tol: float | None, p: ModularPoint) -> None:
     if tol is not None and tail > tol:
         raise TailBoundExceeded(
             f"tail bound {tail:.3e} exceeds {tol:.3e} at tau = {p.tau}, "
             f"alpha = {p.alpha}")
-    return eval_character_value(label, p, q_order), tail
 
 
 def jacobi_normalized(label: ModuleLabel, p: ModularPoint,
@@ -482,14 +492,23 @@ def span_invariance_test(u: int, g: JacobiGroupElement,
     normalized character, by default; jacobi_normalized for phi).  Samples
     pin tau = i unless tau_box is given.  Runs the fit on two disjoint sample sets and reports the
     entrywise matrix discrepancy along with the worst relative residual.
+    Raises TailBoundExceeded when the proved relative tail of a fitted
+    character value (eval_normalized_character) exceeds tol.
     """
     if q_order < 1:
         raise ValueError("q_order must be >= 1")
     family = family or eval_character_value
-    dim = len(spectrum(u)) * len(cosets)
+    labels = spectrum(u)
+    dim = len(labels) * len(cosets)
     count = max(3 * dim, 9)
     samples = sample_points(2 * count, seed, tau_box)
     cc = central_charge(u)
+    # the fitted values rest on the characters at h . p and h . g . p
+    tail, at = max(((_tail_bound(lab, x, q_order), x) for p in samples
+                    for gp in (p, act_on_point(g, p))
+                    for x in (act_on_point(h, gp) for h in cosets)
+                    for lab in labels), key=lambda t: t[0])
+    _refuse_tail(tail, tol, at)
     first, second = samples[:count], samples[count:]
     M1, r1, c1 = _fit(*_sample_matrices(u, g, first, q_order, cc, family,
                                         cosets))

@@ -34,33 +34,37 @@ stays on the integers, where a Jacobiator is exact at scale 36 and only a
 violating one is divided back.  The realization is over Z; its check reads
 each commutator at scale 6 on the same keys and compares it with _six.
 
-Both checks hold for every index once certified.  Every structure constant
-is a polynomial over Z in the mode indices, and the only index test the
-table makes is ``central = m == -n``.  The Jacobiator of (a_m, b_n, c_p)
-makes it on m + n, n + p, p + m (inner brackets) and m + n + p (outer
-ones); the realization check of (a_m, b_n) makes it on m + n.  These forms
-cut index space into flats: 12 for the Jacobiator (the space, 4 planes, 6
-lines, the origin) and 2 for the realization (generic, m + n = 0).  At the
-points of a flat that lie on no smaller flat, every test comes out the same
-way.  certificate.py runs _jacobiator, and realization, _commutator_images
-and _identify, unchanged on each flat, with indices of type IndexPoly, a
-polynomial over Z in the flat's parameters.  The Jacobiator is a cyclic sum,
-so it takes one family triple per rotation.  The type's contract:
+Every structure constant is a polynomial over Z in the mode indices, and
+_table writes each entry with ring operations on the indices alone: it gives
+each C term at every index, _entry adds super-antisymmetry, and _six keeps
+the C term only where the int indices satisfy m == -n.
+
+Both checks hold for every index once certified.  certificate.py runs
+_jacobiator and _realization_pair unchanged on free indices of type
+IndexPoly, a polynomial over Z, in three passes over _entry:
+
+* Jacobi off C, in (m, n, p): every non-C term vanishes identically.  A
+  grading guard asks that each entry's keys, C excepted, carry its pair's
+  index sum, so every outer key carries m + n + p and _six keeps every
+  outer C term exactly on m + n + p = 0.
+* Jacobi's C term, in (m, n) with p = -m - n: it vanishes identically.
+* Realization, in (m, n): every commutator equals its entry without C.
+
+The Jacobi passes take one family triple per rotation of the cyclic sum.
+The type's contract:
 
 * it has ring operations with ints, constants are ints, and its truth value
   is "not identically zero", which the code uses only to drop zero terms;
-* ``==`` answers only when the difference is zero, a nonzero constant or
-  one of the flat's forms, and raises otherwise; there is no ordering, no
-  ``//`` and no ``int()``.
+* ``==`` is True on equal polynomials and ``not d`` on a constant
+  difference d, and raises otherwise; there is no ordering, no ``//`` and
+  no ``int()``.
 
-If every Jacobiator vanishes identically and every commutator equals the
-table, the report is built without enumeration: ``checked`` is the box
-size, nothing fails, and the central kernel is the plane polynomial
-evaluated at each m of the box.  Otherwise (a nonzero Jacobiator or
-commutator, a central term off m + n = 0, or an operation the type refuses)
-the box is enumerated, and that gives the report.  The type cannot refuse
-two things, so table code must not do them: branch on the truth value of an
-index, or look an index up among int keys.
+If all three passes hold, the report is built without enumeration: nothing
+fails, and the central kernel is each entry's C coefficient at (v, -v) for
+the v of the box.  Otherwise (a nonzero term, an ungraded key, or an
+operation the type refuses) the box is enumerated, and that gives the
+report.  The type cannot refuse two things, so table code must not do them:
+branch on the truth value of an index, or look an index up among int keys.
 """
 
 from __future__ import annotations
@@ -185,26 +189,26 @@ def _elt(key: tuple[int, int]) -> BasisElt:
 
 def _table(a: tuple[int, int], b: tuple[int, int]):
     """6 [a, b] for keys (family code, index) in table order, as
-    ((key, int), ...) without zero terms; None if (a, b) is not a table pair."""
+    ((key, coefficient), ...) without zero terms and with the C term at
+    every index; None if (a, b) is not a table pair."""
     (fa, m), (fb, n) = a, b
-    s, central = m + n, m == -n
+    s = m + n
     if (fa, fb) == (_L, _L):
         out = (((_L, s), 6 * (m - n)),)
     elif (fa, fb) == (_L, _J):
-        out = (((_J, s), -6 * n), (_CK, m * m + m if central else 0))
+        out = (((_J, s), -6 * n), (_CK, m * m + m))
     elif (fa, fb) == (_L, _H):
         out = (((_H, s), -6 * n),)
     elif (fa, fb) == (_L, _Q):
         out = (((_Q, s), 6 * (m - n)),)
     elif (fa, fb) == (_J, _J):
-        out = ((_CK, 2 * m if central else 0),)
+        out = ((_CK, 2 * m),)
     elif (fa, fb) == (_J, _Q):
         out = (((_Q, s), 6),)
     elif (fa, fb) == (_J, _H):
         out = (((_H, s), -6),)
     elif (fa, fb) == (_H, _Q):
-        out = (((_L, s), 6), ((_J, s), -6 * m),
-               (_CK, m * m - m if central else 0))
+        out = (((_L, s), 6), ((_J, s), -6 * m), (_CK, m * m - m))
     elif fa == fb and fa in (_H, _Q):
         out = ()
     else:
@@ -212,8 +216,9 @@ def _table(a: tuple[int, int], b: tuple[int, int]):
     return tuple(t for t in out if t[1])
 
 
-def _six(a: tuple[int, int], b: tuple[int, int]):
-    """6 [a, b] for any keys: the table entry, or super-antisymmetry on it."""
+def _entry(a: tuple[int, int], b: tuple[int, int]):
+    """6 [a, b] for any keys, with its C term at every index: the table
+    entry, or super-antisymmetry on it."""
     if _C in (a[0], b[0]):
         return ()
     v = _table(a, b)
@@ -221,6 +226,14 @@ def _six(a: tuple[int, int], b: tuple[int, int]):
         return v
     odd = a[0] in (_H, _Q) and b[0] in (_H, _Q)
     return tuple((e, c if odd else -c) for e, c in _table(b, a))
+
+
+def _six(a: tuple[int, int], b: tuple[int, int]):
+    """6 [a, b] for int keys: _entry, whose C term counts only on m + n = 0."""
+    v = _entry(a, b)
+    if a[1] == -b[1]:
+        return v
+    return tuple(t for t in v if t[0] != _CK)
 
 
 def _comb(scaled, scale: int) -> SuperLinComb:
@@ -471,13 +484,13 @@ class RealizationReport:
                     for (pair, m, n, c) in self.central_kernel]}
 
 
-def _realization_pair(ka, da: SuperDerivation, kb, db: SuperDerivation):
-    """(commutator of da and db, table entry of ka and kb without C, its C
-    coefficient), at scale 6 on _six's keys."""
+def _realization_pair(entry, da: SuperDerivation, db: SuperDerivation):
+    """(commutator of da and db, the table entry ``entry`` of their keys
+    without C, its C coefficient), at scale 6 on _six's keys."""
     got = _identify(*_commutator_images(da, db))
     # as in _jacobiator: repeated keys add up and zero coefficients drop
     want: dict = {}
-    for e, c in _six(ka, kb):
+    for e, c in entry:
         want[e] = want.get(e, 0) + c
     want = {e: c for e, c in want.items() if c}
     return got, want, want.pop(_CK, 0)
@@ -506,7 +519,7 @@ def realization_bracket_check(max_index: int) -> RealizationReport:
         for fb, row_b in zip(FAMILIES, rows):
             for a, ka, da in row_a:
                 for b, kb, db in row_b:
-                    got, want, cpart = _realization_pair(ka, da, kb, db)
+                    got, want, cpart = _realization_pair(_six(ka, kb), da, db)
                     if got != want:
                         mismatches.append((a, b, _comb(got.items(), 6),
                                            _comb(want.items(), 6)))

@@ -113,6 +113,19 @@ def test_jacobi_test_lattice_pass_and_modular_fail():
     assert code == 1   # mathematical failure, not usage failure
 
 
+def test_jacobi_test_truncation_tail_exit2():
+    # at q-order 1 an omitted factor is not small (tail inf): the probe
+    # refuses to fit rather than report a truncation artifact as a failure;
+    # at order 4 the worst tail is about 4e-8
+    code, out, err = run_cli("jacobi-test", "--u", "2", "--gen", "x10",
+                             "--order", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: tail bound inf exceeds 1.000e-06 at tau = ")
+    code, out, _ = run_cli("jacobi-test", "--u", "2", "--gen", "x10",
+                           "--order", "4")
+    assert code == 0 and json.loads(out)["withinTolerance"] is True
+
+
 def test_deterministic_output():
     args = ("jacobi-test", "--u", "2", "--gen", "x01", "--order", "10",
             "--seed", "11")
@@ -206,6 +219,21 @@ def test_out_to_unwritable_path_exit2(tmp_path, flags):
     assert err.startswith("error:") and str(path) in err
     assert "Traceback" not in err
     assert not path.parent.exists()
+
+
+def test_closed_stdout_pipe_exit2():
+    # about 190 KB of JSON, more than a pipe buffer holds: the reader closes
+    # the pipe after 10 bytes, and the job writes into a closed pipe
+    proc = subprocess.Popen([sys.executable, "-m", "superjacobi.cli", "char",
+                             "--u", "5", "--j", "1", "--k", "1",
+                             "--order", "40"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 2
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert err == "error: cannot write stdout: Broken pipe\n"
 
 
 def test_zetabar_table_csv():

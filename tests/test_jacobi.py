@@ -256,6 +256,22 @@ def test_span_test_rejects_nonpositive_order(q_order):
                              q_order=q_order)
 
 
+def test_span_test_refuses_its_worst_tail(monkeypatch):
+    # every fitted value has a proved tail; the worst one above tol is
+    # refused with its point, before any sample is evaluated
+    def no_evaluation(*args):
+        raise AssertionError("a value was evaluated past the tail guard")
+
+    g = JacobiGroupElement.lattice(1, 0)
+    monkeypatch.setattr(jacobi, "eval_character_value", no_evaluation)
+    with pytest.raises(TailBoundExceeded,
+                       match=r"tail bound 1\.227e-02 exceeds 1\.000e-06 at "
+                             r"tau = 1j, alpha = "):
+        span_invariance_test(2, g, q_order=F(2))
+    monkeypatch.undo()
+    assert span_invariance_test(2, g, q_order=F(2), tol=0.1).residual < 1e-2
+
+
 def test_ill_conditioned_samples_rejected():
     # at u = 5 the ten characters are nearly dependent on the default samples
     # at tau = i (condition 5.9e10)

@@ -1,11 +1,10 @@
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
 from superjacobi import certificate, superalgebra
-from superjacobi.certificate import Flat, IndexPoly, Undecided
+from superjacobi.certificate import IndexPoly, Undecided, variables
 from superjacobi.superalgebra import (C, EVEN, FAMILIES, H, J, L, Q, BasisElt,
                                       SuperDerivation, SuperLinComb, SuperPoly,
                                       _commutator_images, _key, _SixView,
@@ -414,9 +413,29 @@ def _jj_sixth(table, a, b):
     return tuple((e, c // 2) for e, c in v) if (a[0], b[0]) == _JJ else v
 
 
+def _ungraded(table, a, b):
+    # [L_m, L_n] = (m - n) L_{m+n+1}: the grading guard refuses it
+    if (a[0], b[0]) != (superalgebra._L, superalgebra._L):
+        return table(a, b)
+    return (((superalgebra._L, a[1] + b[1] + 1), 6 * (a[1] - b[1])),)
+
+
+def _c_plus_one(table, a, b):
+    # [L_m, J_-m] gains C/6: the C coefficient m^2 + m + 1 at scale 6, on
+    # one C key; a lone constant is no coboundary, so the C pass refuses it
+    v = table(a, b)
+    if (a[0], b[0]) != (superalgebra._L, superalgebra._J):
+        return v
+    m = a[1]
+    return (tuple(t for t in v if t[0] != superalgebra._CK)
+            + ((superalgebra._CK, m * m + m + 1),))
+
+
 @pytest.mark.parametrize("max_index", [1, 2])
-@pytest.mark.parametrize("corrupt", [None, _jq_sign, _jj_sixth],
-                         ids=["true", "jq_sign", "jj_central"])
+@pytest.mark.parametrize("corrupt", [None, _jq_sign, _jj_sixth, _ungraded,
+                                     _c_plus_one],
+                         ids=["true", "jq_sign", "jj_central", "ungraded",
+                              "c_plus_one"])
 def test_sweep_matches_fraction_reference(monkeypatch, corrupt, max_index):
     if corrupt:
         table = superalgebra._table
@@ -429,6 +448,17 @@ def test_sweep_matches_fraction_reference(monkeypatch, corrupt, max_index):
     assert rep.passed == (corrupt is None)
     assert rep.violations == violations
     assert rep.to_dict()["violations"] == [str(v) for v in violations[:20]]
+
+
+def test_grading_guard_refuses_an_ungraded_entry(monkeypatch):
+    # the guard raises on the first entry whose key misses its pair's index
+    # sum, before any Jacobiator of the pass is summed
+    table = superalgebra._table
+    monkeypatch.setattr(superalgebra, "_table",
+                        lambda a, b: _ungraded(table, a, b))
+    with pytest.raises(certificate.Ungraded):
+        list(certificate._jacobiators(variables(3)))
+    assert len(super_jacobi_check(1).violations) == 246
 
 
 # -- the scale-6 realization check against the object route it replaced ---------
@@ -520,9 +550,9 @@ def test_realization_check_does_not_call_bracket(monkeypatch, realize):
 
 @pytest.mark.parametrize("max_index", [1, 3, 5])
 def test_realization_runs_once_per_box_element(monkeypatch, max_index):
-    # the certificate realizes each family once per index of each of its two
-    # strata, whatever the box; a corrupted table falls back to the
-    # enumeration, which realizes each box element once
+    # the certificate realizes each family once per index, in one pass,
+    # whatever the box; a corrupted table falls back to the enumeration,
+    # which realizes each box element once
     calls = []
     true_realization = superalgebra.realization
 
@@ -532,7 +562,7 @@ def test_realization_runs_once_per_box_element(monkeypatch, max_index):
 
     monkeypatch.setattr(superalgebra, "realization", counted)
     assert realization_bracket_check(max_index).passed
-    assert len(calls) == 2 * 2 * len(FAMILIES)
+    assert len(calls) == 2 * len(FAMILIES)
     assert not any(type(e.index) is int for e in calls)
     calls.clear()
     table = superalgebra._table
@@ -540,7 +570,7 @@ def test_realization_runs_once_per_box_element(monkeypatch, max_index):
                         lambda a, b: _jq_sign(table, a, b))
     assert not realization_bracket_check(max_index).passed
     boxed = [e for e in calls if type(e.index) is int]
-    assert len(calls) - len(boxed) == 2 * 2 * len(FAMILIES)
+    assert len(calls) - len(boxed) == 2 * len(FAMILIES)
     assert len(boxed) == len(set(boxed)) == 4 * (2 * max_index + 1)
 
 
@@ -639,8 +669,7 @@ def test_realization_sums_repeated_keys(monkeypatch, corrupt, holds):
 
 
 def test_index_poly_contract():
-    flat = Flat(certificate.JACOBI_FLATS[0], certificate.JACOBI_FORMS)
-    m, n, p = flat.indices
+    m, n, p = variables(3)
     assert isinstance(m, IndexPoly)
     # ring operations with ints; a constant result is an int
     assert (m + n) * (m - n) - m * m + n * n == 0
@@ -649,10 +678,11 @@ def test_index_poly_contract():
     assert {m + n: 1}[n + m] == 1
     assert bool(m - n) and not m - m
     assert (m * n)(2, 3) == 6 and (m + n * p - 1)(1, 2, 3) == 6
-    # == is decided on zero, a nonzero constant and the arrangement's forms
-    assert m == m and m != m + 1
-    assert m != -n and m + n != -p and (2 * m != -2 * n)
-    for undecided in (lambda: m == 2, lambda: m == n, lambda: m * m == -n):
+    # == is decided on equal polynomials and on a constant difference
+    assert m == m and m != m + 1 and m + n + 2 == 2 + n + m
+    for undecided in (lambda: m == 2, lambda: m == n, lambda: m * m == -n,
+                      lambda: m != -n, lambda: m + n != -p,
+                      lambda: 2 * m != -2 * n):
         with pytest.raises(Undecided):
             undecided()
     # no ordering, division or conversion to int
@@ -661,47 +691,6 @@ def test_index_poly_contract():
                     lambda: F(m), lambda: abs(m)):
         with pytest.raises(TypeError):
             refused()
-
-
-def test_index_poly_decides_on_the_flat():
-    # on m + n = 0 the index test m == -n holds identically, and n + p
-    # becomes p - m, a form of that flat
-    flat = Flat(certificate.JACOBI_FLATS[1], certificate.JACOBI_FORMS)
-    m, n, p = flat.indices
-    assert m == -n and m + n == 0
-    assert n != -p and p != m and m + n + p != 0
-    with pytest.raises(Undecided):
-        p == 2 * m
-
-
-def _forms_at(point, forms):
-    return frozenset(i for i, f in enumerate(forms)
-                     if not sum(a * x for a, x in zip(f, point)))
-
-
-@pytest.mark.parametrize("flats, forms", [
-    (certificate.JACOBI_FLATS, certificate.JACOBI_FORMS),
-    (certificate.REALIZATION_FLATS, certificate.REALIZATION_FORMS),
-], ids=["jacobi", "realization"])
-def test_flats_cover_every_index_point(flats, forms):
-    # each flat is cut out by the forms that vanish on it, and every index
-    # point of a box lies on the one flat cut out by the forms that vanish
-    # at the point, as the image of an integer parameter point
-    dim = len(forms[0])
-    vanishing = []
-    for rows in flats:
-        k = len(rows[0])
-        image = {tuple(sum(c * t for c, t in zip(row, params)) for row in rows)
-                 for params in product(range(-3, 4), repeat=k)}
-        zeros = {_forms_at(pt, forms) for pt in image if any(pt) or k == 0}
-        generic = [z for z in zeros if all(z <= other for other in zeros)]
-        assert len(generic) == 1
-        vanishing.append((generic[0], image))
-    assert len({z for z, _ in vanishing}) == len(flats)
-    for point in product(range(-3, 4), repeat=dim):
-        z = _forms_at(point, forms)
-        owners = [image for zz, image in vanishing if zz == z]
-        assert len(owners) == 1 and point in owners[0], point
 
 
 # -- spectral flow U_eta is an automorphism -------------------------------------
