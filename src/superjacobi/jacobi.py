@@ -21,9 +21,11 @@ is preserved: it fits a constant mixing matrix M with
 M v(p) ~ multiplier * v(g . p) by least squares over deterministic samples
 (alpha on the segment from 0.1 + 0.3i to 0.4; tau pinned at i by default, or
 sampled in an opt-in box such as TAU_BOX = [-0.3, 0.3] + i[0.9, 1.3]) and
-reports the residual.  The fit runs in plain Python: Householder QR of the
-sample matrix, its condition number from the one-sided Jacobi singular values
-of R, and back substitution on R.
+reports the residual.  The fit runs in plain Python on one factorization:
+the one-sided Jacobi SVD of the sample matrix, whose singular values give the
+condition number and whose right vectors give the least-squares solve.  The
+fitted values and their proved tail bounds read one walk of each label's
+product factors.
 
 On the normalized characters chi at tau = i the lattice generators pass at
 machine precision and S and the shear T do not close: for u = 2,
@@ -157,14 +159,13 @@ def eval_character_value(label: ModuleLabel, p: ModularPoint,
     eval_normalized_character bounds what the omitted factors change.
     """
     u, j, k, q_order = label.u, label.j, label.k, Fraction(q_order)
-    qexp, yexp0, factors = _float_factors(u, j, k, q_order)
+    qexp, yexp0, factors, _ = _float_factors(u, j, k, q_order)
     tq = 2j * cmath.pi * p.tau
     ty = 2j * cmath.pi * p.alpha
     val = cmath.exp(tq * qexp) * cmath.exp(ty * yexp0)
-    for i, (af, sf, side) in enumerate(factors):
+    for af, sf, side, a, yexp in factors:
         f = 1.0 - cmath.exp(tq * af) * cmath.exp(ty * sf)
         if abs(f) < 1e-12:
-            a, yexp, _ = _quotient_factors(u, j, k, 0, q_order, True)[0][i]
             raise PoleProximity(f"factor (1 - q^{a} y^{yexp}) within pole guard")
         val = val * f if side > 0 else val / f
     return val
@@ -172,18 +173,26 @@ def eval_character_value(label: ModuleLabel, p: ModularPoint,
 
 @functools.lru_cache(maxsize=256)
 def _float_factors(u: int, j: Fraction, k: Fraction, q_order: Fraction):
-    """The prefactor exponents and product factors of eval_character_value
-    with float exponents, built once per (u, j, k, q_order).
+    """The prefactor exponents and product factors of eval_character_value,
+    and the omitted factors that its tail bound reads, from one walk per
+    (u, j, k, q_order).
 
-    Returns (qpref, ypref, factors) from the m = 0, normalized walk of
-    _quotient_factors: its exact prefactor q^{jk/u} y^{(j-k+1)/u + c/6} as
-    floats, and each factor (float(a), float(yexp), side) in its order.
+    Returns (qpref, ypref, kept, omitted) from the m = 0, normalized walk of
+    _quotient_factors below q_order + u: its exact prefactor
+    q^{jk/u} y^{(j-k+1)/u + c/6} as floats; kept, each factor with
+    a < q_order as (float(a), float(yexp), side, a, yexp); and omitted, each
+    factor with q_order <= a < q_order + u as (float(a), float(yexp), side).
+    Both keep the walk's order.
     """
     if q_order < 1:
         raise ValueError("q_order must be >= 1")
-    factors, _, qpref, ypref = _quotient_factors(u, j, k, 0, q_order, True)
-    return (float(qpref), float(ypref),
-            tuple((float(a), float(yexp), side) for a, yexp, side in factors))
+    factors, _, qpref, ypref = _quotient_factors(u, j, k, 0, q_order + u,
+                                                 True)
+    kept = tuple((float(a), float(yexp), side, a, yexp)
+                 for a, yexp, side in factors if a < q_order)
+    omitted = tuple((float(a), float(yexp), side)
+                    for a, yexp, side in factors if a >= q_order)
+    return float(qpref), float(ypref), kept, omitted
 
 
 def eval_normalized_character(label: ModuleLabel, p: ModularPoint,
@@ -208,14 +217,11 @@ def eval_normalized_character(label: ModuleLabel, p: ModularPoint,
 def _tail_bound(label: ModuleLabel, p: ModularPoint,
                 q_order: Fraction) -> float:
     """The bound tail of eval_normalized_character, without the value."""
-    q_order = Fraction(q_order)
+    _, _, _, omitted = _float_factors(label.u, label.j, label.k,
+                                      Fraction(q_order))
     qa = math.exp(-2 * math.pi * p.tau.imag)
     ya = math.exp(-2 * math.pi * p.alpha.imag)
-    _, _, factors = _float_factors(label.u, label.j, label.k,
-                                   q_order + label.u)
-    # a and q_order sit on coarse grids, so float order is exact order
-    xs = [(qa ** a * ya ** s, side) for a, s, side in factors
-          if a >= float(q_order)]
+    xs = [(qa ** a * ya ** s, side) for a, s, side in omitted]
     if not all(x < 1.0 for x, _ in xs):
         return math.inf
     total = sum(x if side > 0 else x / (1.0 - x) for x, side in xs)
@@ -343,52 +349,22 @@ def _abs2(z: complex) -> float:
     return z.real * z.real + z.imag * z.imag
 
 
-def _householder(V, W, fv, fw):
-    """(R, B): the n x n upper-triangular factor R of fv V = QR and the first
-    n rows B of Q^H fw W, for V of m >= n rows (lists of rows).  Each
-    Householder reflection is applied to the trailing columns of V and to W
-    as it is formed, so Q is never built (Golub-Van Loan, Matrix
-    Computations, sec. 5.2)."""
-    n = len(V[0])
-    cols = [[z * fv for z in c] for c in zip(*V)]
-    rhs = [[z * fw for z in c] for c in zip(*W)]
-    for k in range(n):
-        x = cols[k]
-        norm = math.sqrt(sum(_abs2(z) for z in x[k:]))
-        if norm == 0.0:
-            continue
-        # reflect x[k:] onto alpha e_1, alpha = -norm x_k/|x_k|, so that
-        # x_k - alpha adds two numbers of the same phase
-        x0 = x[k]
-        r0 = abs(x0)
-        alpha = -norm * (x0 / r0) if r0 else complex(-norm)
-        v = x[k:]
-        v[0] = x0 - alpha
-        inv = 1.0 / (norm * (norm + r0))  # 2 / (v^H v)
-        x[k] = alpha
-        for c in cols[k + 1:] + rhs:
-            tail = c[k:]
-            s = inv * sum(vi.conjugate() * ci for vi, ci in zip(v, tail))
-            c[k:] = [ci - s * vi for ci, vi in zip(tail, v)]
-    R = [[cols[j][i] if j >= i else 0j for j in range(n)] for i in range(n)]
-    B = [[c[i] for c in rhs] for i in range(n)]
-    return R, B
-
-
 # One-sided Jacobi converges quadratically, in a few sweeps at these sizes;
 # the cap ends the loop on a nan column, whose rotations never settle.
 _JACOBI_SWEEPS = 60
 
 
-def _singular_values(A) -> list[float]:
-    """The singular values of A (a list of rows) by one-sided Jacobi: plane
-    rotations orthogonalize the columns until every pair has cosine at most
-    n eps, and the column norms are then the singular values (Hestenes 1958;
-    Demmel-Veselic, SIAM J. Matrix Anal. Appl. 13 (1992)).  Within a sweep
-    the squared norms are updated with each rotation and re-summed at the
-    start of the next."""
+def _svd(A):
+    """(s, AX, X): the singular values of A (a list of rows), the columns of
+    A X and the columns of the unitary X, by one-sided Jacobi: plane
+    rotations orthogonalize the columns of A X, from X = I, until every pair
+    has cosine at most n eps, and the column norms are then the singular
+    values (Hestenes 1958; Demmel-Veselic, SIAM J. Matrix Anal. Appl. 13
+    (1992)).  Within a sweep the squared norms are updated with each
+    rotation and re-summed at the start of the next."""
     cols = [list(c) for c in zip(*A)]
     n = len(cols)
+    vecs = [[complex(r == c) for r in range(n)] for c in range(n)]
     tol = n * math.ulp(1.0)
     for _ in range(_JACOBI_SWEEPS):
         norms = [sum(_abs2(z) for z in c) for c in cols]
@@ -410,30 +386,18 @@ def _singular_values(A) -> list[float]:
                 c = 1.0 / math.hypot(1.0, t)
                 s = c * t
                 phase = gamma.conjugate() / g
-                cp = cols[p]
-                cq = [phase * y for y in cols[q]]
-                cols[p] = [c * x - s * y for x, y in zip(cp, cq)]
-                cols[q] = [s * x + c * y for x, y in zip(cp, cq)]
+                for M in (cols, vecs):
+                    cp = M[p]
+                    cq = [phase * y for y in M[q]]
+                    M[p] = [c * x - s * y for x, y in zip(cp, cq)]
+                    M[q] = [s * x + c * y for x, y in zip(cp, cq)]
                 # the rotated pair's Gram matrix is diag(a - t g, b + t g)
                 norms[p] = max(a - t * g, 0.0)
                 norms[q] = b + t * g
         if not rotated:
-            return [math.sqrt(a) for a in norms]
+            return [math.sqrt(a) for a in norms], cols, vecs
     raise IllConditioned(f"singular values did not converge in "
                          f"{_JACOBI_SWEEPS} Jacobi sweeps")
-
-
-def _back_substitute(R, B):
-    """X with R X = B, for upper-triangular R with a nonzero diagonal (lists
-    of rows): one row operation per row of R, from the last up (Golub-Van
-    Loan, Matrix Computations, sec. 5.3)."""
-    n = len(R)
-    X = [None] * n
-    for i in range(n - 1, -1, -1):
-        Ri, d = R[i], R[i][i]
-        X[i] = [(b - sum(Ri[l] * X[l][c] for l in range(i + 1, n))) / d
-                for c, b in enumerate(B[i])]
-    return X
 
 
 def _refuse_non_finite(A, what: str) -> None:
@@ -453,20 +417,26 @@ def _fit(V, W):
     V and W are each scaled by the power of two 2^-e that brings its largest
     entry into [1/2, 1), or near it for subnormal entries, so the sums of
     squares cannot overflow; M is scaled back.  Powers of two scale exactly.
-    Householder QR of V carries W along; the condition number is the ratio
-    of the extreme singular values of R (inf when the smallest is 0), and
-    back substitution on R gives M^T."""
+    One Jacobi SVD of V gives both: the condition number is the ratio of
+    its extreme singular values s (inf when the smallest is 0), and the
+    columns of V X are orthogonal with norms s, so the least-squares solve
+    is M^T = X diag(s)^-2 (V X)^H W."""
     _refuse_non_finite(V + W, "sample value")
     ev, ew = (min(max(math.frexp(max(abs(z) for r in A for z in r))[1],
                       -1022), 1023) for A in (V, W))
     fv, fw = 2.0 ** -ev, 2.0 ** -ew
-    R, B = _householder(V, W, fv, fw)
-    sv = _singular_values(R)
+    sv, axs, xs = _svd([[z * fv for z in row] for row in V])
     lo, hi = min(sv), max(sv)
     cond = math.inf if lo == 0.0 else hi / lo
     if not cond <= 1e8:
         raise IllConditioned(f"sample matrix condition {cond:.3e} > 1e8")
-    Ms = list(zip(*_back_substitute(R, B)))
+    # w is scaled before it meets x: a subnormal w times x underflows
+    Ms = []
+    for wc in zip(*W):
+        coef = [sum(x.conjugate() * (w * fw) for x, w in zip(ui, wc))
+                / (si * si) for ui, si in zip(axs, sv)]
+        Ms.append([sum(c * xi[r] for c, xi in zip(coef, xs))
+                   for r in range(len(xs))])
     scale = max(abs(z) for row in W for z in row) * fw
     worst = max(abs(sum(a * fv * b for a, b in zip(v, m)) - w * fw)
                 for v, wrow in zip(V, W) for m, w in zip(Ms, wrow))

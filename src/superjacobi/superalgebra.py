@@ -237,8 +237,9 @@ def _six(a: tuple[int, int], b: tuple[int, int]):
 
 
 def _comb(scaled, scale: int) -> SuperLinComb:
-    """The combination of the (key, scale * coefficient) pairs ``scaled``."""
-    return SuperLinComb({_elt(k): Fraction(v, scale) for k, v in scaled})
+    """The combination of the (key, scale * coefficient) pairs ``scaled``;
+    as in _jacobiator, repeated keys add up."""
+    return SuperLinComb.of(*((Fraction(v, scale), _elt(k)) for k, v in scaled))
 
 
 def bracket(a: BasisElt, b: BasisElt) -> SuperLinComb:

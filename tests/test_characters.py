@@ -416,7 +416,7 @@ def test_float_factors_prefactor_is_the_walks():
         for lab in spectrum(u):
             _, _, qpref, ypref = _quotient_factors(u, lab.j, lab.k, 0, F(5),
                                                    True)
-            qf, yf, _ = _float_factors(u, lab.j, lab.k, F(5))
+            qf, yf, *_ = _float_factors(u, lab.j, lab.k, F(5))
             assert (qf, yf) == (float(qpref), float(ypref))
 
 

@@ -1,6 +1,6 @@
 """Every script in demos/ runs to completion and prints something; the
-characters demo and the first lines of the xi demo print exactly their
-pinned lines.  A module whose name starts with _ is a helper that the
+characters demo, the first lines of the xi demo and the span probe's tables
+print exactly their pinned lines.  A module whose name starts with _ is a helper that the
 scripts import, not a demo."""
 
 import os
@@ -70,4 +70,28 @@ def test_xi_demo_exact_lines():
         "xi q^4 coefficient: x^4 + x^2 + x - 1*x^-1 - 1*x^-2 - 1*x^-4",
         "shift xi(qx) = xi + 1: True",
         "t-expansion equals zeta-bar (t^8, q^30): True",
+    ]
+
+
+def test_span_probe_demo_tables():
+    # the residuals and discrepancies of the chi probe at tau = i and of the
+    # three-sector phi span; rounding-level values print as < 1e-12
+    lines = run_demo(ROOT / "demos" / "jacobi_span_probe.py").splitlines()
+    assert [line for line in lines if line.startswith("   u=")] == [
+        "   u=2 (1,0)  residual   < 1e-12   matrix discrepancy   < 1e-12",
+        "   u=2 (0,1)  residual   < 1e-12   matrix discrepancy   < 1e-12",
+        "   u=2 S      residual 7.188e-01   matrix discrepancy 1.469e-01",
+        "   u=2 shear  residual 1.994e-01   matrix discrepancy 1.377e-02",
+        "   u=3 (1,0)  residual   < 1e-12   matrix discrepancy   < 1e-12",
+        "   u=3 (0,1)  residual   < 1e-12   matrix discrepancy   < 1e-12",
+        "   u=3 S      residual 7.071e-02   matrix discrepancy 7.050e+00",
+        "   u=3 shear  residual 3.133e-02   matrix discrepancy 1.051e+00",
+        "   u=2 (1,0)  residual   < 1e-12   matrix discrepancy   < 1e-12",
+        "   u=2 (0,1)  residual   < 1e-12   matrix discrepancy   < 1e-12",
+        "   u=2 S      residual   < 1e-12   matrix discrepancy   < 1e-12",
+        "   u=2 shear  residual   < 1e-12   matrix discrepancy   < 1e-12",
+        "   u=3 (1,0)  residual   < 1e-12   matrix discrepancy   < 1e-12",
+        "   u=3 (0,1)  residual   < 1e-12   matrix discrepancy   < 1e-12",
+        "   u=3 S      residual   < 1e-12   matrix discrepancy   < 1e-12",
+        "   u=3 shear  residual   < 1e-12   matrix discrepancy   < 1e-12",
     ]

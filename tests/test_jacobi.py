@@ -139,6 +139,9 @@ def test_eval_below_first_order_raises():
             jacobi_normalized(lab, p, q_order)
         with pytest.raises(ValueError, match="q_order must be >= 1"):
             eval_normalized_character(lab, p, q_order)
+        # the tail bound walks past q_order, but checks q_order first
+        with pytest.raises(ValueError, match="q_order must be >= 1"):
+            eval_normalized_character(lab, p, q_order, tol=1e-6)
 
 
 def _eval_character_value_per_call(label, p, q_order):
@@ -272,6 +275,21 @@ def test_span_test_refuses_its_worst_tail(monkeypatch):
     assert span_invariance_test(2, g, q_order=F(2), tol=0.1).residual < 1e-2
 
 
+@pytest.mark.parametrize("u", [2, 3, 4])
+def test_span_test_walks_each_label_once(monkeypatch, u):
+    # the fitted values and their tail bounds read one factor walk per label
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _quotient_factors(*args)
+
+    jacobi._float_factors.cache_clear()
+    monkeypatch.setattr(jacobi, "_quotient_factors", counted)
+    span_invariance_test(u, JacobiGroupElement.lattice(1, 0))
+    assert len(calls) == len(spectrum(u))
+
+
 def test_ill_conditioned_samples_rejected():
     # at u = 5 the ten characters are nearly dependent on the default samples
     # at tau = i (condition 5.9e10)
@@ -299,27 +317,14 @@ def probe_matrices(u, g, family=eval_character_value, cosets=(IDENTITY,),
 
 @pytest.mark.parametrize("u", [2, 3, 4])
 @_FOUR_GENS
-def test_back_substitution_matches_general_solve(u, g):
-    # the fit solves R X = Q^H W by back substitution; on numpy's own Q and R
-    # a general LU solve gives the same X to rounding, also at u = 4 S, whose
-    # samples have condition 3.8e5
-    V, W = probe_matrices(u, g)
-    Q, R = np.linalg.qr(np.array(V))
-    B = Q.conj().T @ np.array(W)
-    X = np.array(jacobi._back_substitute(R.tolist(), B.tolist()))
-    ref = np.linalg.solve(R, B)
-    assert np.max(np.abs(X - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-
-@pytest.mark.parametrize("u", [2, 3, 4])
-@_FOUR_GENS
 @_SPANS
 def test_fit_matches_lstsq(u, g, span):
-    # Householder least squares is backward stable with perturbations of
-    # order m n eps (Higham, Accuracy and Stability of Numerical Algorithms,
-    # 2002, thm. 20.3), so to first order each column of M^T lies within
-    # m n kappa eps of the exact solution, relative; two such solvers agree
-    # to twice that, and so do their condition numbers
+    # least squares through a backward-stable factorization, the fit's
+    # one-sided Jacobi SVD or numpy's SVD, has perturbations of order m n eps
+    # as Householder QR does (Higham, Accuracy and Stability of Numerical
+    # Algorithms, 2002, thm. 20.3), so to first order each column of M^T
+    # lies within m n kappa eps of the exact solution, relative; two such
+    # solvers agree to twice that, and so do their condition numbers
     family, cosets, tau_box = span
     V, W = probe_matrices(u, g, family, cosets, tau_box)
     M, _, cond = _fit(V, W)
@@ -356,7 +361,7 @@ def test_singular_values_match_svd(name):
     # both methods are backward stable, so by Weyl's inequality each singular
     # value moves by at most max(m, n) eps sigma_max to first order
     A = _SV_CASES[name]
-    got = sorted(jacobi._singular_values(A.tolist()), reverse=True)
+    got = sorted(jacobi._svd(A.tolist())[0], reverse=True)
     ref = np.linalg.svd(A, compute_uv=False)
     bound = max(A.shape) * np.finfo(float).eps * ref[0]
     assert np.max(np.abs(np.array(got) - ref)) <= bound
@@ -411,13 +416,10 @@ def test_samples_on_different_scales_fit_exactly():
 
 
 @pytest.mark.parametrize("column", ["equal", "zero"])
-def test_singular_samples_never_reach_the_solve(monkeypatch, column):
+def test_singular_samples_never_reach_the_solve(column):
     # a family that gives two labels the same value, or one label the value
     # 0, makes the sample matrix singular: the condition guard refuses it
-    def no_solve(R, B):
-        raise AssertionError("a singular sample matrix reached the solve")
-
-    monkeypatch.setattr(jacobi, "_back_substitute", no_solve)
+    # before the solve, which would divide by the singular value 0
     first, second, _ = spectrum(3)
 
     def family(lab, p, q_order):
@@ -433,12 +435,12 @@ def test_singular_samples_never_reach_the_solve(monkeypatch, column):
 
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
 def test_non_finite_samples_never_reach_the_factorization(monkeypatch, value):
-    # a family value of nan or inf is refused before the QR factorization,
-    # whose norms and condition number it would turn into nan
-    def no_factorization(V, W):
+    # a family value of nan or inf is refused before the SVD, whose norms
+    # and condition number it would turn into nan
+    def no_factorization(A):
         raise AssertionError("a non-finite sample reached the factorization")
 
-    monkeypatch.setattr(jacobi, "_householder", no_factorization)
+    monkeypatch.setattr(jacobi, "_svd", no_factorization)
     first = spectrum(3)[0]
 
     def family(lab, p, q_order):
@@ -453,13 +455,10 @@ def test_non_finite_samples_never_reach_the_factorization(monkeypatch, value):
 
 def test_nan_condition_never_reaches_the_solve(monkeypatch):
     # cond > 1e8 is False for nan, so the guard is written as a refusal of
-    # anything that is not <= 1e8
-    def no_solve(R, B):
-        raise AssertionError("a nan condition reached the solve")
-
-    monkeypatch.setattr(jacobi, "_back_substitute", no_solve)
-    monkeypatch.setattr(jacobi, "_singular_values",
-                        lambda R: [math.nan] * len(R))
+    # anything that is not <= 1e8; a solve on the patched result, which has
+    # no vectors, would raise TypeError instead
+    monkeypatch.setattr(jacobi, "_svd",
+                        lambda A: ([math.nan] * len(A[0]), None, None))
     with pytest.raises(IllConditioned, match="condition nan > 1e8"):
         span_invariance_test(3, JacobiGroupElement.lattice(1, 0))
 

@@ -668,6 +668,21 @@ def test_realization_sums_repeated_keys(monkeypatch, corrupt, holds):
         assert rep == true
 
 
+def test_bracket_sums_repeated_keys(monkeypatch):
+    # [L_m, J_n] gains a second C term (C, 1): bracket adds both C terms,
+    # as the sweep and the realization check do
+    table = superalgebra._table
+
+    def twice_c(a, b):
+        v = table(a, b)
+        if (a[0], b[0]) != (superalgebra._L, superalgebra._J):
+            return v
+        return v + ((superalgebra._CK, 1),)
+
+    monkeypatch.setattr(superalgebra, "_table", twice_c)
+    assert bracket(L(2), J(-2)) == SuperLinComb.of((2, J(0)), (F(7, 6), C))
+
+
 def test_index_poly_contract():
     m, n, p = variables(3)
     assert isinstance(m, IndexPoly)
