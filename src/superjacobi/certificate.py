@@ -21,7 +21,7 @@ class Undecided(TypeError):
 
 
 class Ungraded(TypeError):
-    """A table entry with a key that does not carry its pair's index sum."""
+    """A table entry whose element does not carry its pair's index sum."""
 
 
 class IndexPoly:
@@ -136,15 +136,16 @@ def variables(k: int) -> tuple:
 
 
 class _GradedView(dict):
-    """_entry of a pair of keys, built on first use, refused (Ungraded) when
-    a key of it other than C does not carry the index sum of the pair."""
+    """_entry of a pair of elements, built on first use, refused (Ungraded)
+    when an element of it other than C does not carry the index sum of the
+    pair."""
 
     def __missing__(self, pair):
-        (_, m), (_, n) = pair
-        out = sa._entry(*pair)
-        for (f, i), _ in out:
-            if f != sa._C and not i == m + n:
-                raise Ungraded(f"[{pair[0]}, {pair[1]}] has key {(f, i)}")
+        a, b = pair
+        out = sa._entry(a, b)
+        for e, _ in out:
+            if e != sa.C and not e.index == a.index + b.index:
+                raise Ungraded(f"[{a}, {b}] has term {e}")
         self[pair] = out
         return out
 
@@ -153,15 +154,13 @@ def _jacobiators(indices: tuple):
     """36 times the graded Jacobiator of each family triple, C included, at
     the indices (m, n, p), one triple per cyclic rotation."""
     view = _GradedView()
-    slots = [[(sa._key(e), e.parity)
-              for e in [sa.BasisElt(f, i) for f in sa.FAMILIES] + [sa.C]]
-             for i in indices]
-    a, b, c = slots
+    a, b, c = ([sa.BasisElt(f, i) for f in sa.FAMILIES] + [sa.C]
+               for i in indices)
     for i, j, k in product(range(len(a)), repeat=3):
         # the Jacobiator is a cyclic sum: (b, c, a) at (m, n, p) is (a, b, c)
         # at (p, m, n), and each pass's index set is closed under rotation
         if (i, j, k) <= (j, k, i) and (i, j, k) <= (k, i, j):
-            yield sa._jacobiator(view, *a[i], *b[j], *c[k])
+            yield sa._jacobiator(view, a[i], b[j], c[k])
 
 
 def jacobi_holds() -> bool:
@@ -171,8 +170,8 @@ def jacobi_holds() -> bool:
     m, n = variables(2)
     try:
         return (not any(c for total in _jacobiators(variables(3))
-                        for k, c in total.items() if k[0] != sa._C)
-                and not any(total.get(sa._CK)
+                        for e, c in total.items() if e != sa.C)
+                and not any(total.get(sa.C)
                             for total in _jacobiators((m, n, -m - n))))
     except (TypeError, AttributeError):     # refused, undecided or missing:
         return False                        # the enumeration decides
@@ -183,12 +182,12 @@ def realization_kernel(box: range) -> list | None:
     commutator in free (m, n) equals its table entry without C; else None."""
     kernel = []
     try:
-        rows = [[(e, sa._key(e), sa.realization(e))
+        rows = [[(e, sa.realization(e))
                  for e in (sa.BasisElt(f, i) for f in sa.FAMILIES)]
                 for i in variables(2)]
-        for a, ka, da in rows[0]:
-            for b, kb, db in rows[1]:
-                got, want, c = sa._realization_pair(sa._entry(ka, kb), da, db)
+        for a, da in rows[0]:
+            for b, db in rows[1]:
+                got, want, c = sa._realization_pair(sa._entry(a, b), da, db)
                 if got != want:
                     return None
                 for v in box:

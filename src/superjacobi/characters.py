@@ -115,11 +115,14 @@ def _product(factors, q_order: Fraction, qden: int):
     1: a numerator factor is one descending-e pass, a denominator factor the
     forward recurrence.  The q^0 factors multiply to the constant N/(y-1)^p,
     N an integer Laurent polynomial and p >= 0, since 1 - y = -(y-1) and
-    1 - 1/y = (y-1)/y; any other q^0 factor is a ValueError.
+    1 - 1/y = (y-1)/y; any other q^0 factor is a ValueError, as is a
+    q_order below one grid step, which would keep the row of 1 past it.
     """
     trunc = Fraction(q_order) * qden
     if trunc.denominator != 1:
         raise ValueError("q_order not on the grid")
+    if trunc < 1:
+        raise ValueError("q_order must be positive")
     trunc = int(trunc)
     rows: dict[int, dict[int, int]] = {0: {0: 1}}
     sign, yshift, pole = 1, 0, 0

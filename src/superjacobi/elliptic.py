@@ -138,6 +138,8 @@ def xi_series(q_order: int) -> tuple[dict[int, dict], int]:
     with r = -1 the residue of the one simple pole, N_0 = -1/2 and, for
     j >= 1, the integer Laurent polynomial N_j = sum_{m | j} (x^m - x^{-m}).
     rows[j] is N_j as {x-exponent: coefficient}."""
+    if q_order < 1:
+        raise ValueError("q_order must be >= 1")
     rows = {0: {0: Fraction(-1, 2)}}
     for j in range(1, q_order):
         rows[j] = {s: c for m in divisors(j) for s, c in ((m, 1), (-m, -1))}

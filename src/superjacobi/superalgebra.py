@@ -28,11 +28,11 @@ even parity; theta d_z is forced by parity and by the [H, Q] relation, and
 realization_bracket_check confirms the whole table with it.)
 
 Every structure constant lies in Z/6, so the table is written once at scale
-6, on keys (family code, index) with int coefficients: the central 1/6 and 1/3
-become m^2+m, 2m and m^2-m.  bracket() divides an entry by 6; the Jacobi sweep
-stays on the integers, where a Jacobiator is exact at scale 36 and only a
-violating one is divided back.  The realization is over Z; its check reads
-each commutator at scale 6 on the same keys and compares it with _six.
+6, on basis elements with int coefficients: the central 1/6 and 1/3 become
+m^2+m, 2m and m^2-m.  bracket() divides an entry by 6; the Jacobi sweep stays
+on the integers, where a Jacobiator is exact at scale 36 and only a violating
+one is divided back.  The realization is over Z; its check reads each
+commutator at scale 6 on the same elements and compares it with _six.
 
 Every structure constant is a polynomial over Z in the mode indices, and
 _table writes each entry with ring operations on the indices alone: it gives
@@ -44,9 +44,9 @@ _jacobiator and _realization_pair unchanged on free indices of type
 IndexPoly, a polynomial over Z, in three passes over _entry:
 
 * Jacobi off C, in (m, n, p): every non-C term vanishes identically.  A
-  grading guard asks that each entry's keys, C excepted, carry its pair's
-  index sum, so every outer key carries m + n + p and _six keeps every
-  outer C term exactly on m + n + p = 0.
+  grading guard asks that each entry's elements, C excepted, carry its
+  pair's index sum, so every outer element carries m + n + p and _six keeps
+  every outer C term exactly on m + n + p = 0.
 * Jacobi's C term, in (m, n) with p = -m - n: it vanishes identically.
 * Realization, in (m, n): every commutator equals its entry without C.
 
@@ -61,10 +61,11 @@ The type's contract:
 
 If all three passes hold, the report is built without enumeration: nothing
 fails, and the central kernel is each entry's C coefficient at (v, -v) for
-the v of the box.  Otherwise (a nonzero term, an ungraded key, or an
+the v of the box.  Otherwise (a nonzero term, an ungraded element, or an
 operation the type refuses) the box is enumerated, and that gives the
 report.  The type cannot refuse two things, so table code must not do them:
-branch on the truth value of an index, or look an index up among int keys.
+branch on the truth value of an index, or look an element up among elements
+of int index.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ _PARITY = {"L": EVEN, "J": EVEN, "H": ODD, "Q": ODD, "C": EVEN}
 FAMILIES = ("L", "J", "H", "Q")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class BasisElt:
     family: str
     index: int | None = None
@@ -159,7 +160,7 @@ class SuperLinComb:
         if not self.coeffs:
             return "0"
         bits = []
-        for b in sorted(self.coeffs, key=lambda e: (e.family, e.index or 0)):
+        for b in sorted(self.coeffs):
             c = self.coeffs[b]
             bits.append(f"{c}*{b}" if c != 1 else str(b))
         return " + ".join(bits).replace("+ -", "- ")
@@ -168,78 +169,67 @@ class SuperLinComb:
 
     def to_dict(self) -> dict:
         out = {}
-        for b, c in sorted(self.coeffs.items(),
-                           key=lambda kv: (kv[0].family, kv[0].index or 0)):
+        for b in sorted(self.coeffs):
+            c = self.coeffs[b]
             key = "C" if b.family == "C" else f"{b.family}{b.index}"
             out[key] = str(c)
         return out
 
 
-_L, _J, _H, _Q, _C = range(5)          # family codes, in the order "LJHQC"
-_CK = (_C, 0)
-
-
-def _key(e: BasisElt) -> tuple[int, int]:
-    return "LJHQC".index(e.family), e.index or 0
-
-
-def _elt(key: tuple[int, int]) -> BasisElt:
-    return C if key[0] == _C else BasisElt("LJHQC"[key[0]], key[1])
-
-
-def _table(a: tuple[int, int], b: tuple[int, int]):
-    """6 [a, b] for keys (family code, index) in table order, as
-    ((key, coefficient), ...) without zero terms and with the C term at
-    every index; None if (a, b) is not a table pair."""
-    (fa, m), (fb, n) = a, b
+def _table(a: BasisElt, b: BasisElt):
+    """6 [a, b] for elements in table order, as ((element, coefficient), ...)
+    without zero terms and with the C term at every index; None if (a, b) is
+    not a table pair."""
+    m, n = a.index, b.index
     s = m + n
-    if (fa, fb) == (_L, _L):
-        out = (((_L, s), 6 * (m - n)),)
-    elif (fa, fb) == (_L, _J):
-        out = (((_J, s), -6 * n), (_CK, m * m + m))
-    elif (fa, fb) == (_L, _H):
-        out = (((_H, s), -6 * n),)
-    elif (fa, fb) == (_L, _Q):
-        out = (((_Q, s), 6 * (m - n)),)
-    elif (fa, fb) == (_J, _J):
-        out = ((_CK, 2 * m),)
-    elif (fa, fb) == (_J, _Q):
-        out = (((_Q, s), 6),)
-    elif (fa, fb) == (_J, _H):
-        out = (((_H, s), -6),)
-    elif (fa, fb) == (_H, _Q):
-        out = (((_L, s), 6), ((_J, s), -6 * m), (_CK, m * m - m))
-    elif fa == fb and fa in (_H, _Q):
+    pair = a.family + b.family
+    if pair == "LL":
+        out = ((L(s), 6 * (m - n)),)
+    elif pair == "LJ":
+        out = ((J(s), -6 * n), (C, m * m + m))
+    elif pair == "LH":
+        out = ((H(s), -6 * n),)
+    elif pair == "LQ":
+        out = ((Q(s), 6 * (m - n)),)
+    elif pair == "JJ":
+        out = ((C, 2 * m),)
+    elif pair == "JQ":
+        out = ((Q(s), 6),)
+    elif pair == "JH":
+        out = ((H(s), -6),)
+    elif pair == "HQ":
+        out = ((L(s), 6), (J(s), -6 * m), (C, m * m - m))
+    elif pair in ("HH", "QQ"):
         out = ()
     else:
         return None
     return tuple(t for t in out if t[1])
 
 
-def _entry(a: tuple[int, int], b: tuple[int, int]):
-    """6 [a, b] for any keys, with its C term at every index: the table
+def _entry(a: BasisElt, b: BasisElt):
+    """6 [a, b] for any elements, with its C term at every index: the table
     entry, or super-antisymmetry on it."""
-    if _C in (a[0], b[0]):
+    if "C" in (a.family, b.family):
         return ()
     v = _table(a, b)
     if v is not None:
         return v
-    odd = a[0] in (_H, _Q) and b[0] in (_H, _Q)
+    odd = a.parity and b.parity
     return tuple((e, c if odd else -c) for e, c in _table(b, a))
 
 
-def _six(a: tuple[int, int], b: tuple[int, int]):
-    """6 [a, b] for int keys: _entry, whose C term counts only on m + n = 0."""
+def _six(a: BasisElt, b: BasisElt):
+    """6 [a, b] at int indices: _entry, its C term kept only on m + n = 0."""
     v = _entry(a, b)
-    if a[1] == -b[1]:
+    if not v or a.index == -b.index:
         return v
-    return tuple(t for t in v if t[0] != _CK)
+    return tuple(t for t in v if t[0] != C)
 
 
 def _comb(scaled, scale: int) -> SuperLinComb:
-    """The combination of the (key, scale * coefficient) pairs ``scaled``;
-    as in _jacobiator, repeated keys add up."""
-    return SuperLinComb.of(*((Fraction(v, scale), _elt(k)) for k, v in scaled))
+    """The combination of the (element, scale * coefficient) pairs ``scaled``;
+    as in _jacobiator, repeated elements add up."""
+    return SuperLinComb.of(*((Fraction(v, scale), e) for e, v in scaled))
 
 
 def bracket(a: BasisElt, b: BasisElt) -> SuperLinComb:
@@ -248,7 +238,7 @@ def bracket(a: BasisElt, b: BasisElt) -> SuperLinComb:
     Pairs not displayed in the table are zero; reversed-order pairs follow
     [b, a] = -(-1)^{p(a) p(b)} [a, b].
     """
-    return _comb(_six(_key(a), _key(b)), 6)
+    return _comb(_six(a, b), 6)
 
 
 def bracket_comb(x: SuperLinComb, y: SuperLinComb) -> SuperLinComb:
@@ -262,7 +252,7 @@ def bracket_comb(x: SuperLinComb, y: SuperLinComb) -> SuperLinComb:
 
 
 class _SixView(dict):
-    """6 [a, b] as ((key, int), ...) for int keys a, b, built on first use."""
+    """6 [a, b] as ((element, int), ...) at int indices, built on first use."""
 
     def __missing__(self, pair):
         out = self[pair] = _six(*pair)
@@ -283,16 +273,16 @@ class SweepReport:
                 "violations": [str(v) for v in self.violations[:20]]}
 
 
-def _jacobiator(view: _SixView, ka, pa, kb, pb, kc, pc) -> dict:
-    """36 times the graded Jacobiator of the keys ka, kb, kc of parities
-    pa, pb, pc, as a map from key to coefficient (zero ones included)."""
+def _jacobiator(view: _SixView, a: BasisElt, b: BasisElt, c: BasisElt) -> dict:
+    """36 times the graded Jacobiator of a, b, c, as a map from element to
+    coefficient (zero ones included)."""
     total: dict = {}
-    for kx, inner, odd in ((ka, view[kb, kc], pa and pc),
-                           (kb, view[kc, ka], pb and pa),
-                           (kc, view[ka, kb], pc and pb)):
+    for x, inner, odd in ((a, view[b, c], a.parity and c.parity),
+                          (b, view[c, a], b.parity and a.parity),
+                          (c, view[a, b], c.parity and b.parity)):
         for e, v in inner:
             v = -v if odd else v
-            for f, w in view[kx, e]:
+            for f, w in view[x, e]:
                 total[f] = total.get(f, 0) + v * w
     return total
 
@@ -310,20 +300,19 @@ def super_jacobi_check(max_index: int) -> SweepReport:
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
     from . import certificate
-    if certificate.jacobi_holds():
-        return SweepReport((4 * (2 * max_index + 1) + 1) ** 3, [])
     elts = [BasisElt(f, n) for f in FAMILIES
             for n in range(-max_index, max_index + 1)] + [C]
-    units = [(e, _key(e), e.parity) for e in elts]
+    if certificate.jacobi_holds():
+        return SweepReport(len(elts) ** 3, [])
     view = _SixView()
     violations = []
-    for a, ka, pa in units:
-        for b, kb, pb in units:
-            for c, kc, pc in units:
-                total = _jacobiator(view, ka, pa, kb, pb, kc, pc)
+    for a in elts:
+        for b in elts:
+            for c in elts:
+                total = _jacobiator(view, a, b, c)
                 if any(total.values()):
                     violations.append((a, b, c, _comb(total.items(), 36)))
-    return SweepReport(len(units) ** 3, violations)
+    return SweepReport(len(elts) ** 3, violations)
 
 
 def virasoro_map_check(max_index: int, naive: bool) -> SweepReport:
@@ -447,23 +436,23 @@ def _commutator_images(d1: SuperDerivation, d2: SuperDerivation) -> tuple[SuperP
 
 
 def _identify(z_img: SuperPoly, th_img: SuperPoly) -> dict:
-    """Write a derivation given by generator images at scale 6 on _six's keys.
+    """Write a derivation given by generator images at scale 6 on elements.
 
     z-image even part  sum -c z^{n+1}  -> c L_n;   odd part  c z^n theta -> c H_n
     theta-image even   sum -c z^{n+1}  -> c Q_n;   odd part -c z^n theta -> c J_n
     then the J-coefficients are corrected for the theta d_theta part of L_n.
     """
-    out: dict[tuple[int, int], int | Fraction] = {}
-    for code, img, shift, six in ((_L, z_img.ev, 1, -6), (_H, z_img.od, 0, 6),
-                                  (_Q, th_img.ev, 1, -6)):
+    out: dict[BasisElt, int | Fraction] = {}
+    for fam, img, shift, six in (("L", z_img.ev, 1, -6), ("H", z_img.od, 0, 6),
+                                 ("Q", th_img.ev, 1, -6)):
         for e, c in img.items():
-            out[code, e - shift] = six * c
+            out[BasisElt(fam, e - shift)] = six * c
     # theta-image odd part collects -J_n and the theta-d_theta part of L_n:
     # coefficient of z^e theta is -(e+1) c^L_e - c^J_e
     for e in set(th_img.od) | {e - 1 for e in z_img.ev}:
-        val = -6 * th_img.od.get(e, 0) - out.get((_L, e), 0) * (e + 1)
+        val = -6 * th_img.od.get(e, 0) - out.get(L(e), 0) * (e + 1)
         if val:
-            out[_J, e] = val
+            out[J(e)] = val
     return out
 
 
@@ -486,15 +475,15 @@ class RealizationReport:
 
 
 def _realization_pair(entry, da: SuperDerivation, db: SuperDerivation):
-    """(commutator of da and db, the table entry ``entry`` of their keys
-    without C, its C coefficient), at scale 6 on _six's keys."""
+    """(commutator of da and db, the table entry ``entry`` of their elements
+    without C, its C coefficient), at scale 6."""
     got = _identify(*_commutator_images(da, db))
-    # as in _jacobiator: repeated keys add up and zero coefficients drop
+    # as in _jacobiator: repeated elements add up and zero coefficients drop
     want: dict = {}
     for e, c in entry:
         want[e] = want.get(e, 0) + c
     want = {e: c for e, c in want.items() if c}
-    return got, want, want.pop(_CK, 0)
+    return got, want, want.pop(C, 0)
 
 
 def realization_bracket_check(max_index: int) -> RealizationReport:
@@ -510,21 +499,23 @@ def realization_bracket_check(max_index: int) -> RealizationReport:
         raise ValueError("max_index must be >= 1")
     from . import certificate
     idx = range(-max_index, max_index + 1)
+    rows = [[BasisElt(f, n) for n in idx] for f in FAMILIES]
+    checked = sum(map(len, rows)) ** 2
     kernel = certificate.realization_kernel(idx)
     if kernel is not None:
-        return RealizationReport((4 * len(idx)) ** 2, [], kernel)
-    elts = [[BasisElt(f, n) for n in idx] for f in FAMILIES]
-    rows = [[(e, _key(e), realization(e)) for e in row] for row in elts]
+        return RealizationReport(checked, [], kernel)
+    ds = {e: realization(e) for row in rows for e in row}
     mismatches, central = [], []
-    for fa, row_a in zip(FAMILIES, rows):
-        for fb, row_b in zip(FAMILIES, rows):
-            for a, ka, da in row_a:
-                for b, kb, db in row_b:
-                    got, want, cpart = _realization_pair(_six(ka, kb), da, db)
+    for row_a in rows:          # family pairs outermost: centralKernel's order
+        for row_b in rows:
+            for a in row_a:
+                for b in row_b:
+                    got, want, cpart = _realization_pair(_six(a, b), ds[a],
+                                                         ds[b])
                     if got != want:
                         mismatches.append((a, b, _comb(got.items(), 6),
                                            _comb(want.items(), 6)))
                     elif cpart:
-                        central.append((fa + fb, a.index, b.index,
+                        central.append((a.family + b.family, a.index, b.index,
                                         Fraction(cpart, 6)))
-    return RealizationReport(sum(map(len, rows)) ** 2, mismatches, central)
+    return RealizationReport(checked, mismatches, central)

@@ -4,7 +4,7 @@ from math import lcm
 
 import pytest
 
-from superjacobi import characters
+from superjacobi import characters, labels
 from superjacobi.characters import (ModuleLabel, RowSeries,
                                     _monomial_ratio, _p_factors, _product,
                                     _quotient_factors, _series, character,
@@ -452,6 +452,12 @@ def test_nonpositive_order_rejected(q_order):
         character(ModuleLabel(3, 1, 1), q_order)
     with pytest.raises(ValueError, match="q_order must be >= 1"):
         find_flow_matches(3, 1, q_order)
+    # the product keeps no term at or past its truncation
+    with pytest.raises(ValueError, match="q_order must be positive"):
+        p_product(ModuleLabel(3, 1, 1), q_order)
+    ch = character(ModuleLabel(3, 1, 1), F(3), normalized=True)
+    with pytest.raises(ValueError, match="q_order must be positive"):
+        spectral_flow_transform(ch, 1, q_order)
 
 
 def test_flow_rejects_off_grid_order():
@@ -519,19 +525,101 @@ def test_p_product_is_kroneckers_sum():
     assert _kronecker_mismatches() == []
 
 
+def _one_fewer_q_power(u, j, k, qmax):
+    """_p_factors with (Q;Q) in place of (Q;Q)^2, Q = q^u."""
+    seen = set()
+    for a, yexp, side in _p_factors(u, j, k, qmax):
+        if (yexp, side) == (0, 1) and a % u == 0 and a not in seen:
+            seen.add(a)
+            continue
+        yield a, yexp, side
+
+
 def test_kroneckers_sum_catches_a_dropped_p_factor(monkeypatch):
     # (Q;Q) in place of (Q;Q)^2: the flow y -> q^m y cannot see a y-free
     # factor, but Kronecker's sum does
-    def one_fewer_q_power(u, j, k, qmax):
-        seen = set()
-        for a, yexp, side in _p_factors(u, j, k, qmax):
-            if (yexp, side) == (0, 1) and a % u == 0 and a not in seen:
-                seen.add(a)
-                continue
-            yield a, yexp, side
-
-    monkeypatch.setattr(characters, "_p_factors", one_fewer_q_power)
+    monkeypatch.setattr(characters, "_p_factors", _one_fewer_q_power)
     assert len(_kronecker_mismatches()) == 84
+
+
+# -- characters from theta and Kronecker's sum --------------------------------
+
+def _row_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return out
+
+
+def _series_mul(a: dict, b: dict, trunc: int) -> dict:
+    """The product of two maps {e: row} below the scaled exponent trunc,
+    zero entries dropped."""
+    out = {}
+    for ea, ra in a.items():
+        for eb, rb in b.items():
+            if ea + eb < trunc:
+                row = out.setdefault(ea + eb, {})
+                for y, c in _row_mul(ra, rb).items():
+                    row[y] = row.get(y, 0) + c
+    out = {e: {y: c for y, c in row.items() if c} for e, row in out.items()}
+    return {e: row for e, row in out.items() if row}
+
+
+def _cleared(terms: dict, pole: int, scale: int = 1, shift: int = 0) -> dict:
+    """{scale e + shift: N_e (y - 1)^(pole - p_e)} for {e: (N_e, p_e)}."""
+    out = {}
+    for e, (num, p) in terms.items():
+        for _ in range(pole - p):
+            num = _row_mul(num, {1: 1, 0: -1})
+        out[scale * e + shift] = num
+    return out
+
+
+def _theta_mismatches(order: int = 10) -> list:
+    """The (label, normalized) at u = 2..8 where (q;q)^3 character(label)
+    differs from q^{jk/u} y^{(j-k+1)/u} [y^{c/6}] A_u(j, k) theta(y) through
+    q^order: 1/P^(2)_{1/2,1/2} = theta(y)/(q;q)^3 by the triple product, with
+    theta(y) = sum (-1)^n q^{n^2/2} y^n and (q;q)^3 = sum (-1)^n (2n+1)
+    q^{n(n+1)/2}, and A_u(j, k) = P^(u)_{j,k} is Kronecker's sum."""
+    out = []
+    for u in range(2, 9):
+        d = 2 * u
+        qq3 = {d * n * (n + 1) // 2: {0: (-1) ** n * (2 * n + 1)}
+               for n in range(order) if n * (n + 1) // 2 < order}
+        theta = {u * n * n: {n: (-1) ** n, -n: (-1) ** n}
+                 for n in range(order) if n * n < 2 * order}
+        for lab in spectrum(u):
+            j, k = int(lab.j), int(lab.k)
+            kron = _kronecker_sum(u, j, k, order)
+            for normalized in (False, True):
+                ch = character(lab, F(order), normalized).series
+                ypref = F(j - k + 1, u)
+                if normalized:
+                    ypref += central_charge(u) / 6
+                assert (ch.qden, ch.trunc) == (d, d * order + 2 * j * k)
+                pole = max(p for _, p in [*ch.terms.values(), *kron.values()])
+                lhs = _series_mul(_cleared(ch.terms, pole), qq3, ch.trunc)
+                rhs = _series_mul(_cleared(kron, pole, d, 2 * j * k), theta,
+                                  ch.trunc)
+                if ch.ypref != ypref or lhs != rhs:
+                    out.append((lab, normalized))
+    return out
+
+
+def test_characters_are_theta_times_kroneckers_sum():
+    assert _theta_mismatches() == []
+
+
+def test_theta_route_catches_a_dropped_p_factor(monkeypatch):
+    # the (Q;Q) mutant in the factor table itself breaks every label but the
+    # one at u = 2, where both P's lose the same factors (1 - q^{2n}): there
+    # the quotient, so the character, is unchanged and the mutant equivalent
+    monkeypatch.setattr(labels, "_p_factors", _one_fewer_q_power)
+    broken = _theta_mismatches()
+    assert len(broken) == 166
+    assert {lab for lab, _ in broken} == {
+        lab for u in range(3, 9) for lab in spectrum(u)}
 
 
 def test_character_leading_u3():

@@ -399,7 +399,8 @@ def test_both_xi_checks_read_xi_series(monkeypatch, q_exp, extra, residue):
     lambda T: wp_pde_check(6, T),
     lambda T: xi_shift_check(T),
     lambda T: xi_zetabar_check(8, T),
-], ids=["wp-pde", "xi-shift", "xi-zetabar"])
+    lambda T: elliptic.xi_series(T),
+], ids=["wp-pde", "xi-shift", "xi-zetabar", "xi-series"])
 def test_checks_reject_nonpositive_q_order(check, order):
     with pytest.raises(ValueError, match="q_order must be >= 1"):
         check(order)

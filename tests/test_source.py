@@ -132,6 +132,18 @@ def test_reference_engine_is_not_exported():
             importlib.import_module(f"superjacobi.{module}"), name))
 
 
+def test_certificate_reads_superalgebra_by_element():
+    # the certificate keys everything by BasisElt: it reads no private
+    # encoding of the basis from superalgebra
+    tree = ast.parse((PACKAGE / "certificate.py").read_text(encoding="utf-8"))
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "sa"}
+    assert read
+    assert read <= {"BasisElt", "C", "FAMILIES", "realization", "_entry",
+                    "_jacobiator", "_realization_pair"}, read
+
+
 # -- what a CLI job imports ----------------------------------------------------
 
 # Runs the CLI on its arguments with the output discarded.

@@ -7,7 +7,7 @@ from superjacobi import certificate, superalgebra
 from superjacobi.certificate import IndexPoly, Undecided, variables
 from superjacobi.superalgebra import (C, EVEN, FAMILIES, H, J, L, Q, BasisElt,
                                       SuperDerivation, SuperLinComb, SuperPoly,
-                                      _commutator_images, _key, _SixView,
+                                      _commutator_images, _SixView,
                                       bracket, bracket_comb, realization,
                                       realization_bracket_check,
                                       super_jacobi_check, virasoro_map_check)
@@ -181,8 +181,7 @@ def test_empty_sweeps_are_rejected(check, max_index):
 
 # -- negative controls: the sweeps can fail -------------------------------------
 
-_JJ = (_key(J(0))[0], _key(J(0))[0])      # family codes of the table pairs
-_JQ = (_key(J(0))[0], _key(Q(0))[0])
+_JJ, _JQ = "JJ", "JQ"                     # families of the table pairs
 
 
 def test_jacobi_sweep_detects_corrupted_table(monkeypatch):
@@ -190,7 +189,7 @@ def test_jacobi_sweep_detects_corrupted_table(monkeypatch):
 
     def wrong_jq_sign(a, b):
         v = table(a, b)
-        return _negated(v) if (a[0], b[0]) == _JQ else v
+        return _negated(v) if a.family + b.family == _JQ else v
 
     monkeypatch.setattr(superalgebra, "_table", wrong_jq_sign)
     rep = super_jacobi_check(1)
@@ -352,9 +351,9 @@ def test_six_view_matches_table():
     view = _SixView()
     for a in box:
         for b in inner:
-            entry = view[_key(a), _key(b)]
+            entry = view[a, b]
             assert all(type(v) is int for _, v in entry)
-            assert dict(entry) == {_key(e): 6 * c
+            assert dict(entry) == {e: 6 * c
                                    for e, c in bracket(a, b).coeffs.items()}
             assert len(dict(entry)) == len(entry)
 
@@ -404,31 +403,30 @@ def _negated(v):
 
 def _jq_sign(table, a, b):
     v = table(a, b)
-    return _negated(v) if (a[0], b[0]) == _JQ else v
+    return _negated(v) if a.family + b.family == _JQ else v
 
 
 def _jj_sixth(table, a, b):
     # [J_m, J_-m] = m/6 C instead of m/3 C; the table holds 6 m/3 = 2m
     v = table(a, b)
-    return tuple((e, c // 2) for e, c in v) if (a[0], b[0]) == _JJ else v
+    return tuple((e, c // 2) for e, c in v) if a.family + b.family == _JJ else v
 
 
 def _ungraded(table, a, b):
     # [L_m, L_n] = (m - n) L_{m+n+1}: the grading guard refuses it
-    if (a[0], b[0]) != (superalgebra._L, superalgebra._L):
+    if a.family + b.family != "LL":
         return table(a, b)
-    return (((superalgebra._L, a[1] + b[1] + 1), 6 * (a[1] - b[1])),)
+    return ((L(a.index + b.index + 1), 6 * (a.index - b.index)),)
 
 
 def _c_plus_one(table, a, b):
     # [L_m, J_-m] gains C/6: the C coefficient m^2 + m + 1 at scale 6, on
-    # one C key; a lone constant is no coboundary, so the C pass refuses it
+    # one C term; a lone constant is no coboundary, so the C pass refuses it
     v = table(a, b)
-    if (a[0], b[0]) != (superalgebra._L, superalgebra._J):
+    if a.family + b.family != "LJ":
         return v
-    m = a[1]
-    return (tuple(t for t in v if t[0] != superalgebra._CK)
-            + ((superalgebra._CK, m * m + m + 1),))
+    m = a.index
+    return tuple(t for t in v if t[0] != C) + ((C, m * m + m + 1),)
 
 
 @pytest.mark.parametrize("max_index", [1, 2])
@@ -591,9 +589,9 @@ def test_certificate_agrees_with_enumeration(monkeypatch, max_index):
 def _bump(table, a, b):
     # [L_m, L_n] gains m(m^2-1)(m^2-4)(m^2-9) L_{m+n}: zero for |m| <= 3 only
     v = table(a, b)
-    if (a[0], b[0]) != (superalgebra._L, superalgebra._L):
+    if a.family + b.family != "LL":
         return v
-    m, key = a[1], (superalgebra._L, a[1] + b[1])
+    m, key = a.index, L(a.index + b.index)
     out = dict(v)
     out[key] = out.get(key, 0) + m * (m * m - 1) * (m * m - 4) * (m * m - 9)
     return tuple((k, c) for k, c in out.items() if c)
@@ -602,7 +600,7 @@ def _bump(table, a, b):
 def _special_at_2(table, a, b):
     # a special case at m == 2 that changes nothing: the certificate must
     # still refuse the test, and the enumeration passes
-    return table(a, b) if a[1] == 2 else table(a, b)
+    return table(a, b) if a.index == 2 else table(a, b)
 
 
 def test_corruption_outside_the_box_is_not_certified(monkeypatch):
@@ -631,19 +629,19 @@ def test_special_case_at_2_is_not_certified(monkeypatch):
 def _zero_term(table, a, b):
     # [L_m, L_n] gains the term 0 L_{m+n}
     v = table(a, b)
-    if (a[0], b[0]) != (superalgebra._L, superalgebra._L):
+    if a.family + b.family != "LL":
         return v
-    return v + (((superalgebra._L, a[1] + b[1]), 0),)
+    return v + ((L(a.index + b.index), 0),)
 
 
 def _split(extra):
-    # 6 [L_m, L_n] = 6m L_{m+n} + (extra - 6n) L_{m+n}, one key named twice:
-    # the true entry when extra is 0
+    # 6 [L_m, L_n] = 6m L_{m+n} + (extra - 6n) L_{m+n}, one element named
+    # twice: the true entry when extra is 0
     def corrupt(table, a, b):
-        if (a[0], b[0]) != (superalgebra._L, superalgebra._L):
+        if a.family + b.family != "LL":
             return table(a, b)
-        key = (superalgebra._L, a[1] + b[1])
-        return ((key, 6 * a[1]), (key, extra - 6 * b[1]))
+        key = L(a.index + b.index)
+        return ((key, 6 * a.index), (key, extra - 6 * b.index))
     return corrupt
 
 
@@ -675,12 +673,23 @@ def test_bracket_sums_repeated_keys(monkeypatch):
 
     def twice_c(a, b):
         v = table(a, b)
-        if (a[0], b[0]) != (superalgebra._L, superalgebra._J):
+        if a.family + b.family != "LJ":
             return v
-        return v + ((superalgebra._CK, 1),)
+        return v + ((C, 1),)
 
     monkeypatch.setattr(superalgebra, "_table", twice_c)
     assert bracket(L(2), J(-2)) == SuperLinComb.of((2, J(0)), (F(7, 6), C))
+
+
+def test_entry_is_keyed_by_elements():
+    # the table runs unchanged on free indices, and its C term stands at
+    # every index until _six keeps it only on m + n = 0
+    m, n = variables(2)
+    assert superalgebra._entry(L(m), J(n)) == ((J(m + n), -6 * n),
+                                               (C, m * m + m))
+    assert superalgebra._six(L(2), J(-1)) == ((J(1), 6),)
+    assert superalgebra._six(L(2), J(-2)) == ((J(0), 12), (C, 6))
+    assert superalgebra._six(C, J(-2)) == superalgebra._six(L(2), C) == ()
 
 
 def test_index_poly_contract():
