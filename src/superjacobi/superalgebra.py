@@ -1,8 +1,18 @@
 """The Lie superalgebra W-hat(1|1): exact bracket table, super-Jacobi sweep,
 the Virasoro embedding remark, and the vector-field realization.
 
-Basis families L_n, J_n (even), H_n, Q_n (odd), central C.  The nonzero
-brackets are
+Basis families L_n, J_n (even), H_n, Q_n (odd), central C: the modes of
+the N=2 superconformal vertex algebra, whose fields L, J, H, Q are primary
+of conformal weight w = 2, 1, 1, 2 and J_0 charge q = 0, 0, -1, 1.  Three
+rules give [a_m, b_n] for a before b in the order L, J, H, Q:
+
+    weight:  [L_m, X_n] = ((w_X - 1) m - n) X_{m+n}
+    charge:  [J_m, X_n] = q_X X_{m+n}
+    lambda:  a term c lambda^k Y of [a_lambda b] adds c times the k factors
+             (m + w_a - 1)(m + w_a - 2)... on Y_{m+n}, or on delta_{m,-n} C,
+
+where the lambda-terms are (lambda^2/6) C in [L_lambda J], (lambda/3) C in
+[J_lambda J] and L - lambda J + (lambda^2/6) C in [H_lambda Q].  Hence
 
     [L_m, L_n] = (m-n) L_{m+n}
     [L_m, J_n] = -n J_{m+n} + delta_{m,-n} (m^2+m)/6 C
@@ -23,21 +33,16 @@ The vector-field realization on C[z, 1/z] (x) /\\[theta] uses
     Q_n = -z^{n+1} d_theta
     H_n = z^n theta d_z
 
-(H_n as printed elsewhere with theta d_theta would duplicate -J_n and have
-even parity; theta d_z is forced by parity and by the [H, Q] relation, and
-realization_bracket_check confirms the whole table with it.)
+(H_n = z^n theta d_theta, as printed elsewhere, would duplicate -J_n and be
+even; parity and [H, Q] force theta d_z, as realization_bracket_check shows.)
 
-Every structure constant lies in Z/6, so the table is written once at scale
-6, on basis elements with int coefficients: the central 1/6 and 1/3 become
-m^2+m, 2m and m^2-m.  bracket() divides an entry by 6; the Jacobi sweep stays
-on the integers, where a Jacobiator is exact at scale 36 and only a violating
-one is divided back.  The realization is over Z; its check reads each
-commutator at scale 6 on the same elements and compares it with _six.
-
-Every structure constant is a polynomial over Z in the mode indices, and
-_table writes each entry with ring operations on the indices alone: it gives
-each C term at every index, _entry adds super-antisymmetry, and _six keeps
-the C term only where the int indices satisfy m == -n.
+_table writes 6 [a, b] by the rules with int coefficients (the lambda-terms'
+1/6 and 1/3 become 1 and 2), ring operations on the indices alone and each C
+term at every index.  _entry adds super-antisymmetry, and _six keeps the C
+term only where the int indices satisfy m == -n.  bracket() divides by 6;
+the Jacobi sweep stays on the integers, exact at scale 36, and divides back
+only a violating Jacobiator.  The realization is over Z; its check compares
+each commutator at scale 6 with _six.
 
 Both checks hold for every index once certified.  certificate.py runs
 _jacobiator and _realization_pair unchanged on free indices of type
@@ -70,32 +75,39 @@ of int index.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
 
 EVEN, ODD = 0, 1
-_PARITY = {"L": EVEN, "J": EVEN, "H": ODD, "Q": ODD, "C": EVEN}
+# no rule reads L's charge (0) or C's weight and charge
+_Family = namedtuple("_Family", "parity weight charge", defaults=(None, None))
+_FAMILY = {"L": _Family(EVEN, 2), "J": _Family(EVEN, 1, 0),
+           "H": _Family(ODD, 1, -1), "Q": _Family(ODD, 2, 1),
+           "C": _Family(EVEN)}
 FAMILIES = ("L", "J", "H", "Q")
+# the lambda-terms of 6 [a_lambda b]: (Y, c, k) for c lambda^k Y
+_LAMBDA = {"LJ": (("C", 1, 2),), "JJ": (("C", 2, 1),),
+           "HQ": (("L", 6, 0), ("J", -6, 1), ("C", 1, 2))}
 
 
-@dataclass(frozen=True, order=True)
-class BasisElt:
-    family: str
-    index: int | None = None
+class BasisElt(namedtuple("_BasisElt", "family index")):
+    """A family and its mode index, C without one; hashed and compared in C."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in _PARITY:
-            raise ValueError(f"unknown family {self.family}")
-        if self.family == "C":
-            if self.index is not None:
-                raise ValueError("C carries no index")
-        elif self.index is None:
-            raise ValueError(f"{self.family} needs an index")
+    def __new__(cls, family: str, index: int | None = None):
+        if family not in _FAMILY:
+            raise ValueError(f"unknown family {family}")
+        if family == "C" and index is not None:
+            raise ValueError("C carries no index")
+        if family != "C" and index is None:
+            raise ValueError(f"{family} needs an index")
+        return tuple.__new__(cls, (family, index))
 
     @property
     def parity(self) -> int:
-        return _PARITY[self.family]
+        return _FAMILY[self.family].parity
 
     def __str__(self):
         return "C" if self.family == "C" else f"{self.family}[{self.index}]"
@@ -180,29 +192,19 @@ def _table(a: BasisElt, b: BasisElt):
     """6 [a, b] for elements in table order, as ((element, coefficient), ...)
     without zero terms and with the C term at every index; None if (a, b) is
     not a table pair."""
-    m, n = a.index, b.index
-    s = m + n
-    pair = a.family + b.family
-    if pair == "LL":
-        out = ((L(s), 6 * (m - n)),)
-    elif pair == "LJ":
-        out = ((J(s), -6 * n), (C, m * m + m))
-    elif pair == "LH":
-        out = ((H(s), -6 * n),)
-    elif pair == "LQ":
-        out = ((Q(s), 6 * (m - n)),)
-    elif pair == "JJ":
-        out = ((C, 2 * m),)
-    elif pair == "JQ":
-        out = ((Q(s), 6),)
-    elif pair == "JH":
-        out = ((H(s), -6),)
-    elif pair == "HQ":
-        out = ((L(s), 6), (J(s), -6 * m), (C, m * m - m))
-    elif pair in ("HH", "QQ"):
-        out = ()
-    else:
+    fa, fb = a.family, b.family
+    if FAMILIES.index(fa) > FAMILIES.index(fb):
         return None
+    m, s = a.index, a.index + b.index
+    out = []
+    if fa == "L":
+        out = [(BasisElt(fb, s), 6 * ((_FAMILY[fb].weight - 1) * m - b.index))]
+    elif fa == "J":
+        out = [(BasisElt(fb, s), 6 * _FAMILY[fb].charge)]
+    for y, c, k in _LAMBDA.get(fa + fb, ()):
+        for j in range(1, k + 1):
+            c = c * (m + _FAMILY[fa].weight - j)
+        out.append((C if y == "C" else BasisElt(y, s), c))
     return tuple(t for t in out if t[1])
 
 
@@ -233,11 +235,7 @@ def _comb(scaled, scale: int) -> SuperLinComb:
 
 
 def bracket(a: BasisElt, b: BasisElt) -> SuperLinComb:
-    """Super-bracket of two basis elements.
-
-    Pairs not displayed in the table are zero; reversed-order pairs follow
-    [b, a] = -(-1)^{p(a) p(b)} [a, b].
-    """
+    """Super-bracket of two basis elements, by _table and super-antisymmetry."""
     return _comb(_six(a, b), 6)
 
 

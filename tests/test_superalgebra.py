@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -23,6 +25,18 @@ def test_bracket_table_examples():
     assert bracket(L(1), H(2)) == SuperLinComb.of((-2, H(3)))
     assert bracket(J(2), Q(3)) == SuperLinComb.of((1, Q(5)))
     assert bracket(J(1), H(1)) == SuperLinComb.of((-1, H(2)))
+
+
+def test_basis_elements_copy_and_pickle():
+    assert copy.copy(L(1)) == copy.deepcopy(L(1)) == L(1)
+    for e in (C, Q(-2)):
+        back = pickle.loads(pickle.dumps(e))
+        assert back == e and type(back) is BasisElt and back.parity == e.parity
+    comb = bracket(H(1), Q(-1))
+    assert copy.deepcopy(comb) == comb
+    assert repr(Q(-2)) == "BasisElt(family='Q', index=-2)"
+    with pytest.raises(ValueError, match="unknown family"):
+        BasisElt("X", 1)
 
 
 # -- the integer table against the Fraction table it replaced -------------------
@@ -177,6 +191,88 @@ def test_empty_sweeps_are_rejected(check, max_index):
     # a sweep over no elements would report passed without checking anything
     with pytest.raises(ValueError, match="max_index must be >= 1"):
         check(max_index)
+
+
+# -- the table from its N=2 data ------------------------------------------------
+
+def _ten_branch_table(a: BasisElt, b: BasisElt):
+    """The scale-6 table as it was written before the N=2 data: one branch of
+    index formulas per table pair."""
+    m, n = a.index, b.index
+    s = m + n
+    pair = a.family + b.family
+    if pair == "LL":
+        out = ((L(s), 6 * (m - n)),)
+    elif pair == "LJ":
+        out = ((J(s), -6 * n), (C, m * m + m))
+    elif pair == "LH":
+        out = ((H(s), -6 * n),)
+    elif pair == "LQ":
+        out = ((Q(s), 6 * (m - n)),)
+    elif pair == "JJ":
+        out = ((C, 2 * m),)
+    elif pair == "JQ":
+        out = ((Q(s), 6),)
+    elif pair == "JH":
+        out = ((H(s), -6),)
+    elif pair == "HQ":
+        out = ((L(s), 6), (J(s), -6 * m), (C, m * m - m))
+    elif pair in ("HH", "QQ"):
+        out = ()
+    else:
+        return None
+    return tuple(t for t in out if t[1])
+
+
+def test_table_is_the_n2_data_at_every_index():
+    # conformal weights and J_0 charges of L, J, H, Q, and the table they
+    # generate equals the per-pair formulas as polynomials in free (m, n)
+    data = superalgebra._FAMILY
+    assert {f: data[f].weight for f in FAMILIES} == {
+        "L": 2, "J": 1, "H": 1, "Q": 2}
+    assert {f: data[f].charge for f in ("J", "H", "Q")} == {
+        "J": 0, "H": -1, "Q": 1}
+    m, n = variables(2)
+    for fa in FAMILIES:
+        for fb in FAMILIES:
+            a, b = BasisElt(fa, m), BasisElt(fb, n)
+            assert superalgebra._table(a, b) == _ten_branch_table(a, b), (a, b)
+
+
+def _plus_one(family, datum):
+    # datum is "weight" (conformal weight) or "charge" (J_0 charge)
+    def mutate(monkeypatch):
+        data = superalgebra._FAMILY[family]
+        monkeypatch.setitem(superalgebra._FAMILY, family, data._replace(
+            **{datum: getattr(data, datum) + 1}))
+    return mutate
+
+
+def _central(pair):
+    # the lambda-term's C coefficient plus 1 at scale 6: lambda^2/6 -> lambda^2/3
+    # in [L_lambda J] and [H_lambda Q], lambda/3 -> lambda/2 in [J_lambda J]
+    def mutate(monkeypatch):
+        terms = superalgebra._LAMBDA[pair]
+        monkeypatch.setitem(superalgebra._LAMBDA, pair, tuple(
+            (y, c + 1, k) if y == "C" else (y, c, k) for y, c, k in terms))
+    return mutate
+
+
+_DATA_MUTANTS = {**{f"w_{f}": _plus_one(f, "weight") for f in FAMILIES},
+                 **{f"q_{f}": _plus_one(f, "charge") for f in ("J", "H", "Q")},
+                 **{f"c_{p}": _central(p) for p in ("LJ", "JJ", "HQ")}}
+
+
+@pytest.mark.parametrize("datum", list(_DATA_MUTANTS))
+def test_every_datum_is_pinned(monkeypatch, datum):
+    # the Jacobi certificate and sweep catch every mutant; the realization
+    # sends C to 0, so it catches the weights and charges but no central term
+    _DATA_MUTANTS[datum](monkeypatch)
+    assert not certificate.jacobi_holds()
+    assert super_jacobi_check(2).violations
+    central = datum.startswith("c_")
+    assert (certificate.realization_kernel(range(-2, 3)) is not None) == central
+    assert realization_bracket_check(2).passed == central
 
 
 # -- negative controls: the sweeps can fail -------------------------------------
