@@ -11,7 +11,9 @@ inside the clock, its inputs are built before.  Three tiers:
 * ``layers``: one call of each layer at a grid-like size;
 * ``scaling``: character() and QSeries multiply at 1x, 4x and 16x an order;
 * ``commands``: each ``superjacobi ...`` line of README.md, run
-  as ``python -m superjacobi.cli ... --out /dev/null`` in a fresh process.
+  as ``python -m superjacobi.cli ... --out /dev/null`` in a fresh process,
+  and the acceptance suite of the timed checkout (``ACCEPTANCE``), run
+  from that checkout's root.
 
 ``collect(tag, small=True)`` times each entry once at small sizes and skips
 the commands: a smoke run that checks the harness, not the code.  The machine
@@ -34,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCALES = (("1x", 1), ("4x", 4), ("16x", 16))
+ACCEPTANCE = "python -m pytest -q -p no:cacheprovider tests/test_acceptance.py"
 
 
 def summary(times: list[float], size: str) -> dict:
@@ -156,13 +159,20 @@ def readme_commands() -> list[str]:
 
 
 def commands(runs: int) -> dict:
+    """Command line -> timings and exit codes, each run in a fresh process
+    from the root of the timed checkout."""
+    import superjacobi
+    cwd = Path(superjacobi.__file__).resolve().parent.parent.parent
+    argvs = {line: [sys.executable, "-m", "superjacobi.cli",
+                    *shlex.split(line)[1:], "--out", os.devnull]
+             for line in readme_commands()}
+    argvs[ACCEPTANCE] = [sys.executable, *shlex.split(ACCEPTANCE)[1:]]
     out = {}
-    for line in readme_commands():
-        argv = [sys.executable, "-m", "superjacobi.cli",
-                *shlex.split(line)[1:], "--out", os.devnull]
+    for line, argv in argvs.items():
         codes = set()
         entry = timed(lambda: codes.add(subprocess.run(
-            argv, capture_output=True).returncode), runs, "subprocess")
+            argv, capture_output=True, cwd=cwd).returncode), runs,
+            "subprocess")
         out[line] = {**entry, "exit": sorted(codes)}
     return out
 

@@ -257,30 +257,23 @@ class FlowMatch:
                 "yShift": str(self.y_shift)}
 
 
-def _on_grid(s: RowSeries, d: int) -> tuple[dict, int]:
-    """The terms and truncation of s on the finer grid 1/d."""
-    f = d // s.qden
-    if f == 1:
-        return s.terms, s.trunc
-    return {e * f: t for e, t in s.terms.items()}, s.trunc * f
-
-
 def _monomial_ratio(a: RowSeries, b: RowSeries):
     """If a == const * q^dq * y^dy * b for a single rational const, return
     (const, dq, dy); else None.  Compares the visible windows, from the
     leading terms, whose lowest y-terms ca y^ya and cb y^yb give const =
     ca/cb and y^s0; on canonical terms that is N_a(y) cb = N_b(y) y^s0 ca
-    with equal poles, checked on integers."""
-    if not a.terms or not b.terms:
-        return None
-    d = lcm(a.qden, b.qden)
-    (ta, tra), (tb, trb) = _on_grid(a, d), _on_grid(b, d)
+    with equal poles, checked on integers.  Both series must be on one grid,
+    as every character and flow of a spectrum label is on 1/2u; else
+    ValueError."""
+    if a.qden != b.qden:
+        raise ValueError(f"series on the grids 1/{a.qden} and 1/{b.qden}")
+    ta, tb = a.terms, b.terms
     ea, eb = min(ta), min(tb)
     dq = ea - eb
     na, nb = ta[ea][0], tb[eb][0]
     ya, yb = min(na), min(nb)
     s0, ca, cb = ya - yb, na[ya], nb[yb]
-    for e in range(ea, min(tra, trb + dq)):
+    for e in range(ea, min(a.trunc, b.trunc + dq)):
         x, y = ta.get(e), tb.get(e - dq)
         if x is None or y is None:
             if x is not y:
@@ -290,7 +283,7 @@ def _monomial_ratio(a: RowSeries, b: RowSeries):
         if px != py or len(nx) != len(ny) or any(
                 nx.get(k + s0, 0) * cb != c * ca for k, c in ny.items()):
             return None
-    return Fraction(ca, cb), Fraction(dq, d), a.ypref - b.ypref + s0
+    return Fraction(ca, cb), Fraction(dq, a.qden), a.ypref - b.ypref + s0
 
 
 def find_flow_matches(u: int, m: int, q_order: Fraction) -> list[FlowMatch]:

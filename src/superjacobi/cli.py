@@ -30,11 +30,13 @@ EXIT_USAGE = 2
 
 
 # A JSON report is json.dumps(payload, sort_keys=True, indent=2) and a
-# newline, written in batches of the encoder's chunks, each joined once, so
-# the whole report is never held as one string.  A batch of 256 chunks (some
-# 20 KB) fits in memory the job has already freed: on CPython 3.11, x86-64
-# Linux, writing a q^40 character in 4096-chunk batches raised the job's
-# peak RSS by about 0.37 MB, and in 256-chunk batches not measurably.
+# newline, written in batches of the encoder's chunks, each joined once.
+# Under PYTHONUNBUFFERED=1 every write is a system call: json.dump, one
+# write per chunk, took 38-49 ms for the q^40 u = 6 character (18,255
+# chunks) into a pipe, and 256-chunk batches 8-9 ms, about what either
+# takes on a buffered stream (CPython 3.11, x86-64 Linux).  A batch (some
+# 20 KB) also fits in memory the job has already freed, where 4096-chunk
+# batches raised a q^40 job's peak RSS by about 0.37 MB.
 _ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
 _BATCH = 256
 

@@ -64,6 +64,9 @@ class JacobiGroupElement:
     n: int = 0
 
     def __post_init__(self):
+        entries = (self.a, self.b, self.c, self.d, self.m, self.n)
+        if any(type(x) is not int for x in entries):
+            raise ValueError(f"entries {entries} must be ints")
         if self.a * self.d - self.b * self.c != 1:
             raise ValueError("matrix must have determinant 1")
 

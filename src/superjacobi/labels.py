@@ -39,8 +39,7 @@ class ModuleLabel:
     generic: bool = False
 
     def __post_init__(self):
-        if self.u < 2:
-            raise BadLevel("u must be >= 2")
+        _check_level(self.u)
         object.__setattr__(self, "j", Fraction(self.j))
         object.__setattr__(self, "k", Fraction(self.k))
         if not self.generic:
@@ -51,15 +50,20 @@ class ModuleLabel:
                     f"(j, k) = ({self.j}, {self.k}) not in the level-{self.u} spectrum")
 
 
-def central_charge(u: int) -> Fraction:
+def _check_level(u) -> None:
+    if type(u) is not int:
+        raise BadLevel(f"u must be an int, not {u!r}")
     if u < 2:
         raise BadLevel("u must be >= 2")
+
+
+def central_charge(u: int) -> Fraction:
+    _check_level(u)
     return Fraction(3) - Fraction(6, u)
 
 
 def spectrum(u: int) -> list[ModuleLabel]:
-    if u < 2:
-        raise BadLevel("u must be >= 2")
+    _check_level(u)
     return [ModuleLabel(u, Fraction(j), Fraction(k))
             for j in range(u) for k in range(1, u) if j + k < u]
 

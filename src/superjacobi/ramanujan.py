@@ -81,9 +81,6 @@ def extract_ode_families(ks, z_order: int, q_order: int) -> list[OdeIdentity]:
     PDE's parts: the d_tau part, the transport zeta-bar * d_z wp and the
     right-hand side (:func:`~superjacobi.elliptic._pde_parts`).
     """
-    ks = list(ks)
-    if not ks:
-        return []
     tau, transport, rhs_full = _pde_parts(z_order, q_order)
     window = min(tau.ztrunc, transport.ztrunc, rhs_full.ztrunc)
     out = []

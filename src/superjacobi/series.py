@@ -62,12 +62,6 @@ class QYSeries:
         """Scaled valuation; equals trunc for a series with no visible terms."""
         return min(self.terms) if self.terms else self.trunc
 
-    def leading(self) -> tuple[Fraction, RatFunc]:
-        if not self.terms:
-            raise NotAUnit("series has no terms below its truncation")
-        e = min(self.terms)
-        return Fraction(e, self.qden), self.terms[e]
-
     def coeff(self, qexp) -> RatFunc:
         e = Fraction(qexp) * self.qden
         if e.denominator != 1:

@@ -78,6 +78,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 
 EVEN, ODD = 0, 1
@@ -92,17 +93,27 @@ _LAMBDA = {"LJ": (("C", 1, 2),), "JJ": (("C", 2, 1),),
            "HQ": (("L", 6, 0), ("J", -6, 1), ("C", 1, 2))}
 
 
+@cache
+def _index_poly() -> type:
+    """certificate.IndexPoly, imported at first use: superalgebra loads
+    without certificate, and no IndexPoly exists before it loads."""
+    from .certificate import IndexPoly
+    return IndexPoly
+
+
 class BasisElt(namedtuple("_BasisElt", "family index")):
-    """A family and its mode index, C without one; hashed and compared in C."""
+    """A family and its mode index, an int or the certificate's free
+    IndexPoly, C without one; hashed and compared in C."""
     __slots__ = ()
 
     def __new__(cls, family: str, index: int | None = None):
         if family not in _FAMILY:
             raise ValueError(f"unknown family {family}")
-        if family == "C" and index is not None:
-            raise ValueError("C carries no index")
-        if family != "C" and index is None:
-            raise ValueError(f"{family} needs an index")
+        if family == "C":
+            if index is not None:
+                raise ValueError("C carries no index")
+        elif type(index) is not int and type(index) is not _index_poly():
+            raise ValueError(f"{family} needs an int index, not {index!r}")
         return tuple.__new__(cls, (family, index))
 
     @property

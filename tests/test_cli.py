@@ -381,3 +381,26 @@ def test_zetabar_table_large_tau_re_keeps_the_values():
 
     assert values("1e12") == values("0")
     assert values("1e16") == values("0")
+
+
+def test_report_is_written_in_batches_of_chunks():
+    # on an unbuffered stdout every write is a system call, and one write
+    # per encoder chunk, as json.dump makes, cost a q^40 character ~30 ms
+    from types import SimpleNamespace
+    from superjacobi.numtheory import eisenstein_ghat
+    payload = eisenstein_ghat(2, 400).to_dict()
+    chunks = len(list(cli._ENCODER.iterencode(payload)))
+    writes = []
+    cli._write(SimpleNamespace(write=writes.append), payload, True)
+    assert len(writes) == math.ceil(chunks / cli._BATCH) + 1
+    assert "".join(writes) == json.dumps(payload, sort_keys=True,
+                                         indent=2) + "\n"
+
+
+def test_failing_wp_pde_self_test_exit1(monkeypatch):
+    failed = elliptic.CheckReport("wp-pde", {}, failures=[(0, 0, 1)])
+    monkeypatch.setattr(elliptic, "wp_pde_check", lambda *args: failed)
+    code, out, _ = _run_in_process("wp-pde", "--self-test")
+    assert code == 1
+    assert '"passed": false' in out
+    assert json.loads(out) == {"selfTest": "wp-pde", "passed": False}

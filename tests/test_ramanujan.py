@@ -5,8 +5,10 @@ import pytest
 from superjacobi.elliptic import wp_pde_sides, wp_series, zetabar_series
 from superjacobi.errors import OutOfRange
 from superjacobi.numtheory import eisenstein_e
-from superjacobi.ramanujan import (e_variable_form, extract_ode_families,
-                                   extract_ode_family, ramanujan_triple)
+from superjacobi.qseries import QSeries
+from superjacobi.ramanujan import (OdeIdentity, e_variable_form,
+                                   extract_ode_families, extract_ode_family,
+                                   ramanujan_triple)
 
 F = Fraction
 
@@ -116,3 +118,9 @@ def test_normalization_consistency():
         lhs_e, rhs_e = e_variable_form(idt)
         assert lhs_e.same_visible(e[k].q_log_deriv())
         assert rhs_e.same_visible(displays[k])
+
+
+def test_failed_identity_reports_its_first_failure_order():
+    lhs = QSeries.from_fractions({0: F(1), 3: F(2)}, 6)
+    idt = OdeIdentity(1, lhs, QSeries.one(6), 0)
+    assert idt.to_dict() == {"k": 1, "holds": False, "firstFailureOrder": 3}
