@@ -194,17 +194,26 @@ def cmd_jacobi_test(args) -> int:
 
 
 def _basis_elts(tokens: list[str]) -> list[superalgebra.BasisElt]:
-    """Read FAMILY [INDEX] pairs; INDEX defaults to 0 and is ignored for C."""
+    """Read FAMILY [INDEX] pairs; INDEX defaults to 0 and is ignored for C.
+    A token that is not a family is the int index of the family just
+    before it."""
     from . import superalgebra
-    elts = []
-    while tokens:
-        fam, tokens = tokens[0], tokens[1:]
-        idx = 0
-        if tokens and tokens[0].lstrip("-").isdigit():
-            idx, tokens = int(tokens[0]), tokens[1:]
-        elts.append(superalgebra.C if fam == "C"
-                    else superalgebra.BasisElt(fam, idx))
-    return elts
+    families = superalgebra.FAMILIES + ("C",)
+    pairs, prev = [], None
+    for tok in tokens:
+        if tok in families:
+            pairs.append((tok, 0))
+        elif prev not in families:
+            raise ValueError(f"{tok} is not a family ({', '.join(families)}) "
+                             "or an index just after one")
+        else:
+            try:
+                pairs[-1] = (prev, int(tok))
+            except ValueError:
+                raise ValueError(f"index {tok} of {prev} is not an int") from None
+        prev = tok
+    return [superalgebra.C if fam == "C" else superalgebra.BasisElt(fam, idx)
+            for fam, idx in pairs]
 
 
 def cmd_bracket(args) -> int:

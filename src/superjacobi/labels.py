@@ -40,8 +40,11 @@ class ModuleLabel:
 
     def __post_init__(self):
         _check_level(self.u)
-        object.__setattr__(self, "j", Fraction(self.j))
-        object.__setattr__(self, "k", Fraction(self.k))
+        for name in ("j", "k"):
+            x = getattr(self, name)
+            if type(x) is not int and not isinstance(x, Fraction):
+                raise BadLevel(f"{name} must be an int or a Fraction, not {x!r}")
+            object.__setattr__(self, name, Fraction(x))
         if not self.generic:
             if self.j.denominator != 1 or self.k.denominator != 1:
                 raise BadLevel("spectrum labels need integer j, k")

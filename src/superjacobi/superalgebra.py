@@ -2,17 +2,20 @@
 the Virasoro embedding remark, and the vector-field realization.
 
 Basis families L_n, J_n (even), H_n, Q_n (odd), central C: the modes of
-the N=2 superconformal vertex algebra, whose fields L, J, H, Q are primary
-of conformal weight w = 2, 1, 1, 2 and J_0 charge q = 0, 0, -1, 1.  Three
-rules give [a_m, b_n] for a before b in the order L, J, H, Q:
+the N=2 superconformal vertex algebra.  Its fields L, J, H, Q have
+conformal weight w = 2, 1, 1, 2 and, for a before b in the order L, J, H, Q
+(D = d/dz), the lambda-brackets
 
-    weight:  [L_m, X_n] = ((w_X - 1) m - n) X_{m+n}
-    charge:  [J_m, X_n] = q_X X_{m+n}
-    lambda:  a term c lambda^k Y of [a_lambda b] adds c times the k factors
-             (m + w_a - 1)(m + w_a - 2)... on Y_{m+n}, or on delta_{m,-n} C,
+    [L_lambda X] = (D + w_X lambda) X, + (lambda^2/6) C if X = J
+    [J_lambda J] = (lambda/3) C,  [J_lambda H] = -H,  [J_lambda Q] = Q
+    [H_lambda Q] = L - lambda J + (lambda^2/6) C
 
-where the lambda-terms are (lambda^2/6) C in [L_lambda J], (lambda/3) C in
-[J_lambda J] and L - lambda J + (lambda^2/6) C in [H_lambda Q].  Hence
+With a_m = a_(p), p = m + w_a - 1, and b_n = b_(r), r = n + w_b - 1, a term
+c lambda^k D^d Y (d = 0 or 1) of [a_lambda b] adds
+
+    c p (p-1) ... (p-k+1) (-(p + r - k))^d  on Y_{m+n}, or on delta_{m,-n} C
+
+to [a_m, b_n].  Hence
 
     [L_m, L_n] = (m-n) L_{m+n}
     [L_m, J_n] = -n J_{m+n} + delta_{m,-n} (m^2+m)/6 C
@@ -23,7 +26,7 @@ where the lambda-terms are (lambda^2/6) C in [L_lambda J], (lambda/3) C in
     [J_m, H_n] = -H_{m+n}
     [H_m, Q_n] = L_{m+n} - m J_{m+n} + delta_{m,-n} (m^2-m)/6 C
 
-with all other pairs zero and reversed pairs given by super-antisymmetry
+with all other pairs zero and reversed ones by super-antisymmetry
 [b, a] = -(-1)^{p(a)p(b)} [a, b].
 
 The vector-field realization on C[z, 1/z] (x) /\\[theta] uses
@@ -33,16 +36,16 @@ The vector-field realization on C[z, 1/z] (x) /\\[theta] uses
     Q_n = -z^{n+1} d_theta
     H_n = z^n theta d_z
 
-(H_n = z^n theta d_theta, as printed elsewhere, would duplicate -J_n and be
-even; parity and [H, Q] force theta d_z, as realization_bracket_check shows.)
+(H_n = z^n theta d_theta would duplicate -J_n and be even; parity and
+[H, Q] force theta d_z, as realization_bracket_check shows.)
 
-_table writes 6 [a, b] by the rules with int coefficients (the lambda-terms'
-1/6 and 1/3 become 1 and 2), ring operations on the indices alone and each C
-term at every index.  _entry adds super-antisymmetry, and _six keeps the C
-term only where the int indices satisfy m == -n.  bracket() divides by 6;
-the Jacobi sweep stays on the integers, exact at scale 36, and divides back
-only a violating Jacobiator.  The realization is over Z; its check compares
-each commutator at scale 6 with _six.
+_table writes 6 [a, b] from _LAMBDA (6 [a_lambda b] over Z) by ring
+operations on the indices alone, each C term at every index.  _entry adds
+super-antisymmetry, and _six keeps the C term only where the int indices
+satisfy m == -n.  bracket() divides by 6; the Jacobi sweep stays on the
+integers, exact at scale 36, and divides back only a violating Jacobiator.
+The realization is over Z; its check compares each commutator at scale 6
+with _six.
 
 Both checks hold for every index once certified.  certificate.py runs
 _jacobiator and _realization_pair unchanged on free indices of type
@@ -82,15 +85,18 @@ from functools import cache
 
 
 EVEN, ODD = 0, 1
-# no rule reads L's charge (0) or C's weight and charge
-_Family = namedtuple("_Family", "parity weight charge", defaults=(None, None))
-_FAMILY = {"L": _Family(EVEN, 2), "J": _Family(EVEN, 1, 0),
-           "H": _Family(ODD, 1, -1), "Q": _Family(ODD, 2, 1),
-           "C": _Family(EVEN)}
+_Family = namedtuple("_Family", "parity weight")
+_FAMILY = {"L": _Family(EVEN, 2), "J": _Family(EVEN, 1), "H": _Family(ODD, 1),
+           "Q": _Family(ODD, 2), "C": _Family(EVEN, 0)}
 FAMILIES = ("L", "J", "H", "Q")
-# the lambda-terms of 6 [a_lambda b]: (Y, c, k) for c lambda^k Y
-_LAMBDA = {"LJ": (("C", 1, 2),), "JJ": (("C", 2, 1),),
-           "HQ": (("L", 6, 0), ("J", -6, 1), ("C", 1, 2))}
+# 6 [a_lambda b]: (Y, c, k, d) per term c lambda^k D^d Y
+_LAMBDA = {"LL": (("L", 6, 0, 1), ("L", 12, 1, 0)),
+           "LJ": (("J", 6, 0, 1), ("J", 6, 1, 0), ("C", 1, 2, 0)),
+           "LH": (("H", 6, 0, 1), ("H", 6, 1, 0)),
+           "LQ": (("Q", 6, 0, 1), ("Q", 12, 1, 0)),
+           "JJ": (("C", 2, 1, 0),), "JH": (("H", -6, 0, 0),),
+           "JQ": (("Q", 6, 0, 0),),
+           "HQ": (("L", 6, 0, 0), ("J", -6, 1, 0), ("C", 1, 2, 0))}
 
 
 @cache
@@ -200,23 +206,22 @@ class SuperLinComb:
 
 
 def _table(a: BasisElt, b: BasisElt):
-    """6 [a, b] for elements in table order, as ((element, coefficient), ...)
-    without zero terms and with the C term at every index; None if (a, b) is
-    not a table pair."""
+    """6 [a, b] in table order by the mode formula: ((element, coefficient),
+    ...) without zero terms, the C term at every index; None off the table."""
     fa, fb = a.family, b.family
     if FAMILIES.index(fa) > FAMILIES.index(fb):
         return None
-    m, s = a.index, a.index + b.index
-    out = []
-    if fa == "L":
-        out = [(BasisElt(fb, s), 6 * ((_FAMILY[fb].weight - 1) * m - b.index))]
-    elif fa == "J":
-        out = [(BasisElt(fb, s), 6 * _FAMILY[fb].charge)]
-    for y, c, k in _LAMBDA.get(fa + fb, ()):
-        for j in range(1, k + 1):
-            c = c * (m + _FAMILY[fa].weight - j)
-        out.append((C if y == "C" else BasisElt(y, s), c))
-    return tuple(t for t in out if t[1])
+    p = a.index + (_FAMILY[fa].weight - 1)
+    r = b.index + (_FAMILY[fb].weight - 1)
+    out = {}
+    for y, c, k, d in _LAMBDA.get(fa + fb, ()):
+        for j in range(k):
+            c = c * (p - j)
+        if d:
+            c = -c * (p + r - k)
+        out[y] = out.get(y, 0) + c
+    return tuple((C if y == "C" else BasisElt(y, a.index + b.index), c)
+                 for y, c in out.items() if c)
 
 
 def _entry(a: BasisElt, b: BasisElt):

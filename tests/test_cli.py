@@ -156,6 +156,27 @@ def test_bracket_cli_bad_elements_exit2(args):
     assert out == "" and err.startswith("error:")
 
 
+def test_bracket_cli_reads_an_index_with_int():
+    # "+1" is the index 1, so this is [L_1, L_2] = -L_3
+    code, out, _ = run_cli("bracket", "L", "+1", "L", "2")
+    assert code == 0
+    assert json.loads(out)["bracket"] == {"L3": "-1"}
+
+
+@pytest.mark.parametrize("args, message", [
+    (("L", "1.5", "L", "1"), "index 1.5 of L is not an int"),
+    (("L", "1", "Q", "x"), "index x of Q is not an int"),
+    (("1", "L", "2", "L", "3"), "1 is not a family (L, J, H, Q, C) or an "
+                                "index just after one"),
+    (("L", "1", "2", "L", "3"), "2 is not a family (L, J, H, Q, C) or an "
+                                "index just after one")],
+    ids=["float", "word", "index first", "two indices"])
+def test_bracket_cli_bad_index_exit2(args, message):
+    code, out, err = run_cli("bracket", *args)
+    assert code == 2
+    assert out == "" and err == f"error: {message}\n"
+
+
 def test_self_test_flag():
     code, out, _ = run_cli("spectrum", "--u", "5", "--self-test")
     assert code == 0

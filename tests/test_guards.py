@@ -34,6 +34,16 @@ NON_INTEGER = {
                             ValueError, "needs an int index"),
     "ModuleLabel float u": (lambda: labels.ModuleLabel(3.0, 1, 1),
                             BadLevel, "u must be an int"),
+    "ModuleLabel float j": (
+        lambda: labels.ModuleLabel(3, 0.1, F(1, 5), generic=True),
+        BadLevel, "j must be an int or a Fraction, not 0.1"),
+    "ModuleLabel float k": (
+        lambda: labels.ModuleLabel(3, F(1, 10), 0.2, generic=True),
+        BadLevel, "k must be an int or a Fraction, not 0.2"),
+    "ModuleLabel bool j": (lambda: labels.ModuleLabel(3, True, 1),
+                           BadLevel, "j must be an int or a Fraction"),
+    "ModuleLabel str k": (lambda: labels.ModuleLabel(3, 1, "1"),
+                          BadLevel, "k must be an int or a Fraction"),
     "central_charge float u": (lambda: labels.central_charge(3.5),
                                BadLevel, "u must be an int"),
     "spectrum float u": (lambda: labels.spectrum(3.5),

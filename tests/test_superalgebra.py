@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -225,13 +226,15 @@ def _ten_branch_table(a: BasisElt, b: BasisElt):
 
 
 def test_table_is_the_n2_data_at_every_index():
-    # conformal weights and J_0 charges of L, J, H, Q, and the table they
-    # generate equals the per-pair formulas as polynomials in free (m, n)
+    # conformal weights of L, J, H, Q, J_0 charges (the constant term of
+    # [J_lambda X] on X), and the table they generate equals the per-pair
+    # formulas as polynomials in free (m, n)
     data = superalgebra._FAMILY
     assert {f: data[f].weight for f in FAMILIES} == {
         "L": 2, "J": 1, "H": 1, "Q": 2}
-    assert {f: data[f].charge for f in ("J", "H", "Q")} == {
-        "J": 0, "H": -1, "Q": 1}
+    assert {f: F(sum(c for y, c, k, d in superalgebra._LAMBDA["J" + f]
+                     if (y, k, d) == (f, 0, 0)), 6)
+            for f in ("J", "H", "Q")} == {"J": 0, "H": -1, "Q": 1}
     m, n = variables(2)
     for fa in FAMILIES:
         for fb in FAMILIES:
@@ -239,28 +242,47 @@ def test_table_is_the_n2_data_at_every_index():
             assert superalgebra._table(a, b) == _ten_branch_table(a, b), (a, b)
 
 
-def _plus_one(family, datum):
-    # datum is "weight" (conformal weight) or "charge" (J_0 charge)
+def _plus_one(family):
+    # the conformal weight plus 1, which moves the family's mode shift
     def mutate(monkeypatch):
         data = superalgebra._FAMILY[family]
-        monkeypatch.setitem(superalgebra._FAMILY, family, data._replace(
-            **{datum: getattr(data, datum) + 1}))
+        monkeypatch.setitem(superalgebra._FAMILY, family,
+                            data._replace(weight=data.weight + 1))
     return mutate
 
 
-def _central(pair):
-    # the lambda-term's C coefficient plus 1 at scale 6: lambda^2/6 -> lambda^2/3
-    # in [L_lambda J] and [H_lambda Q], lambda/3 -> lambda/2 in [J_lambda J]
+def _term_plus_one(pair, i):
+    # the coefficient of the i-th term of 6 [a_lambda b] plus 1: for a C term,
+    # lambda^2/6 -> lambda^2/3 in [L_lambda J] and [H_lambda Q], lambda/3 ->
+    # lambda/2 in [J_lambda J]
     def mutate(monkeypatch):
-        terms = superalgebra._LAMBDA[pair]
-        monkeypatch.setitem(superalgebra._LAMBDA, pair, tuple(
-            (y, c + 1, k) if y == "C" else (y, c, k) for y, c, k in terms))
+        terms = list(superalgebra._LAMBDA[pair])
+        y, c, k, d = terms[i]
+        terms[i] = (y, c + 1, k, d)
+        monkeypatch.setitem(superalgebra._LAMBDA, pair, tuple(terms))
     return mutate
 
 
-_DATA_MUTANTS = {**{f"w_{f}": _plus_one(f, "weight") for f in FAMILIES},
-                 **{f"q_{f}": _plus_one(f, "charge") for f in ("J", "H", "Q")},
-                 **{f"c_{p}": _central(p) for p in ("LJ", "JJ", "HQ")}}
+def _j_charge_one(monkeypatch):
+    # q_J = 1: the term J of [J_lambda J], at scale 6
+    monkeypatch.setitem(superalgebra._LAMBDA, "JJ",
+                        superalgebra._LAMBDA["JJ"] + (("J", 6, 0, 0),))
+
+
+def _term_id(pair, y, k, d):
+    # c_ names a central term, q_ a J_0 charge, and l and D mark lambda and D
+    if y == "C":
+        return f"c_{pair}"
+    if pair[0] == "J":
+        return f"q_{y}"
+    return f"{pair}_{'l' * k}{'D' * d}{y}"
+
+
+_DATA_MUTANTS = {**{f"w_{f}": _plus_one(f) for f in FAMILIES},
+                 **{_term_id(p, y, k, d): _term_plus_one(p, i)
+                    for p, terms in superalgebra._LAMBDA.items()
+                    for i, (y, _, k, d) in enumerate(terms)},
+                 "q_J": _j_charge_one}
 
 
 @pytest.mark.parametrize("datum", list(_DATA_MUTANTS))
@@ -273,6 +295,78 @@ def test_every_datum_is_pinned(monkeypatch, datum):
     central = datum.startswith("c_")
     assert (certificate.realization_kernel(range(-2, 3)) is not None) == central
     assert realization_bracket_check(2).passed == central
+
+
+def _skew(terms, odd):
+    """[b_lambda a] from the terms (Y, c, k, d), c lambda^k D^d Y, of
+    [a_lambda b]: -(-1)^{p(a)p(b)} [a_{-lambda-D} b], D acting on the output
+    field and D C = 0."""
+    sign = 1 if odd else -1
+    out = []
+    for y, c, k, d in terms:
+        # (-lambda - D)^k = (-1)^k sum_j C(k, j) lambda^(k-j) D^j
+        for j in range(k + 1):
+            if y != "C" or j + d == 0:
+                out.append((y, sign * (-1) ** k * comb(k, j) * c, k - j, j + d))
+    return out
+
+
+def _collected(terms) -> dict:
+    out = {}
+    for y, c, k, d in terms:
+        out[y, k, d] = out.get((y, k, d), 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _falling(x, k):
+    out = 1
+    for j in range(k):
+        out = out * (x - j)
+    return out
+
+
+def _mode_bracket(fa, fb, terms, m, n) -> dict:
+    """6 [a_m, b_n] from the terms of 6 [a_lambda b], for any power D^d:
+    a_m = a_(p), b_n = b_(r), and c lambda^k D^d Y gives c p(p-1)...(p-k+1)
+    times (D^d Y)_(s) = (-1)^d s(s-1)...(s-d+1) Y_(s-d), s = p + r - k."""
+    weight = {"L": 2, "J": 1, "H": 1, "Q": 2}
+    p, r = m + weight[fa] - 1, n + weight[fb] - 1
+    out = {}
+    for y, c, k, d in terms:
+        e = C if y == "C" else BasisElt(y, m + n)
+        v = c * _falling(p, k) * (-1) ** d * _falling(p + r - k, d)
+        out[e] = out.get(e, 0) + v
+    return {e: v for e, v in out.items() if v}
+
+
+def test_sixteen_lambda_brackets_generate_the_entries():
+    # the eight lambda-brackets of the table, the eight reversed ones by
+    # skew-symmetry ([L_lambda L] and [J_lambda J] must reproduce themselves),
+    # and [H_lambda H] = [Q_lambda Q] = 0; the mode formula on each gives
+    # _entry, off C at free (m, n) and its C term on n = -m
+    data = superalgebra._LAMBDA
+    brackets = {fa + fb: data.get(fa + fb, ()) for i, fa in enumerate(FAMILIES)
+                for fb in FAMILIES[i:]}
+    for pair, terms in data.items():
+        rev = _skew(terms, pair[0] in "HQ" and pair[1] in "HQ")
+        if pair[::-1] == pair:
+            assert _collected(rev) == _collected(terms), pair
+        brackets[pair[::-1]] = rev
+    assert len(brackets) == 16
+    # [Q_lambda H] = L + (D + lambda) J + (lambda^2/6) C
+    assert _collected(brackets["QH"]) == {("L", 0, 0): 6, ("J", 1, 0): 6,
+                                          ("J", 0, 1): 6, ("C", 2, 0): 1}
+    m, n = variables(2)
+    v, = variables(1)
+    for (fa, fb), terms in brackets.items():
+        got = dict(superalgebra._entry(BasisElt(fa, m), BasisElt(fb, n)))
+        want = _mode_bracket(fa, fb, terms, m, n)
+        got.pop(C, 0)
+        want.pop(C, 0)
+        assert got == want, (fa, fb)
+        got = dict(superalgebra._entry(BasisElt(fa, v), BasisElt(fb, -v)))
+        want = _mode_bracket(fa, fb, terms, v, -v)
+        assert got.get(C, 0) == want.get(C, 0), (fa, fb)
 
 
 # -- negative controls: the sweeps can fail -------------------------------------
