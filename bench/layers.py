@@ -18,11 +18,14 @@ inside the clock, its inputs are built before.  Three tiers:
 ``collect(tag, small=True)`` times each entry once at small sizes and skips
 the commands: a smoke run that checks the harness, not the code.  The machine
 context comes from ``perfbench/run.py``, which this script only imports.
+``source_sha256`` names the code that was timed: ``commit`` names only its
+checkout's last commit, whatever the working tree holds.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -199,10 +202,22 @@ def commit() -> str | None:
     return proc.stdout.strip() or None
 
 
+def source_sha256() -> str:
+    """SHA-256 of the timed package's ``*.py`` files in name order, each as
+    its name, a NUL, its length in bytes, a NUL and its bytes."""
+    import superjacobi
+    digest = hashlib.sha256()
+    for path in sorted(Path(superjacobi.__file__).parent.glob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
+
+
 def collect(tag: str, small: bool = False) -> dict:
     runs = 1 if small else 5
     return {
-        "tag": tag, "commit": commit(), "runs": runs, "small": small,
+        "tag": tag, "commit": commit(), "source_sha256": source_sha256(),
+        "runs": runs, "small": small,
         "machine": machine(),
         "layers": {name: timed(call, runs, size)
                    for name, (call, size) in layers(small).items()},

@@ -2,16 +2,17 @@
 the Virasoro embedding remark, and the vector-field realization.
 
 Basis families L_n, J_n (even), H_n, Q_n (odd), central C: the modes of
-the N=2 superconformal vertex algebra.  Its fields L, J, H, Q have
-conformal weight w = 2, 1, 1, 2 and, for a before b in the order L, J, H, Q
-(D = d/dz), the lambda-brackets
+the N=2 superconformal vertex algebra.  Its fields L, J, H, Q have, for a
+before b in the order L, J, H, Q (D = d/dz), the lambda-brackets
 
     [L_lambda X] = (D + w_X lambda) X, + (lambda^2/6) C if X = J
     [J_lambda J] = (lambda/3) C,  [J_lambda H] = -H,  [J_lambda Q] = Q
     [H_lambda Q] = L - lambda J + (lambda^2/6) C
 
-With a_m = a_(p), p = m + w_a - 1, and b_n = b_(r), r = n + w_b - 1, a term
-c lambda^k D^d Y (d = 0 or 1) of [a_lambda b] adds
+so the conformal weight w_X is the lambda coefficient of X in [L_lambda X]:
+w = 2, 1, 1, 2 for L, J, H, Q.  These brackets and the parities are the
+only data.  With a_m = a_(p), p = m + w_a - 1, and b_n = b_(r),
+r = n + w_b - 1, a term c lambda^k D^d Y (d = 0 or 1) of [a_lambda b] adds
 
     c p (p-1) ... (p-k+1) (-(p + r - k))^d  on Y_{m+n}, or on delta_{m,-n} C
 
@@ -40,10 +41,13 @@ The vector-field realization on C[z, 1/z] (x) /\\[theta] uses
 [H, Q] force theta d_z, as realization_bracket_check shows.)
 
 _table writes 6 [a, b] from _LAMBDA (6 [a_lambda b] over Z) by ring
-operations on the indices alone, each C term at every index.  _entry adds
-super-antisymmetry, and _six keeps the C term only where the int indices
-satisfy m == -n.  bracket() divides by 6; the Jacobi sweep stays on the
-integers, exact at scale 36, and divides back only a violating Jacobiator.
+operations on the indices alone, each C term at every index.  It reads each
+weight from its row 6 [L_lambda X] and refuses, with a ValueError naming
+[L_lambda X], a weight that is not an int, before any index arithmetic.
+_entry adds super-antisymmetry, and _six keeps the C term only where the
+int indices satisfy m == -n.  bracket() divides by 6; the Jacobi sweep
+stays on the integers, exact at scale 36, and divides back only a violating
+Jacobiator.
 The realization is over Z; its check compares each commutator at scale 6
 with _six.
 
@@ -85,9 +89,7 @@ from functools import cache
 
 
 EVEN, ODD = 0, 1
-_Family = namedtuple("_Family", "parity weight")
-_FAMILY = {"L": _Family(EVEN, 2), "J": _Family(EVEN, 1), "H": _Family(ODD, 1),
-           "Q": _Family(ODD, 2), "C": _Family(EVEN, 0)}
+_PARITY = {"L": EVEN, "J": EVEN, "H": ODD, "Q": ODD, "C": EVEN}
 FAMILIES = ("L", "J", "H", "Q")
 # 6 [a_lambda b]: (Y, c, k, d) per term c lambda^k D^d Y
 _LAMBDA = {"LL": (("L", 6, 0, 1), ("L", 12, 1, 0)),
@@ -97,6 +99,18 @@ _LAMBDA = {"LL": (("L", 6, 0, 1), ("L", 12, 1, 0)),
            "JJ": (("C", 2, 1, 0),), "JH": (("H", -6, 0, 0),),
            "JQ": (("Q", 6, 0, 0),),
            "HQ": (("L", 6, 0, 0), ("J", -6, 1, 0), ("C", 1, 2, 0))}
+
+
+@cache
+def _weight(row: tuple, x: str) -> int:
+    """w_X from row = 6 [L_lambda X] = 6 (D + w_X lambda) X + ...: its lambda
+    coefficient on X over 6, refused unless it is an int.  Keyed by the row,
+    so a changed _LAMBDA changes the weight."""
+    six_w = sum(c for y, c, k, d in row if (y, k, d) == (x, 1, 0))
+    if six_w % 6:
+        raise ValueError(f"[L_lambda {x}] gives {x} the conformal weight "
+                         f"{Fraction(six_w, 6)}, not an int")
+    return six_w // 6
 
 
 @cache
@@ -113,7 +127,7 @@ class BasisElt(namedtuple("_BasisElt", "family index")):
     __slots__ = ()
 
     def __new__(cls, family: str, index: int | None = None):
-        if family not in _FAMILY:
+        if family not in _PARITY:
             raise ValueError(f"unknown family {family}")
         if family == "C":
             if index is not None:
@@ -124,7 +138,7 @@ class BasisElt(namedtuple("_BasisElt", "family index")):
 
     @property
     def parity(self) -> int:
-        return _FAMILY[self.family].parity
+        return _PARITY[self.family]
 
     def __str__(self):
         return "C" if self.family == "C" else f"{self.family}[{self.index}]"
@@ -211,8 +225,8 @@ def _table(a: BasisElt, b: BasisElt):
     fa, fb = a.family, b.family
     if FAMILIES.index(fa) > FAMILIES.index(fb):
         return None
-    p = a.index + (_FAMILY[fa].weight - 1)
-    r = b.index + (_FAMILY[fb].weight - 1)
+    p = a.index + (_weight(_LAMBDA["L" + fa], fa) - 1)
+    r = b.index + (_weight(_LAMBDA["L" + fb], fb) - 1)
     out = {}
     for y, c, k, d in _LAMBDA.get(fa + fb, ()):
         for j in range(k):
@@ -314,10 +328,11 @@ def super_jacobi_check(max_index: int) -> SweepReport:
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
     from . import certificate
+    checked = (len(FAMILIES) * (2 * max_index + 1) + 1) ** 3
+    if certificate.jacobi_holds():
+        return SweepReport(checked, [])
     elts = [BasisElt(f, n) for f in FAMILIES
             for n in range(-max_index, max_index + 1)] + [C]
-    if certificate.jacobi_holds():
-        return SweepReport(len(elts) ** 3, [])
     view = _SixView()
     violations = []
     for a in elts:
@@ -326,7 +341,7 @@ def super_jacobi_check(max_index: int) -> SweepReport:
                 total = _jacobiator(view, a, b, c)
                 if any(total.values()):
                     violations.append((a, b, c, _comb(total.items(), 36)))
-    return SweepReport(len(elts) ** 3, violations)
+    return SweepReport(checked, violations)
 
 
 def virasoro_map_check(max_index: int, naive: bool) -> SweepReport:
@@ -513,11 +528,11 @@ def realization_bracket_check(max_index: int) -> RealizationReport:
         raise ValueError("max_index must be >= 1")
     from . import certificate
     idx = range(-max_index, max_index + 1)
-    rows = [[BasisElt(f, n) for n in idx] for f in FAMILIES]
-    checked = sum(map(len, rows)) ** 2
+    checked = (len(FAMILIES) * len(idx)) ** 2
     kernel = certificate.realization_kernel(idx)
     if kernel is not None:
         return RealizationReport(checked, [], kernel)
+    rows = [[BasisElt(f, n) for n in idx] for f in FAMILIES]
     ds = {e: realization(e) for row in rows for e in row}
     mismatches, central = [], []
     for row_a in rows:          # family pairs outermost: centralKernel's order

@@ -1,9 +1,12 @@
 """Smoke test of the layer harness ``bench/layers.py``: one small run without
 the subprocess tier.  It checks the report's shape, not its timings."""
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
+
+import superjacobi
 
 HARNESS = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
 STATS = {"size", "n", "median_s", "q1_s", "q3_s"}
@@ -14,8 +17,15 @@ def test_small_run_times_every_layer():
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
     report = json.loads(json.dumps(layers.collect("smoke", small=True)))
-    assert set(report) == {"tag", "commit", "runs", "small", "machine",
-                           "layers", "scaling", "commands"}
+    assert set(report) == {"tag", "commit", "source_sha256", "runs", "small",
+                           "machine", "layers", "scaling", "commands"}
+    # the digest names the timed files: name, NUL, length, NUL, bytes each
+    digest = hashlib.sha256()
+    for path in sorted(Path(superjacobi.__file__).parent.glob("*.py")):
+        data = path.read_bytes()
+        digest.update(path.name.encode() + b"\0" + str(len(data)).encode()
+                      + b"\0" + data)
+    assert report["source_sha256"] == digest.hexdigest()
     assert report["tag"] == "smoke" and report["runs"] == 1 and report["small"]
     assert {"nproc", "python", "cpu", "calibration_s"} <= set(report["machine"])
     assert set(report["layers"]) == {

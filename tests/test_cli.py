@@ -425,3 +425,15 @@ def test_failing_wp_pde_self_test_exit1(monkeypatch):
     assert code == 1
     assert '"passed": false' in out
     assert json.loads(out) == {"selfTest": "wp-pde", "passed": False}
+
+
+def test_jacobi_identity_refuses_a_weight_that_is_not_an_int(monkeypatch):
+    # the lambda coefficient of H in 6 [L_lambda H] plus 1: w_H = 7/6
+    from superjacobi import superalgebra
+    row = superalgebra._LAMBDA["LH"]
+    monkeypatch.setitem(superalgebra._LAMBDA, "LH",
+                        tuple((y, c + 1, k, d) if (y, k, d) == ("H", 1, 0)
+                              else (y, c, k, d) for y, c, k, d in row))
+    code, out, err = _run_in_process("jacobi-identity", "--max", "2")
+    assert (code, out) == (2, "")
+    assert "[L_lambda H]" in err and "7/6" in err

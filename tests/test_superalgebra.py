@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -129,6 +130,20 @@ def test_jacobi_sweep_m6():
     assert rep.checked == (4 * 13 + 1) ** 3
 
 
+def test_certified_sweep_does_not_build_its_box():
+    # the box at max_index 100,000 holds 800,005 elements (about 90 MB); a
+    # certified sweep only counts its triples
+    certificate.jacobi_holds()
+    tracemalloc.start()
+    try:
+        rep = super_jacobi_check(100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.checked == (4 * 200_001 + 1) ** 3
+    assert peak < 1 << 20
+
+
 def test_virasoro_corrected_examples():
     # (1,-1): [L1 - J1, L-1] = 2 L0 - J0
     img1 = SuperLinComb.of((1, L(1)), (-1, J(1)))
@@ -226,12 +241,11 @@ def _ten_branch_table(a: BasisElt, b: BasisElt):
 
 
 def test_table_is_the_n2_data_at_every_index():
-    # conformal weights of L, J, H, Q, J_0 charges (the constant term of
-    # [J_lambda X] on X), and the table they generate equals the per-pair
-    # formulas as polynomials in free (m, n)
-    data = superalgebra._FAMILY
-    assert {f: data[f].weight for f in FAMILIES} == {
-        "L": 2, "J": 1, "H": 1, "Q": 2}
+    # conformal weights of L, J, H, Q (read from [L_lambda X]), J_0 charges
+    # (the constant term of [J_lambda X] on X), and the table they generate
+    # equals the per-pair formulas as polynomials in free (m, n)
+    assert {f: superalgebra._weight(superalgebra._LAMBDA["L" + f], f)
+            for f in FAMILIES} == {"L": 2, "J": 1, "H": 1, "Q": 2}
     assert {f: F(sum(c for y, c, k, d in superalgebra._LAMBDA["J" + f]
                      if (y, k, d) == (f, 0, 0)), 6)
             for f in ("J", "H", "Q")} == {"J": 0, "H": -1, "Q": 1}
@@ -242,25 +256,25 @@ def test_table_is_the_n2_data_at_every_index():
             assert superalgebra._table(a, b) == _ten_branch_table(a, b), (a, b)
 
 
-def _plus_one(family):
-    # the conformal weight plus 1, which moves the family's mode shift
-    def mutate(monkeypatch):
-        data = superalgebra._FAMILY[family]
-        monkeypatch.setitem(superalgebra._FAMILY, family,
-                            data._replace(weight=data.weight + 1))
-    return mutate
-
-
-def _term_plus_one(pair, i):
-    # the coefficient of the i-th term of 6 [a_lambda b] plus 1: for a C term,
-    # lambda^2/6 -> lambda^2/3 in [L_lambda J] and [H_lambda Q], lambda/3 ->
-    # lambda/2 in [J_lambda J]
+def _term_plus(pair, i, by=1):
+    # the coefficient of the i-th term of 6 [a_lambda b] plus ``by``: for a C
+    # term and by = 1, lambda^2/6 -> lambda^2/3 in [L_lambda J] and
+    # [H_lambda Q], lambda/3 -> lambda/2 in [J_lambda J]
     def mutate(monkeypatch):
         terms = list(superalgebra._LAMBDA[pair])
         y, c, k, d = terms[i]
-        terms[i] = (y, c + 1, k, d)
+        terms[i] = (y, c + by, k, d)
         monkeypatch.setitem(superalgebra._LAMBDA, pair, tuple(terms))
     return mutate
+
+
+def _plus_one(family):
+    # the conformal weight plus 1: the lambda coefficient of X in
+    # 6 [L_lambda X] plus 6, which moves the family's mode shift too
+    row = superalgebra._LAMBDA["L" + family]
+    i, = (i for i, (y, _, k, d) in enumerate(row)
+          if (y, k, d) == (family, 1, 0))
+    return _term_plus("L" + family, i, 6)
 
 
 def _j_charge_one(monkeypatch):
@@ -279,17 +293,33 @@ def _term_id(pair, y, k, d):
 
 
 _DATA_MUTANTS = {**{f"w_{f}": _plus_one(f) for f in FAMILIES},
-                 **{_term_id(p, y, k, d): _term_plus_one(p, i)
+                 **{_term_id(p, y, k, d): _term_plus(p, i)
                     for p, terms in superalgebra._LAMBDA.items()
                     for i, (y, _, k, d) in enumerate(terms)},
                  "q_J": _j_charge_one}
 
 
+# the lambda coefficient of [L_lambda X] plus 1 gives X a weight of 1/6 more
+_FRACTIONAL_WEIGHT = {f"L{f}_l{f}": f for f in FAMILIES}
+
+
 @pytest.mark.parametrize("datum", list(_DATA_MUTANTS))
 def test_every_datum_is_pinned(monkeypatch, datum):
-    # the Jacobi certificate and sweep catch every mutant; the realization
-    # sends C to 0, so it catches the weights and charges but no central term
+    # the lambda-check (test-side, reading only _LAMBDA) catches every mutant.
+    # A weight that is not an int is refused by every mode-level check.
+    # Otherwise the Jacobi certificate and sweep catch every mutant; the
+    # realization sends C to 0, so it catches the weights and charges but no
+    # central term
     _DATA_MUTANTS[datum](monkeypatch)
+    assert _lambda_check_failures(superalgebra._LAMBDA)
+    family = _FRACTIONAL_WEIGHT.get(datum)
+    if family:
+        for check in (certificate.jacobi_holds,
+                      lambda: super_jacobi_check(2),
+                      lambda: realization_bracket_check(2)):
+            with pytest.raises(ValueError, match=rf"\[L_lambda {family}\]"):
+                check()
+        return
     assert not certificate.jacobi_holds()
     assert super_jacobi_check(2).violations
     central = datum.startswith("c_")
@@ -367,6 +397,156 @@ def test_sixteen_lambda_brackets_generate_the_entries():
         got = dict(superalgebra._entry(BasisElt(fa, v), BasisElt(fb, -v)))
         want = _mode_bracket(fa, fb, terms, v, -v)
         assert got.get(C, 0) == want.get(C, 0), (fa, fb)
+
+
+# -- the lambda-data certify themselves ------------------------------------------
+#
+# A polynomial in (lambda, mu, D) maps exponent triples to ints; a field maps
+# each family to its polynomial, D acting on the family.  Everything is at
+# scale 36, two brackets of scale 6 deep.
+
+_LAM, _MU, _D = {(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1}
+_ONE = {(0, 0, 0): 1}
+
+
+def _plus(*polys) -> dict:
+    out = {}
+    for poly in polys:
+        for e, c in poly.items():
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _times(p, q) -> dict:
+    out = {}
+    for (i1, j1, d1), c1 in p.items():
+        for (i2, j2, d2), c2 in q.items():
+            e = (i1 + i2, j1 + j2, d1 + d2)
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+def _power(poly, k) -> dict:
+    out = _ONE
+    for _ in range(k):
+        out = _times(out, poly)
+    return out
+
+
+def _with_d(poly, image) -> dict:
+    """poly with D replaced by the polynomial ``image``."""
+    return _plus(*(_times({(i, j, 0): c}, _power(image, d))
+                   for (i, j, d), c in poly.items()))
+
+
+def _add_field(acc: dict, y, poly, sign=1) -> None:
+    acc[y] = _plus(acc.get(y, {}), {e: sign * c for e, c in poly.items()})
+
+
+def _lambda_table(data) -> dict:
+    """The terms (Y, c, k, d) of 6 [a_lambda b] for all 16 ordered family
+    pairs: those of ``data``, the reversed ones by _skew, HH and QQ zero."""
+    table = {fa + fb: () for fa in FAMILIES for fb in FAMILIES}
+    for pair, terms in data.items():
+        table[pair] = terms
+        if pair[::-1] != pair:
+            table[pair[::-1]] = _skew(terms, pair[0] in "HQ" and pair[1] in "HQ")
+    return table
+
+
+def _at(table, a, b, nu) -> dict:
+    """6 [a_nu b] as a field, for nu a polynomial in (lambda, mu)."""
+    out = {}
+    for y, c, k, d in table[a + b]:
+        _add_field(out, y, _times({(0, 0, d): c}, _power(nu, k)))
+    return out
+
+
+def _act(table, a, nu, field) -> dict:
+    """[a_nu field] by sesquilinearity, [a_nu D X] = (D + nu) [a_nu X], and
+    [a_nu C] = 0."""
+    out = {}
+    for y, poly in field.items():
+        if y != "C":
+            shifted = _with_d(poly, _plus(_D, nu))
+            for z, q in _at(table, a, y, nu).items():
+                _add_field(out, z, _times(shifted, q))
+    return out
+
+
+def _acted_on(table, field, nu, c) -> dict:
+    """[field_nu c] by sesquilinearity, [D X_nu c] = -nu [X_nu c], and
+    [C_nu c] = 0."""
+    out = {}
+    minus_nu = {e: -v for e, v in nu.items()}
+    for y, poly in field.items():
+        if y != "C":
+            shifted = _with_d(poly, minus_nu)
+            for z, q in _at(table, y, c, nu).items():
+                _add_field(out, z, _times(shifted, q))
+    return out
+
+
+def _lambda_jacobi_failures(data) -> list:
+    """The family triples (a, b, c) where [a_lambda [b_mu c]] differs from
+    [[a_lambda b]_{lambda+mu} c] + (-1)^{p(a)p(b)} [b_mu [a_lambda c]], with
+    D C = 0."""
+    table = _lambda_table(data)
+    parity = superalgebra._PARITY
+    failures = []
+    for a in FAMILIES:
+        for b in FAMILIES:
+            sign = -1 if parity[a] and parity[b] else 1
+            for c in FAMILIES:
+                diff = _act(table, a, _LAM, _at(table, b, c, _MU))
+                for y, poly in _acted_on(table, _at(table, a, b, _LAM),
+                                         _plus(_LAM, _MU), c).items():
+                    _add_field(diff, y, poly, -1)
+                for y, poly in _act(table, b, _MU,
+                                    _at(table, a, c, _LAM)).items():
+                    _add_field(diff, y, poly, -sign)
+                diff["C"] = {e: v for e, v in diff.get("C", {}).items()
+                             if not e[2]}
+                if any(diff.values()):
+                    failures.append(a + b + c)
+    return failures
+
+
+def _homogeneity_failures(data) -> list:
+    """The terms c lambda^k D^d Y of [a_lambda b] without w_Y + d = w_a + w_b
+    - k - 1, each w_X read as the lambda coefficient of X in [L_lambda X] and
+    C of weight 0."""
+    w = {x: F(sum(c for y, c, k, d in data["L" + x] if (y, k, d) == (x, 1, 0)),
+              6) for x in FAMILIES}
+    w["C"] = 0
+    return [(pair, term) for pair, terms in _lambda_table(data).items()
+            for term in terms
+            if w[term[0]] + term[3] != w[pair[0]] + w[pair[1]] - term[2] - 1]
+
+
+def _lambda_check_failures(data) -> list:
+    return _lambda_jacobi_failures(data) + _homogeneity_failures(data)
+
+
+def test_lambda_data_satisfy_jacobi_and_homogeneity():
+    # all 64 ordered family triples, and every term of the 16 brackets
+    assert _lambda_jacobi_failures(superalgebra._LAMBDA) == []
+    assert _homogeneity_failures(superalgebra._LAMBDA) == []
+
+
+def test_doubled_centre_is_an_equivalent_mutant(monkeypatch):
+    # C is a free parameter of the lambda-data: doubling all three central
+    # terms is C -> 2 C, an isomorphic algebra, so the lambda-check, the
+    # Jacobi certificate and the realization (C -> 0) all pass it.  The mutant
+    # is equivalent for them; only a value of C, such as the corrected
+    # Virasoro embedding's (m^3 - m)/12 C, catches it
+    for pair, terms in superalgebra._LAMBDA.items():
+        monkeypatch.setitem(superalgebra._LAMBDA, pair, tuple(
+            (y, 2 * c if y == "C" else c, k, d) for y, c, k, d in terms))
+    assert _lambda_check_failures(superalgebra._LAMBDA) == []
+    assert certificate.jacobi_holds()
+    assert realization_bracket_check(2).passed
+    assert not virasoro_map_check(2, naive=False).passed
 
 
 # -- negative controls: the sweeps can fail -------------------------------------
